@@ -184,10 +184,8 @@ def check_pinsker(joint, marginal_sizes: tuple[int, int]) -> CheckResult:
     )
 
 
-def check_quantum_pinsker(e: ens.CQEnsemble) -> CheckResult:
+def check_quantum_pinsker(d: float, chi: float) -> CheckResult:
     """2 d^2 <= chi, with d the per-key average criterion."""
-    d = ens.mean_conditional_distance(e)
-    chi = ens.holevo_information(e)
     margin = chi - 2.0 * d * d
     return CheckResult(
         name="quantum_pinsker",
@@ -197,15 +195,13 @@ def check_quantum_pinsker(e: ens.CQEnsemble) -> CheckResult:
     )
 
 
-def check_chi_two_sided(e: ens.CQEnsemble) -> CheckResult:
+def check_chi_two_sided(d: float, chi: float, n_bits: int) -> CheckResult:
     """2 d^2 <= chi <= 8 d n + 2 h(2d); the upper side needs 2d <= 1."""
-    d = ens.mean_conditional_distance(e)
-    chi = ens.holevo_information(e)
     lower_margin = chi - 2.0 * d * d
     extras: dict = {"d": d, "chi": chi, "lower_margin": lower_margin}
     note = ""
     if 2.0 * d <= 1.0 + 1e-12:
-        upper = 8.0 * d * e.n_bits + 2.0 * dist.binary_entropy(min(2.0 * d, 1.0))
+        upper = 8.0 * d * n_bits + 2.0 * dist.binary_entropy(min(2.0 * d, 1.0))
         upper_margin = upper - chi
         extras["upper_margin"] = upper_margin
         worst = min(lower_margin, upper_margin)
@@ -223,7 +219,7 @@ def check_chi_two_sided(e: ens.CQEnsemble) -> CheckResult:
 
 
 def check_accessible_info(
-    e: ens.CQEnsemble, restarts: int = 0, seed: int = 0
+    e: ens.CQEnsemble, d: float, chi: float, restarts: int = 0, seed: int = 0
 ) -> tuple[CheckResult, CheckResult]:
     """2 d^2 <= 2^n I_ac, tested a fortiori through a lower bound on I_ac.
 
@@ -232,8 +228,6 @@ def check_accessible_info(
     fail, because the search may simply have undershot.  A companion
     result asserts the lower bound respects the Holevo ceiling.
     """
-    d = ens.mean_conditional_distance(e)
-    chi = ens.holevo_information(e)
     info = detection.accessible_info_lower_bound(e, restarts=restarts, seed=seed)
     scaled = (2.0**e.n_bits) * info.bits
     margin = scaled - 2.0 * d * d
@@ -382,12 +376,12 @@ def run_campaign(
             quantities["mutual_information"] = result.extras["mutual_information"]
             quantities["pinsker_tight_margin"] = result.extras["tight_margin"]
         if "quantum_pinsker" in checks:
-            results["quantum_pinsker"] = check_quantum_pinsker(e)
+            results["quantum_pinsker"] = check_quantum_pinsker(d, chi)
         if "chi_two_sided" in checks:
-            results["chi_two_sided"] = check_chi_two_sided(e)
+            results["chi_two_sided"] = check_chi_two_sided(d, chi, e.n_bits)
         if "accessible_info" in checks or "holevo_consistency" in checks:
             main, companion = check_accessible_info(
-                e, restarts=accessible_restarts, seed=seed * 1_000_003 + instance_id
+                e, d, chi, restarts=accessible_restarts, seed=seed * 1_000_003 + instance_id
             )
             if "accessible_info" in checks:
                 results["accessible_info"] = main

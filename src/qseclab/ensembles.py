@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,6 +74,14 @@ class CQEnsemble:
     def state_dim(self) -> int:
         return self.states[0].dim
 
+    @cached_property
+    def average(self) -> DensityOperator:
+        """The prior-averaged probe state, built and validated on first use."""
+        acc = np.zeros((self.state_dim, self.state_dim), dtype=np.complex128)
+        for w, s in zip(self.prior, self.states):
+            acc += w * s.matrix
+        return DensityOperator(acc)
+
     def key_label(self, k: int) -> str:
         return format(k, f"0{self.n_bits}b") if self.n_bits else ""
 
@@ -82,11 +91,8 @@ def uniform_prior(n_bits: int) -> np.ndarray:
 
 
 def average_state(e: CQEnsemble) -> DensityOperator:
-    """The prior-averaged probe state."""
-    acc = np.zeros((e.state_dim, e.state_dim), dtype=np.complex128)
-    for w, s in zip(e.prior, e.states):
-        acc += w * s.matrix
-    return DensityOperator(acc)
+    """The prior-averaged probe state (computed once per ensemble)."""
+    return e.average
 
 
 def key_register_state(e: CQEnsemble) -> DensityOperator:

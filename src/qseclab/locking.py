@@ -23,7 +23,6 @@ state 3 = (0, 1), state 2 = (1, 1)/sqrt2, state 4 = (1, -1)/sqrt2, so
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +143,11 @@ def _state_from_term(basis: BB84Basis, slots: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _bit_rows(count: int) -> np.ndarray:
+    """Every value of ``count`` bits, one row each, in key order (MSB first)."""
+    return (np.arange(2**count)[:, None] >> np.arange(count - 1, -1, -1)) & 1
+
+
 def build_term_ensemble(terms: dict, variant: str, basis: BB84Basis | None = None) -> LockingEnsemble:
     """Assemble a locking ensemble from an explicit term table.
 
@@ -157,8 +161,7 @@ def build_term_ensemble(terms: dict, variant: str, basis: BB84Basis | None = Non
     n_bits = len(next(iter(terms)))
     states = []
     orthogonality = {}
-    for k in range(2**n_bits):
-        bits = tuple((k >> (n_bits - 1 - j)) & 1 for j in range(n_bits))
+    for bits in map(tuple, _bit_rows(n_bits).tolist()):
         first, second = terms[bits]
         matrix = _HALF * (_state_from_term(basis, first) + _state_from_term(basis, second))
         state = DensityOperator(matrix)
@@ -166,12 +169,9 @@ def build_term_ensemble(terms: dict, variant: str, basis: BB84Basis | None = Non
         for a, b in zip(first, second):
             overlap *= basis.overlap2(a, b)
         orthogonality[bits] = overlap == 0.0
-        if orthogonality[bits]:
-            eigenvalues = np.sort(np.linalg.eigvalsh(state.matrix))[::-1]
-            if abs(eigenvalues[0] - 0.5) > 1e-10 or abs(eigenvalues[1] - 0.5) > 1e-10:
-                raise ValidationError(
-                    f"state {bits}: orthogonal terms but eigenvalues {eigenvalues[:2]}"
-                )
+        top = state.eigenvalues[::-1][:2]
+        if orthogonality[bits] and np.abs(top - 0.5).max() > 1e-10:
+            raise ValidationError(f"state {bits}: orthogonal terms but eigenvalues {top}")
         states.append(state)
     ensemble = ens.CQEnsemble(
         n_bits=n_bits, prior=ens.uniform_prior(n_bits), states=tuple(states)
@@ -192,6 +192,25 @@ def build_locking_ensemble(variant: str = "symmetric_corrected") -> LockingEnsem
     return build_term_ensemble(TERM_TABLES[variant], variant)
 
 
+def _chain_walk(known: np.ndarray, n: int, takes_first) -> tuple[np.ndarray, np.ndarray]:
+    """The chained steering rule, one row of n qubits per entry of ``known``.
+
+    Qubit 1 lies in basis 1-3 for known first bit 1, else 2-4; each later
+    qubit lies in 1-3 after a first basis state, else 2-4.  Per row,
+    ``takes_first(j, first)`` picks the first state ``first`` of qubit j's
+    basis or the second, ``first + 2``: the coin or encoded bit when
+    building, the outcome (the decoded bit) when attacking.
+    """
+    states = np.empty((len(known), n), dtype=np.int64)
+    took = np.empty((len(known), n), dtype=bool)
+    first = np.where(known == 1, BASIS_13[0], BASIS_24[0])
+    for j in range(n):
+        took[:, j] = takes_first(j, first)
+        states[:, j] = np.where(took[:, j], first, first + 2)
+        first = np.where(took[:, j], BASIS_13[0], BASIS_24[0])
+    return states, took
+
+
 def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
     """Experimental n-bit generalization of the two-bit construction.
 
@@ -204,23 +223,18 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
         raise ValidationError("chained construction needs at least two bits")
     if 2**n_bits > ops.MAX_DIM:
         raise ValidationError(f"probe dimension 2^{n_bits} exceeds cap {ops.MAX_DIM}")
-    terms = {}
-    for bits in itertools.product((0, 1), repeat=n_bits):
-        pair = []
-        for coin in (0, 1):
-            first_basis = BASIS_13 if bits[0] == 1 else BASIS_24
-            slots = [first_basis[coin]]
-            for bit in bits[1:]:
-                basis = BASIS_13 if slots[-1] in (1, 2) else BASIS_24
-                slots.append(basis[0] if bit == 1 else basis[1])
-            pair.append(tuple(slots))
-        terms[bits] = tuple(pair)
+    keys = _bit_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
+    takes_first = np.column_stack([np.tile([True, False], 2**n_bits), keys[:, 1:] == 1])
+    slots, _ = _chain_walk(keys[:, 0], n_bits, lambda j, _: takes_first[:, j])
+    slots = [tuple(row) for row in slots.tolist()]
+    terms = {tuple(key): tuple(slots[2 * k:2 * k + 2])
+             for k, key in enumerate(_bit_rows(n_bits).tolist())}
     return build_term_ensemble(terms, f"chained_{n_bits}")
 
 
 def build_all_equal_control() -> LockingEnsemble:
     """Control ensemble: every key maps to the same state, so nothing leaks."""
-    terms = {bits: ((1, 1), (3, 2)) for bits in itertools.product((0, 1), repeat=2)}
+    terms = {bits: ((1, 1), (3, 2)) for bits in map(tuple, _bit_rows(2).tolist())}
     return build_term_ensemble(terms, "control_all_equal")
 
 
@@ -425,33 +439,28 @@ def _kpa_two_bit(le, known_k1, trials, seed, conjugate) -> KPAResult:
     )
 
 
+def _chain_terms(le, known_k1) -> np.ndarray:
+    """The terms of the keys with a known first bit, shape (hidden, coin, n)."""
+    return np.array([le.terms[(known_k1, *h)] for h in _bit_rows(le.n_bits - 1).tolist()])
+
+
 def _kpa_chain(le, known_k1, trials, seed) -> KPAResult:
     """Sequential unlock of a chained ensemble, steering each basis by the
-    previous outcome."""
+    previous outcome; all trials are sampled together."""
     n = le.n_bits
     rng = np.random.default_rng([seed, known_k1])
     hidden = rng.integers(0, 2, size=(trials, n - 1))
     coin = rng.integers(0, 2, size=trials)
-    correct = np.zeros(trials, dtype=bool)
-    overlap = le.basis.overlap2
-    for trial in range(trials):
-        bits = (known_k1, *hidden[trial])
-        slots = le.terms[bits][coin[trial]]
-        basis = BASIS_13 if known_k1 == 1 else BASIS_24
-        outcome = None
-        decoded = []
-        for j, prepared in enumerate(slots):
-            if j > 0:
-                basis = BASIS_13 if outcome in (1, 2) else BASIS_24
-            p = overlap(basis[0], prepared)
-            outcome = basis[0] if rng.random() < p else basis[1]
-            if j > 0:
-                decoded.append(1 if outcome == basis[0] else 0)
-        correct[trial] = tuple(decoded) == tuple(hidden[trial])
-    closed = _chain_closed_form(le, known_k1)
+    prepared = _chain_terms(le, known_k1)[hidden @ (1 << np.arange(n - 2, -1, -1)), coin]
+    overlap = le.basis._overlap_table
+    _, decoded = _chain_walk(
+        np.full(trials, known_k1), n,
+        lambda j, first: rng.random(trials) < overlap[first - 1, prepared[:, j] - 1],
+    )
+    correct = np.all(decoded[:, 1:] == (hidden == 1), axis=1)
     return KPAResult(
         success_rate=float(correct.mean()),
-        closed_form_success=closed,
+        closed_form_success=_chain_closed_form(le, known_k1),
         trials=trials,
         seed=seed,
         strategy=None,
@@ -460,31 +469,17 @@ def _kpa_chain(le, known_k1, trials, seed) -> KPAResult:
 
 
 def _chain_closed_form(le, known_k1) -> float:
-    """Exact success of the sequential unlock: every step is deterministic
-    because each prepared slot lies in the basis being measured."""
-    n = le.n_bits
-    total = 0.0
-    weight = 1.0 / (2 ** (n - 1) * 2)
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        key = (known_k1, *bits)
-        for slots in le.terms[key]:
-            basis = BASIS_13 if known_k1 == 1 else BASIS_24
-            outcome = None
-            decoded = []
-            ok = True
-            for j, prepared in enumerate(slots):
-                if j > 0:
-                    basis = BASIS_13 if outcome in (1, 2) else BASIS_24
-                p0 = le.basis.overlap2(basis[0], prepared)
-                if p0 not in (0.0, 1.0):
-                    ok = False
-                    break
-                outcome = basis[0] if p0 == 1.0 else basis[1]
-                if j > 0:
-                    decoded.append(1 if outcome == basis[0] else 0)
-            if ok and tuple(decoded) == bits:
-                total += weight
-    return total
+    """Exact success of the sequential unlock: the Born probability, summed
+    over every term, of the outcome sequences that decode the hidden bits
+    (qubit 1's outcome is free)."""
+    terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)
+    hidden = _bit_rows(le.n_bits - 1).repeat(2, axis=0) == 1
+    prepared = np.tile(terms, (2, 1))
+    takes_first = np.column_stack([np.repeat([True, False], len(terms)), np.tile(hidden, (2, 1))])
+    outcomes, _ = _chain_walk(np.full(len(prepared), known_k1), le.n_bits,
+                              lambda j, _: takes_first[:, j])
+    born = le.basis._overlap_table[outcomes - 1, prepared - 1].prod(axis=1)
+    return float(born.sum()) / len(terms)
 
 
 # ---------------------------------------------------------------------------

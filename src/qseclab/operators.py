@@ -9,7 +9,7 @@ is sparse or structured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,10 +71,12 @@ class DensityOperator:
     """A state: Hermitian, positive semidefinite and unit trace.
 
     Tolerances: Hermiticity 1e-12 (max entry), eigenvalues >= -1e-10,
-    trace within 1e-10 of one.
+    trace within 1e-10 of one.  ``eigenvalues`` keeps the ascending
+    spectrum the positivity check computed.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _as_square(self.matrix)
@@ -87,7 +89,9 @@ class DensityOperator:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+        eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -195,7 +199,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     Eigenvalues are clamped to [0, 1] after validation so round-off just
     below zero cannot poison the logarithm; 0 log 0 is taken as 0.
     """
-    eigenvalues = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, 1.0)
+    eigenvalues = np.clip(rho.eigenvalues, 0.0, 1.0)
     positive = eigenvalues[eigenvalues > 0.0]
     return max(0.0, float(-(positive * np.log2(positive)).sum()))
 

@@ -22,6 +22,10 @@ def constant_ensemble(n_bits, dim=2):
     )
 
 
+def d_chi(e):
+    return ens.mean_conditional_distance(e), ens.holevo_information(e)
+
+
 class TestPinskerCheck:
     def test_product_joint_passes_with_zero_margin(self):
         joint = np.outer([0.3, 0.7], [0.4, 0.6])
@@ -49,27 +53,27 @@ class TestPinskerCheck:
 
 class TestQuantumPinskerCheck:
     def test_constant_ensemble_boundary(self):
-        result = bounds.check_quantum_pinsker(constant_ensemble(1))
+        result = bounds.check_quantum_pinsker(*d_chi(constant_ensemble(1)))
         assert result.verdict == "pass"
         assert result.margin == pytest.approx(0.0, abs=1e-10)
 
     def test_one_bit_orthogonal_closed_form(self):
         # both sides in closed form: d = 1/2, chi = 1
-        result = bounds.check_quantum_pinsker(orthogonal_ensemble(1))
+        result = bounds.check_quantum_pinsker(*d_chi(orthogonal_ensemble(1)))
         assert result.extras["d"] == pytest.approx(0.5, abs=1e-10)
         assert result.extras["chi"] == pytest.approx(1.0, abs=1e-10)
         assert result.margin == pytest.approx(0.5, abs=1e-9)
 
     def test_locking_ensemble_passes(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
-        result = bounds.check_quantum_pinsker(le.ensemble)
+        result = bounds.check_quantum_pinsker(*d_chi(le.ensemble))
         assert result.verdict == "pass"
         assert result.margin == pytest.approx(0.5, abs=1e-9)
 
 
 class TestChiTwoSidedCheck:
     def test_constant_ensemble_boundary(self):
-        result = bounds.check_chi_two_sided(constant_ensemble(1))
+        result = bounds.check_chi_two_sided(*d_chi(constant_ensemble(1)), 1)
         assert result.verdict == "pass"
         assert result.extras["upper_margin"] == pytest.approx(0.0, abs=1e-9)
 
@@ -82,7 +86,7 @@ class TestChiTwoSidedCheck:
         assert 8 * d * 1 + 2 * binary_entropy(2 * d) == pytest.approx(4.0)
 
     def test_upper_side_not_applicable_beyond_half(self):
-        result = bounds.check_chi_two_sided(orthogonal_ensemble(2))  # d = 3/4
+        result = bounds.check_chi_two_sided(*d_chi(orthogonal_ensemble(2)), 2)  # d = 3/4
         assert result.extras["upper_margin"] is None
         assert "not applicable" in result.note
         assert result.verdict == "pass"
@@ -95,18 +99,22 @@ class TestChiTwoSidedCheck:
 
 class TestAccessibleInfoCheck:
     def test_constant_ensemble_passes(self):
-        main, companion = bounds.check_accessible_info(constant_ensemble(1))
+        e = constant_ensemble(1)
+        main, companion = bounds.check_accessible_info(e, *d_chi(e))
         assert main.verdict == "pass"
         assert companion.verdict == "pass"
 
     def test_orthogonal_ensemble_trivially_passes(self):
-        main, _ = bounds.check_accessible_info(orthogonal_ensemble(2))
+        e = orthogonal_ensemble(2)
+        main, _ = bounds.check_accessible_info(e, *d_chi(e))
         assert main.verdict == "pass"
         assert main.extras["i_ac_lower"] == pytest.approx(2.0, abs=1e-8)
 
     def test_locking_ensemble_recorded_with_budget(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
-        main, companion = bounds.check_accessible_info(le.ensemble, restarts=1, seed=3)
+        main, companion = bounds.check_accessible_info(
+            le.ensemble, *d_chi(le.ensemble), restarts=1, seed=3
+        )
         assert main.verdict == "pass"
         assert "restarts=1" in main.note
         assert companion.verdict == "pass"

@@ -69,6 +69,10 @@ class TestAverageState:
         avg = ens.average_state(le.ensemble)
         assert ops.trace_distance(avg, ops.maximally_mixed(4)) > 1e-3
 
+    def test_built_once_per_ensemble(self):
+        e = random_ensemble(2, 3, np.random.default_rng(8))
+        assert ens.average_state(e) is ens.average_state(e)
+
 
 class TestJointProductDistance:
     def test_constant_ensemble_is_zero(self):

@@ -160,6 +160,23 @@ class TestKPASimulate:
         assert result.closed_form_success == 1.0
         assert result.success_rate == 1.0
 
+    def test_chained_sampler_on_a_non_deterministic_table(self):
+        # Known first bit 1 leaves 8 equally likely (hidden bits, coin) terms.
+        # Moving the last slot of one of them into the conjugate basis makes
+        # the measured third qubit a fair coin on that term only, so the
+        # unlock succeeds with probability 7/8 * 1 + 1/8 * 1/2 = 15/16.
+        terms = dict(locking.build_chained_locking_ensemble(3).terms)
+        first, second = terms[(1, 0, 1)]
+        conjugate = {1: 2, 2: 1, 3: 4, 4: 3}
+        terms[(1, 0, 1)] = (first[:2] + (conjugate[first[2]],), second)
+        le = locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
+        trials = 40_000
+        result = locking.kpa_simulate(le, 1, trials=trials, seed=29)
+        assert result.closed_form_success == 15 / 16
+        sigma = np.sqrt(15 / 16 * (1 / 16) / trials)
+        assert abs(result.success_rate - 15 / 16) <= 5 * sigma
+        assert result.success_rate < 1.0
+
     def test_all_equal_control_is_blind(self):
         control = locking.build_all_equal_control()
         result = locking.kpa_simulate(control, 1, trials=20_000, seed=17)

@@ -56,6 +56,12 @@ class TestValidateDensity:
         with pytest.raises(NotHermitianError):
             ops.validate_density(np.ones((2, 3)))
 
+    def test_keeps_the_validated_spectrum(self):
+        m = random_density(6, np.random.default_rng(4)).matrix.copy()
+        state = ops.DensityOperator(m)
+        np.testing.assert_array_equal(state.eigenvalues, np.linalg.eigvalsh(m))
+        assert not state.eigenvalues.flags.writeable
+
 
 class TestEigHermitian:
     def test_pauli_z_descending(self):

@@ -82,6 +82,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(payload: dict, args) -> None:
+    """Write a report in the requested json or text format."""
+    text = _dump_json(payload) if args.format == "json" else _dump_text(_clean(payload)) + "\n"
+    _emit(text, args.out)
+
+
 def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
@@ -111,8 +117,7 @@ def cmd_locking_demo(args, argv) -> int:
             raise Error(f"ideal reference for key {key} is {per_key[key]}, not 1/2")
     if not payload["criteria"]["d"] < 1.0 - 1e-6:
         raise Error("trace criterion unexpectedly reached 1")
-    text = _dump_json(payload) if args.format == "json" else _dump_text(_clean(payload)) + "\n"
-    _emit(text, args.out)
+    _emit_report(payload, args)
     return 0
 
 
@@ -130,8 +135,7 @@ def cmd_criteria(args, argv) -> int:
         e, reference=operators.maximally_mixed(e.state_dim)
     )
     payload["ideal_reference_mean"] = float(e.prior @ ideal)
-    text = _dump_json(payload) if args.format == "json" else _dump_text(_clean(payload)) + "\n"
-    _emit(text, args.out)
+    _emit_report(payload, args)
     return 0
 
 
@@ -210,8 +214,7 @@ def cmd_extremal(args, argv) -> int:
             ),
         }
     )
-    text = _dump_json(payload) if args.format == "json" else _dump_text(_clean(payload)) + "\n"
-    _emit(text, args.out)
+    _emit_report(payload, args)
     return 0
 
 

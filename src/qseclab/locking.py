@@ -301,6 +301,19 @@ def _joint_outcome_weight(le: LockingEnsemble, key: tuple, f: int, s: int) -> fl
     )
 
 
+def _decode_second(le: LockingEnsemble, known_k1: int, f: int, basis) -> tuple[float, dict]:
+    """Maximum-likelihood decode of bit 2 from qubit 2 measured in ``basis``
+    after first outcome f: its share of the success and its decode table."""
+    contribution = 0.0
+    table = {}
+    for s in basis:
+        weights = {k2: _joint_outcome_weight(le, (known_k1, k2), f, s) for k2 in (0, 1)}
+        guess = max(sorted(weights), key=lambda k2: weights[k2])
+        table[(f, s)] = guess
+        contribution += 0.5 * weights[guess]
+    return contribution, table
+
+
 def unlocking_strategy(le: LockingEnsemble, known_k1: int, conjugate: bool = False) -> UnlockingStrategy:
     """Derive the unlock rule for a known first bit.
 
@@ -328,25 +341,13 @@ def unlocking_strategy(le: LockingEnsemble, known_k1: int, conjugate: bool = Fal
     for f in first_basis:
         best = None
         for basis in (BASIS_13, BASIS_24):
-            contribution = 0.0
-            table = {}
-            for s in basis:
-                weights = {k2: _joint_outcome_weight(le, (known_k1, k2), f, s) for k2 in (0, 1)}
-                guess = max(sorted(weights), key=lambda k2: weights[k2])
-                table[(f, s)] = guess
-                contribution += 0.5 * weights[guess]
+            contribution, table = _decode_second(le, known_k1, f, basis)
             if best is None or contribution > best[0] + 1e-15:
                 best = (contribution, basis, table)
         contribution, basis, table = best
         if conjugate:
             basis = BASIS_24 if basis == BASIS_13 else BASIS_13
-            contribution = 0.0
-            table = {}
-            for s in basis:
-                weights = {k2: _joint_outcome_weight(le, (known_k1, k2), f, s) for k2 in (0, 1)}
-                guess = max(sorted(weights), key=lambda k2: weights[k2])
-                table[(f, s)] = guess
-                contribution += 0.5 * weights[guess]
+            contribution, table = _decode_second(le, known_k1, f, basis)
         second_basis[f] = basis
         decode.update(table)
         closed_form += contribution

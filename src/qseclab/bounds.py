@@ -130,6 +130,8 @@ def default_recipes(count: int, seed: int = 0, max_n: int = 3, max_dim: int = 8,
     Uses a seed-prefix scheme: the first k recipes of a longer list equal
     the shorter list, so worst-case margins are monotone in the count.
     """
+    if max_dim < 2:
+        raise ValidationError(f"max_dim must be at least 2, got {max_dim}")
     recipes = []
     for i in range(count):
         kind = kinds[i % len(kinds)]

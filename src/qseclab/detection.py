@@ -383,6 +383,9 @@ def accessible_info_lower_bound(
     up to d^2 outcomes refine further.  The result is a LOWER bound on the
     extractable information only; the true maximum may be higher.
     """
+    d = e.state_dim
+    if outcomes is not None and outcomes < d:
+        raise ValidationError(f"{outcomes} outcomes cannot form a rank-1 frame in dimension {d}")
     state_stack = np.stack([s.matrix for s in e.states])
     candidates = [
         square_root_measurement(e).povm,
@@ -395,7 +398,6 @@ def accessible_info_lower_bound(
         bits = povm_mutual_information(e, povm)
         if bits > best_bits:
             best_bits, best_povm = bits, povm
-    d = e.state_dim
     m = min(outcomes or d * d, MAX_OUTCOMES)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts)):

@@ -12,6 +12,7 @@ average to individual guarantees.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,6 +281,10 @@ def spike_for_variational_distance(n_bits: int, l: float) -> SpikeConstruction:
         raise InfeasibleError("key length must be at least one bit")
     if not l > 0.0:
         raise InfeasibleError(f"constraint exponent must be positive, got {l!r}")
+    if n_bits >= sys.float_info.max_exp:
+        raise InfeasibleError(
+            f"key length {n_bits} must be below {sys.float_info.max_exp}: 2^n overflows a float"
+        )
     size = 2**n_bits
     epsilon = 2.0**-l
     if epsilon > 1.0 - 1.0 / size:

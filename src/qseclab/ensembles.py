@@ -354,6 +354,8 @@ def ensemble_from_dict(obj) -> CQEnsemble:
     missing = {"n", "prior", "states"} - set(obj)
     if missing:
         raise ParseError(f"ensemble record missing fields {sorted(missing)}")
+    if not isinstance(obj["states"], list):
+        raise ParseError(f'"states" must be a list, got {type(obj["states"]).__name__}')
     states = []
     for k, literal in enumerate(obj["states"]):
         try:
@@ -369,11 +371,13 @@ def ensemble_from_dict(obj) -> CQEnsemble:
 
 
 def load_ensemble(path) -> CQEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return ensemble_from_dict(obj)
 
 

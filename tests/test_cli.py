@@ -134,6 +134,26 @@ class TestCriteria:
         assert "hard_failures: 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criteria", "{tmp}/missing.json"],
+        ["criteria", "{tmp}/states_not_a_list.json"],
+        ["extremal", "--kind", "variational_distance", "--n", "2000", "--l", "3"],
+        ["bounds-sweep", "--max-dim", "1"],
+    ],
+    ids=["missing-file", "states-not-a-list", "extremal-n-2000", "max-dim-1"],
+)
+def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
+    (tmp_path / "states_not_a_list.json").write_text(
+        json.dumps({"n": 1, "prior": [0.5, 0.5], "states": 3})
+    )
+    code, out, err = run_cli(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qseclab: error: ")
+
+
 class TestBoundsSweep:
     def test_single_instance_all_applicable_pass(self, capsys):
         code, out, _ = run_cli(

@@ -189,6 +189,11 @@ class TestAccessibleInfoLowerBound:
         )
         assert searched.bits >= base.bits - 1e-12
 
+    def test_fewer_outcomes_than_dimension_rejected(self):
+        le = locking.build_locking_ensemble("symmetric_corrected")
+        with pytest.raises(ValidationError):
+            det.accessible_info_lower_bound(le.ensemble, restarts=1, outcomes=3)
+
     def test_deterministic_given_seed(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
         first = det.accessible_info_lower_bound(le.ensemble, restarts=1, seed=9, max_sweeps=2)

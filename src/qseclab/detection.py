@@ -209,7 +209,8 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     avg = ens.average_state(e).matrix
     s, kernel = _psd_pinv_sqrt(avg)
     weighted = np.stack([w * st.matrix for w, st in zip(e.prior, e.states)])
-    elements = [s @ wk @ s for wk in weighted]
+    # s @ wk @ s is Hermitian only up to round-off that can exceed 1e-12
+    elements = [0.5 * (x + x.conj().T) for x in (s @ wk @ s for wk in weighted)]
     if float(np.trace(kernel).real) > 1e-9:
         elements.append(kernel)
     povm = POVM(tuple(elements))

@@ -204,6 +204,12 @@ class TestRecipesAndCampaigns:
                 continue
             assert large.summary[name]["worst_margin"] <= entry["worst_margin"] + 1e-15
 
+    def test_square_root_measurement_elements_are_hermitian(self):
+        # s @ p rho @ s deviated 2.0e-12 from Hermitian on this instance
+        recipe = bounds.EnsembleRecipe("random_pure", 3, 8, 13)
+        result = bounds.run_campaign([recipe], checks=("pinsker",))
+        assert result.reports[0].checks["pinsker"].verdict == "pass"
+
     def test_flat_dict_shape(self):
         recipes = bounds.default_recipes(3, seed=2)
         result = bounds.run_campaign(recipes, seed=2)

@@ -276,12 +276,23 @@ def minimum_error_iterate(
         previous = value
 
     # complete the best refinement to a full POVM on the whole space; the
-    # leftover is the (positive) complement of the refinement's support
+    # leftover is the complement of the refinement's support
     completion = np.eye(d) - best_elements.sum(axis=0)
     completion = 0.5 * (completion + completion.conj().T)
     final = best_elements.copy()
     final[guess] = final[guess] + completion
     final = 0.5 * (final + np.conj(np.transpose(final, (0, 2, 1))))
+    vals, vecs = np.linalg.eigh(final)
+    if vals[:, 0].min() < -ELEMENT_PSD_TOL:
+        # the iteration's inverse square root can amplify round-off past the
+        # element tolerance, in the completion or in an iterated element:
+        # clip every element onto the positive cone and rescale the clipped
+        # elements so that they still sum to the identity
+        clipped = vecs * np.clip(vals, 0.0, None)[:, None, :]
+        final = clipped @ np.conj(np.transpose(vecs, (0, 2, 1)))
+        s, _ = _psd_pinv_sqrt(final.sum(axis=0))
+        final = s @ final @ s
+        final = 0.5 * (final + np.conj(np.transpose(final, (0, 2, 1))))
     povm = POVM(tuple(final))
     value = _success(weighted, final)
     return DiscriminationResult(

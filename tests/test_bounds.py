@@ -204,6 +204,21 @@ class TestRecipesAndCampaigns:
                 continue
             assert large.summary[name]["worst_margin"] <= entry["worst_margin"] + 1e-15
 
+    @pytest.mark.parametrize(
+        "seed, index, i_ac_lower, chi",
+        [(7, 521, 1.682, 2.203), (7, 611, 1.324, 1.819), (505, 1991, 1.590, 1.921)],
+    )
+    def test_minimum_error_completion_stays_positive(self, seed, index, i_ac_lower, chi):
+        # random_pure instances whose min-error POVM failed validation: #521
+        # and #1991 in the element holding the completion I - sum(E_k), #611
+        # in an iterated element
+        recipe = bounds.default_recipes(index + 1, seed=seed)[index]
+        result = bounds.run_campaign([recipe], checks=("accessible_info", "holevo_consistency"))
+        report = result.reports[0]
+        assert report.checks["holevo_consistency"].verdict == "pass"
+        assert report.quantities["i_ac_lower"] == pytest.approx(i_ac_lower, abs=1e-3)
+        assert report.quantities["chi"] == pytest.approx(chi, abs=1e-3)
+
     def test_square_root_measurement_elements_are_hermitian(self):
         # s @ p rho @ s deviated 2.0e-12 from Hermitian on this instance
         recipe = bounds.EnsembleRecipe("random_pure", 3, 8, 13)

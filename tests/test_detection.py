@@ -153,6 +153,19 @@ class TestMinimumErrorIterate:
         result = det.minimum_error_iterate(e)
         assert result.success_probability == pytest.approx(0.9, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "n_bits, dim, seed", [(1, 2, 685), (2, 4, 224), (3, 8, 13), (3, 8, 101)]
+    )
+    def test_povm_valid_where_round_off_breaks_an_element(self, n_bits, dim, seed):
+        # random_pure ensembles on which an element of the completed iterate
+        # fell below -1e-10 (to -3.4e-7 for seed 13 at d = 8)
+        e = bounds.build_instance(bounds.EnsembleRecipe("random_pure", n_bits, dim, seed))
+        result = det.minimum_error_iterate(e, max_iters=60)
+        total = sum(el.matrix for el in result.povm.elements)
+        np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
+        srm = det.square_root_measurement(e).success_probability
+        assert result.success_probability >= srm - 1e-12
+
     def test_povm_is_valid_and_achieves_reported_value(self):
         le = locking.build_locking_ensemble("as_printed")
         result = det.minimum_error_iterate(le.ensemble)

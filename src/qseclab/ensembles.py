@@ -376,7 +376,7 @@ def load_ensemble(path) -> CQEnsemble:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return ensemble_from_dict(obj)
 

@@ -139,15 +139,17 @@ class TestCriteria:
     [
         ["criteria", "{tmp}/missing.json"],
         ["criteria", "{tmp}/states_not_a_list.json"],
+        ["criteria", "{tmp}/not_utf8.json"],
         ["extremal", "--kind", "variational_distance", "--n", "2000", "--l", "3"],
         ["bounds-sweep", "--max-dim", "1"],
     ],
-    ids=["missing-file", "states-not-a-list", "extremal-n-2000", "max-dim-1"],
+    ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(
         json.dumps({"n": 1, "prior": [0.5, 0.5], "states": 3})
     )
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{")
     code, out, err = run_cli(capsys, [arg.format(tmp=tmp_path) for arg in argv])
     assert code == 1
     assert out == ""

@@ -371,8 +371,7 @@ def run_campaign(
         if "pinsker" in checks:
             srm = detection.square_root_measurement(e)
             measured = ens.measured_criteria(e, srm.povm)
-            joint = e.prior[:, None] * ens.measurement_table(e, srm.povm)
-            result = check_pinsker(joint, (e.num_keys, srm.povm.num_outcomes))
+            result = check_pinsker(measured.joint, (e.num_keys, srm.povm.num_outcomes))
             results["pinsker"] = result
             quantities["delta"] = measured.delta_e
             quantities["mutual_information"] = result.extras["mutual_information"]

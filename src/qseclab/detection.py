@@ -4,18 +4,19 @@ and lower bounds on the information a measurement can extract.
 The binary optimum has a closed form; the M-ary problem is attacked with
 the square-root (pretty good) measurement followed by fixed-point
 refinement of the optimality conditions.  The extractable-information
-search maximizes mutual information over rank-1 measurement frames and
-is reported strictly as a lower bound with its search budget under
-caller control.
+search evaluates a few deterministic candidate measurements, then runs
+seeded fixed-point ascents of the mutual information over rank-1
+measurement frames (Rehacek, Englert and Kaszlikowski, PRA 71, 054303);
+its result is reported strictly as a lower bound, with the number of
+restarts under caller control.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import distributions as dist
 from . import ensembles as ens
@@ -25,6 +26,9 @@ from .operators import DensityOperator, HermitianOperator, eig_hermitian
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 MAX_OUTCOMES = 256
+ASCENT_MAX_ITERS = 2000
+ASCENT_TOL = 1e-10  # bits gained by a kept step below which the ascent stops
+ORACLE_ZOOMS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +122,7 @@ def helstrom_binary(rho: DensityOperator, sigma: DensityOperator, prior: float) 
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
     if not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior {prior!r} outside [0, 1]")
+        raise ValidationError(f"prior {prior!r} outside [0, 1]")
     delta = prior * rho.matrix - (1.0 - prior) * sigma.matrix
     vals, vecs = np.linalg.eigh(delta)
     positive = vecs[:, vals > 0.0]
@@ -143,38 +147,36 @@ def brute_force_binary_qubit(
     """Direct maximization over qubit projective measurements.
 
     Scans a deterministic angle grid of ``grid_points`` Bloch directions,
-    evaluating the success functional by plain traces, then polishes the
-    best point with a local simplex search.  Serves as an oracle for the
-    closed form; restricted to dimension 2.
+    evaluating the success functional by plain traces, then zooms a 21x21
+    angle grid onto the best point ``ORACLE_ZOOMS`` times, each spanning one
+    previous step either side.  Serves as an oracle for the closed form (no
+    eigen-decomposition); restricted to dimension 2.
     """
     if rho.dim != 2 or sigma.dim != 2:
         raise DimensionMismatchError("brute-force oracle is restricted to qubits")
+
+    def successes(thetas, phis):
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        kets = np.stack(
+            [np.cos(tt / 2).ravel(), (np.exp(1j * pp) * np.sin(tt / 2)).ravel()], axis=1
+        )
+        p_rho = np.einsum("ga,ab,gb->g", kets.conj(), rho.matrix, kets).real
+        p_sigma = np.einsum("ga,ab,gb->g", kets.conj(), sigma.matrix, kets).real
+        values = prior * p_rho + (1.0 - prior) * (1.0 - p_sigma)
+        best = int(np.argmax(values))
+        return float(values[best]), float(tt.ravel()[best]), float(pp.ravel()[best])
+
     m = int(np.sqrt(grid_points))
-    thetas = np.linspace(0.0, np.pi, m)
-    phis = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    kets = np.stack(
-        [np.cos(tt / 2).ravel(), (np.exp(1j * pp) * np.sin(tt / 2)).ravel()], axis=1
+    success, theta, phi = successes(
+        np.linspace(0.0, np.pi, m), np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     )
-    projectors = np.einsum("ga,gb->gab", kets, kets.conj())
-    p_rho = np.einsum("gab,ba->g", projectors, rho.matrix).real
-    p_sigma = np.einsum("gab,ba->g", projectors, sigma.matrix).real
-    successes = prior * p_rho + (1.0 - prior) * (1.0 - p_sigma)
-    best = int(np.argmax(successes))
-
-    def negated(angles):
-        theta, phi = angles
-        ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-        proj = np.outer(ket, ket.conj())
-        val = prior * np.trace(proj @ rho.matrix).real
-        val += (1.0 - prior) * (1.0 - np.trace(proj @ sigma.matrix).real)
-        return -val
-
-    start = np.array([tt.ravel()[best], pp.ravel()[best]])
-    res = minimize(negated, start, method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400})
-    success = max(float(successes[best]), float(-res.fun))
-    theta, phi = res.x if -res.fun >= successes[best] else start
+    span_theta, span_phi = np.pi / (m - 1), 2.0 * np.pi / m
+    offsets = np.linspace(-1.0, 1.0, 21)
+    for _ in range(ORACLE_ZOOMS):
+        value, t, p = successes(theta + span_theta * offsets, phi + span_phi * offsets)
+        if value > success:
+            success, theta, phi = value, t, p
+        span_theta, span_phi = span_theta / 10.0, span_phi / 10.0
     ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     projector = np.outer(ket, ket.conj())
     povm = POVM((projector, np.eye(2) - projector))
@@ -182,8 +184,8 @@ def brute_force_binary_qubit(
         success_probability=min(success, 1.0),
         povm=povm,
         method="brute_force",
-        converged=bool(res.success),
-        iterations=int(res.nit),
+        converged=True,
+        iterations=ORACLE_ZOOMS,
     )
 
 
@@ -232,15 +234,22 @@ def minimum_error_iterate(
     Starts from the square-root measurement and repeatedly maps the
     elements through the optimality condition (the operator sum of
     weighted states times elements must dominate every weighted state).
-    Tracks the best success probability seen; never returns below the
-    square-root value or the best trivial guess.  Non-convergence within
-    ``max_iters`` is flagged, not raised.
+    Reports the success probability of the returned elements, never below
+    the square-root value or the best trivial guess.  Non-convergence
+    within ``max_iters`` is flagged, not raised.
     """
+    return _refine_min_error(e, square_root_measurement(e), max_iters, tol)
+
+
+def _refine_min_error(
+    e: ens.CQEnsemble, srm: DiscriminationResult, max_iters: int, tol: float = 1e-9
+) -> DiscriminationResult:
+    """:func:`minimum_error_iterate` from an already computed square-root measurement."""
     d = e.state_dim
     weighted = np.stack([w * st.matrix for w, st in zip(e.prior, e.states)])
-    srm = square_root_measurement(e)
     elements = np.stack([el.matrix for el in srm.povm.elements[: e.num_keys]])
 
+    floor = srm
     best_value = srm.success_probability
     best_elements = elements.copy()
     # measuring nothing and guessing the likeliest key is a valid baseline
@@ -250,6 +259,7 @@ def minimum_error_iterate(
     if float(e.prior[guess]) > best_value:
         best_value = float(e.prior[guess])
         best_elements = trivial
+        floor = DiscriminationResult(best_value, POVM(tuple(trivial)), "trivial_guess", True, 0)
 
     converged = False
     iterations = 0
@@ -293,11 +303,12 @@ def minimum_error_iterate(
         s, _ = _psd_pinv_sqrt(final.sum(axis=0))
         final = s @ final @ s
         final = 0.5 * (final + np.conj(np.transpose(final, (0, 2, 1))))
-    povm = POVM(tuple(final))
-    value = _success(weighted, final)
+        if _success(weighted, final) < floor.success_probability:
+            # the repair cost more than the iteration gained
+            return replace(floor, converged=converged, iterations=iterations)
     return DiscriminationResult(
-        success_probability=min(max(value, best_value), 1.0),
-        povm=povm,
+        success_probability=min(_success(weighted, final), 1.0),
+        povm=POVM(tuple(final)),
         method="iterative",
         converged=converged,
         iterations=iterations,
@@ -316,20 +327,6 @@ def povm_mutual_information(e: ens.CQEnsemble, povm: POVM) -> float:
     return dist.mutual_information(joint.reshape(-1), (e.num_keys, povm.num_outcomes))
 
 
-def _frame_table(frame: np.ndarray, state_stack: np.ndarray) -> np.ndarray:
-    """p(y | k) for the rank-1 POVM defined by the rows of an isometry frame."""
-    table = np.einsum("ya,kab,yb->ky", frame, state_stack, frame.conj()).real
-    return np.clip(table, 0.0, None)
-
-
-def _table_mi(prior: np.ndarray, table: np.ndarray) -> float:
-    joint = prior[:, None] * table
-    py = joint.sum(axis=0)
-    mask = joint > 0.0
-    outer = np.outer(prior, py)
-    return max(0.0, float((joint[mask] * (np.log2(joint[mask]) - np.log2(outer[mask]))).sum()))
-
-
 def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((outcomes, outcomes)) + 1j * rng.standard_normal((outcomes, outcomes))
     q, r = np.linalg.qr(z)
@@ -337,47 +334,45 @@ def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarra
     return q[:, :d]
 
 
-def _coordinate_ascent(
-    prior: np.ndarray,
-    state_stack: np.ndarray,
-    frame: np.ndarray,
-    max_sweeps: int,
-    tol: float,
+def _frame_ascent(
+    prior: np.ndarray, state_stack: np.ndarray, kets: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Maximize mutual information by composing elementary two-row rotations."""
-    m = frame.shape[0]
-    current = _table_mi(prior, _frame_table(frame, state_stack))
-    for _ in range(max_sweeps):
-        sweep_start = current
-        for i in range(m):
-            for j in range(i + 1, m):
-                for phase in (1.0, 1.0j):
-                    row_i = frame[i].copy()
-                    row_j = frame[j].copy()
+    """Maximize mutual information over the rank-1 POVM {v_y v_y^dag}.
 
-                    def negated(theta):
-                        c, s = np.cos(theta), np.sin(theta)
-                        frame[i] = c * row_i + phase * s * row_j
-                        frame[j] = -np.conj(phase) * s * row_i + c * row_j
-                        return -_table_mi(prior, _frame_table(frame, state_stack))
+    The fixed-point iteration of Rehacek, Englert and Kaszlikowski (PRA 71,
+    054303, 2005): each ket steps along R_y v_y, with
+    R_y = sum_k p_k ln(t_ky / q_y) rho_k the information's gradient, and
+    the frame returns to a POVM by V <- G^{-1/2} W, G = sum_y w_y w_y^dag.
+    A step that loses information is retried at half the size; a kept
+    step doubles it.  Stops once a kept step gains under ``ASCENT_TOL``
+    bits or after ``ASCENT_MAX_ITERS`` attempts.
+    """
 
-                    res = minimize_scalar(
-                        negated, bounds=(-np.pi / 2, np.pi / 2), method="bounded",
-                        options={"xatol": 1e-6, "maxiter": 30},
-                    )
-                    if -res.fun > current + 1e-14:
-                        current = -res.fun
-                        negated(float(res.x))  # leave the frame at the optimum
-                    else:
-                        frame[i] = row_i
-                        frame[j] = row_j
-        # re-orthonormalize drift accumulated by the rotations
-        q, r = np.linalg.qr(frame)
-        frame = q * (np.diag(r) / np.abs(np.diag(r)))
-        current = _table_mi(prior, _frame_table(frame, state_stack))
-        if current - sweep_start < tol:
+    def evaluate(v):
+        rho_v = np.einsum("kab,yb->kya", state_stack, v)
+        table = np.clip(np.einsum("ya,kya->ky", v.conj(), rho_v).real, 0.0, None)
+        joint = prior[:, None] * table
+        return dist.mutual_information(joint, joint.shape), joint, rho_v
+
+    current, joint, rho_v = evaluate(kets)
+    step = 1.0
+    for _ in range(ASCENT_MAX_ITERS):
+        product = np.outer(prior, joint.sum(axis=0))
+        ratio = np.divide(joint, product, out=np.ones_like(joint), where=joint > 0.0)
+        gradient = np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
+        trial = kets + step * gradient
+        s, _ = _psd_pinv_sqrt(trial.T @ trial.conj())
+        trial = trial @ s.T
+        value, trial_joint, trial_rho_v = evaluate(trial)
+        if value < current:
+            step /= 2.0
+            continue
+        gain = value - current
+        current, joint, rho_v, kets = value, trial_joint, trial_rho_v, trial
+        step *= 2.0
+        if gain < ASCENT_TOL:
             break
-    return current, frame
+    return current, kets
 
 
 def accessible_info_lower_bound(
@@ -385,24 +380,25 @@ def accessible_info_lower_bound(
     restarts: int = 2,
     seed: int = 0,
     outcomes: int | None = None,
-    max_sweeps: int = 8,
 ) -> AccessibleInfo:
     """Best mutual information found over a family of measurements.
 
     Deterministic candidates (square-root measurement, average-state
     eigenbasis, a briefly refined minimum-error POVM) are always
-    evaluated; ``restarts`` seeded local searches over rank-1 frames with
-    up to d^2 outcomes refine further.  The result is a LOWER bound on the
-    extractable information only; the true maximum may be higher.
+    evaluated; ``restarts`` seeded fixed-point ascents over rank-1 frames
+    with up to d^2 outcomes, each from a Haar-random frame, refine
+    further.  The result is a LOWER bound on the extractable information
+    only; the true maximum may be higher.
     """
     d = e.state_dim
     if outcomes is not None and outcomes < d:
         raise ValidationError(f"{outcomes} outcomes cannot form a rank-1 frame in dimension {d}")
     state_stack = np.stack([s.matrix for s in e.states])
+    srm = square_root_measurement(e)
     candidates = [
-        square_root_measurement(e).povm,
+        srm.povm,
         eigenbasis_povm(ens.average_state(e)),
-        minimum_error_iterate(e, max_iters=60).povm,
+        _refine_min_error(e, srm, max_iters=60).povm,
     ]
     best_bits = -1.0
     best_povm = candidates[0]
@@ -413,12 +409,9 @@ def accessible_info_lower_bound(
     m = min(outcomes or d * d, MAX_OUTCOMES)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts)):
-        frame = _haar_isometry(m, d, rng)
-        bits, frame = _coordinate_ascent(e.prior, state_stack, frame, max_sweeps, 1e-9)
+        bits, kets = _frame_ascent(e.prior, state_stack, _haar_isometry(m, d, rng).conj())
         if bits > best_bits:
-            kets = frame.conj()
-            povm = POVM(tuple(np.outer(k, k.conj()) for k in kets))
-            best_bits, best_povm = bits, povm
+            best_bits, best_povm = bits, POVM(tuple(np.outer(k, k.conj()) for k in kets))
     return AccessibleInfo(bits=float(best_bits), povm=best_povm)
 
 

@@ -23,6 +23,7 @@ from .errors import (
     InfiniteDivergenceError,
     RootSearchError,
     SizeMismatchError,
+    ValidationError,
 )
 
 _LN2 = math.log(2.0)
@@ -46,12 +47,12 @@ def validate_distribution(probs) -> np.ndarray:
     if p.size < 1 or p.size > MAX_DENSE_SIZE:
         raise SizeMismatchError(f"size {p.size} outside [1, {MAX_DENSE_SIZE}]")
     if not np.all(np.isfinite(p)):
-        raise ValueError("distribution contains non-finite entries")
+        raise ValidationError("distribution contains non-finite entries")
     if p.min() < -PROB_SUM_TOL:
-        raise ValueError(f"negative probability {p.min():.3e}")
+        raise ValidationError(f"negative probability {p.min():.3e}")
     total = float(p.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+        raise ValidationError(f"probabilities sum to {total!r}, not 1")
     out = np.clip(p, 0.0, None)
     out.setflags(write=False)
     return out

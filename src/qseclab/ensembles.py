@@ -180,6 +180,7 @@ class MeasuredCriteria:
 
     delta_e: float
     i_e_deficit: float
+    joint: np.ndarray            # key-major: entry (k, y) is p(k) p(y | k)
     cpd_table: np.ndarray        # outcome-major: row y holds p(k | y)
     outcome_probs: np.ndarray
     per_outcome_deficit: np.ndarray
@@ -221,6 +222,7 @@ def measured_criteria(e: CQEnsemble, povm: "POVM") -> MeasuredCriteria:
     return MeasuredCriteria(
         delta_e=min(max(delta, 0.0), 1.0),
         i_e_deficit=max(0.0, deficit),
+        joint=joint,
         cpd_table=cpds,
         outcome_probs=outcome_probs,
         per_outcome_deficit=deficits,

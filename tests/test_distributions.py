@@ -11,6 +11,7 @@ from qseclab.errors import (
     InfeasibleError,
     InfiniteDivergenceError,
     SizeMismatchError,
+    ValidationError,
 )
 
 
@@ -20,6 +21,15 @@ def normalized(values):
 
 
 guts = st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=12)
+
+
+class TestValidateDistribution:
+    @pytest.mark.parametrize(
+        "probs", [[0.7, 0.7], [1.2, -0.2], [0.5, float("nan")]], ids=["sum", "negative", "nan"]
+    )
+    def test_bad_distribution_is_a_validation_error(self, probs):
+        with pytest.raises(ValidationError):
+            dist.validate_distribution(probs)
 
 
 class TestVariationalDistance:

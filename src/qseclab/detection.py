@@ -26,8 +26,8 @@ from .operators import DensityOperator, HermitianOperator, eig_hermitian
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 MAX_OUTCOMES = 256
-ASCENT_MAX_ITERS = 2000
-ASCENT_TOL = 1e-10  # bits gained by a kept step below which the ascent stops
+ASCENT_STEPS = 200  # attempts per restart, fixed: a search's cost does not depend on the instance
+ASCENT_MOMENTUM = 0.9  # share of the last kept move carried into the next step
 ORACLE_ZOOMS = 5
 
 
@@ -343,9 +343,11 @@ def _frame_ascent(
     054303, 2005): each ket steps along R_y v_y, with
     R_y = sum_k p_k ln(t_ky / q_y) rho_k the information's gradient, and
     the frame returns to a POVM by V <- G^{-1/2} W, G = sum_y w_y w_y^dag.
-    A step that loses information is retried at half the size; a kept
-    step doubles it.  Stops once a kept step gains under ``ASCENT_TOL``
-    bits or after ``ASCENT_MAX_ITERS`` attempts.
+    Each step also carries ``ASCENT_MOMENTUM`` of the last kept move, which
+    crosses the flat ridges where plain gradient steps crawl for thousands
+    of attempts.  A step that loses information is dropped, and the next is
+    half the size and starts the momentum afresh; a kept step grows by a
+    quarter.  Runs exactly ``ASCENT_STEPS`` attempts.
     """
 
     def evaluate(v):
@@ -356,22 +358,22 @@ def _frame_ascent(
 
     current, joint, rho_v = evaluate(kets)
     step = 1.0
-    for _ in range(ASCENT_MAX_ITERS):
+    move = 0.0
+    for _ in range(ASCENT_STEPS):
         product = np.outer(prior, joint.sum(axis=0))
         ratio = np.divide(joint, product, out=np.ones_like(joint), where=joint > 0.0)
         gradient = np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
-        trial = kets + step * gradient
+        trial = kets + step * gradient + ASCENT_MOMENTUM * move
         s, _ = _psd_pinv_sqrt(trial.T @ trial.conj())
         trial = trial @ s.T
         value, trial_joint, trial_rho_v = evaluate(trial)
         if value < current:
             step /= 2.0
+            move = 0.0
             continue
-        gain = value - current
+        move = trial - kets
         current, joint, rho_v, kets = value, trial_joint, trial_rho_v, trial
-        step *= 2.0
-        if gain < ASCENT_TOL:
-            break
+        step *= 1.25
     return current, kets
 
 

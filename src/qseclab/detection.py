@@ -13,7 +13,7 @@ restarts under caller control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +33,14 @@ ORACLE_ZOOMS = 5
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """A finite measurement: positive elements summing to the identity."""
+    """A finite measurement: positive elements summing to the identity.
+
+    ``stack`` holds the element matrices once, as a read-only
+    (outcomes, d, d) array.
+    """
 
     elements: tuple[HermitianOperator, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         wrapped = tuple(
@@ -49,16 +54,16 @@ class POVM:
         dims = {el.dim for el in wrapped}
         if len(dims) != 1:
             raise ValidationError(f"elements have mixed dimensions {sorted(dims)}")
-        total = np.zeros((wrapped[0].dim,) * 2, dtype=np.complex128)
-        for el in wrapped:
-            low = float(np.linalg.eigvalsh(el.matrix)[0])
-            if low < -ELEMENT_PSD_TOL:
-                raise ValidationError(f"element eigenvalue {low:.3e} below tolerance")
-            total += el.matrix
-        dev = float(np.abs(total - np.eye(wrapped[0].dim)).max())
+        stack = np.stack([el.matrix for el in wrapped])
+        low = float(np.linalg.eigvalsh(stack)[:, 0].min())
+        if low < -ELEMENT_PSD_TOL:
+            raise ValidationError(f"element eigenvalue {low:.3e} below tolerance")
+        dev = float(np.abs(stack.sum(axis=0) - np.eye(wrapped[0].dim)).max())
         if dev > COMPLETENESS_TOL:
             raise ValidationError(f"elements sum to identity only within {dev:.3e}")
+        stack.setflags(write=False)
         object.__setattr__(self, "elements", wrapped)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -105,6 +110,10 @@ class DiscriminationResult:
     method: str
     converged: bool
     iterations: int
+
+
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + np.conj(np.swapaxes(x, -1, -2)))
 
 
 def _success(weighted: np.ndarray, elements: np.ndarray) -> float:
@@ -210,16 +219,13 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     """
     avg = ens.average_state(e).matrix
     s, kernel = _psd_pinv_sqrt(avg)
-    weighted = np.stack([w * st.matrix for w, st in zip(e.prior, e.states)])
+    weighted = e.prior[:, None, None] * e.stack
     # s @ wk @ s is Hermitian only up to round-off that can exceed 1e-12
-    elements = [0.5 * (x + x.conj().T) for x in (s @ wk @ s for wk in weighted)]
-    if float(np.trace(kernel).real) > 1e-9:
-        elements.append(kernel)
-    povm = POVM(tuple(elements))
-    stack = np.stack([el.matrix for el in povm.elements[: e.num_keys]])
+    elements = _hermitian_part(s @ weighted @ s)
+    remainder = (kernel,) if float(np.trace(kernel).real) > 1e-9 else ()
     return DiscriminationResult(
-        success_probability=min(_success(weighted, stack), 1.0),
-        povm=povm,
+        success_probability=min(_success(weighted, elements), 1.0),
+        povm=POVM(tuple(elements) + remainder),
         method="square_root",
         converged=True,
         iterations=0,
@@ -246,8 +252,8 @@ def _refine_min_error(
 ) -> DiscriminationResult:
     """:func:`minimum_error_iterate` from an already computed square-root measurement."""
     d = e.state_dim
-    weighted = np.stack([w * st.matrix for w, st in zip(e.prior, e.states)])
-    elements = np.stack([el.matrix for el in srm.povm.elements[: e.num_keys]])
+    weighted = e.prior[:, None, None] * e.stack
+    elements = srm.povm.stack[: e.num_keys]
 
     floor = srm
     best_value = srm.success_probability
@@ -266,7 +272,7 @@ def _refine_min_error(
     previous = _success(weighted, elements)
     for iterations in range(1, max_iters + 1):
         g = np.einsum("kab,kbc,kcd->kad", weighted, elements, weighted)
-        g = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
+        g = _hermitian_part(g)
         lam = g.sum(axis=0)
         vals, vecs = np.linalg.eigh(lam)
         cutoff = max(float(vals.max()), 0.0) * 1e-12
@@ -275,7 +281,7 @@ def _refine_min_error(
         inv_root[support] = vals[support] ** -0.5
         a_pinv = (vecs * inv_root) @ vecs.conj().T
         elements = np.einsum("ab,kbc,cd->kad", a_pinv, g, a_pinv)
-        elements = 0.5 * (elements + np.conj(np.transpose(elements, (0, 2, 1))))
+        elements = _hermitian_part(elements)
         value = _success(weighted, elements)
         if value > best_value:
             best_value = value
@@ -288,10 +294,9 @@ def _refine_min_error(
     # complete the best refinement to a full POVM on the whole space; the
     # leftover is the complement of the refinement's support
     completion = np.eye(d) - best_elements.sum(axis=0)
-    completion = 0.5 * (completion + completion.conj().T)
     final = best_elements.copy()
-    final[guess] = final[guess] + completion
-    final = 0.5 * (final + np.conj(np.transpose(final, (0, 2, 1))))
+    final[guess] = final[guess] + _hermitian_part(completion)
+    final = _hermitian_part(final)
     vals, vecs = np.linalg.eigh(final)
     if vals[:, 0].min() < -ELEMENT_PSD_TOL:
         # the iteration's inverse square root can amplify round-off past the
@@ -301,8 +306,7 @@ def _refine_min_error(
         clipped = vecs * np.clip(vals, 0.0, None)[:, None, :]
         final = clipped @ np.conj(np.transpose(vecs, (0, 2, 1)))
         s, _ = _psd_pinv_sqrt(final.sum(axis=0))
-        final = s @ final @ s
-        final = 0.5 * (final + np.conj(np.transpose(final, (0, 2, 1))))
+        final = _hermitian_part(s @ final @ s)
         if _success(weighted, final) < floor.success_probability:
             # the repair cost more than the iteration gained
             return replace(floor, converged=converged, iterations=iterations)
@@ -335,7 +339,7 @@ def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _frame_ascent(
-    prior: np.ndarray, state_stack: np.ndarray, kets: np.ndarray
+    prior: np.ndarray, states: np.ndarray, kets: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Maximize mutual information over the rank-1 POVM {v_y v_y^dag}.
 
@@ -351,7 +355,7 @@ def _frame_ascent(
     """
 
     def evaluate(v):
-        rho_v = np.einsum("kab,yb->kya", state_stack, v)
+        rho_v = np.einsum("kab,yb->kya", states, v)
         table = np.clip(np.einsum("ya,kya->ky", v.conj(), rho_v).real, 0.0, None)
         joint = prior[:, None] * table
         return dist.mutual_information(joint, joint.shape), joint, rho_v
@@ -395,7 +399,6 @@ def accessible_info_lower_bound(
     d = e.state_dim
     if outcomes is not None and outcomes < d:
         raise ValidationError(f"{outcomes} outcomes cannot form a rank-1 frame in dimension {d}")
-    state_stack = np.stack([s.matrix for s in e.states])
     srm = square_root_measurement(e)
     candidates = [
         srm.povm,
@@ -411,7 +414,7 @@ def accessible_info_lower_bound(
     m = min(outcomes or d * d, MAX_OUTCOMES)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts)):
-        bits, kets = _frame_ascent(e.prior, state_stack, _haar_isometry(m, d, rng).conj())
+        bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
         if bits > best_bits:
             best_bits, best_povm = bits, POVM(tuple(np.outer(k, k.conj()) for k in kets))
     return AccessibleInfo(bits=float(best_bits), povm=best_povm)

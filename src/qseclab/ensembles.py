@@ -16,7 +16,7 @@ is the most significant bit, so for n = 2 the keys order as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -42,11 +42,16 @@ FORM_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CQEnsemble:
-    """Prior over 2^n key values paired with per-key probe states."""
+    """Prior over 2^n key values paired with per-key probe states.
+
+    ``stack`` holds the state matrices once, as a read-only (keys, d, d)
+    array.
+    """
 
     n_bits: int
     prior: np.ndarray
     states: tuple[DensityOperator, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_bits < 0:
@@ -63,8 +68,11 @@ class CQEnsemble:
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise ValidationError(f"states have mixed dimensions {sorted(dims)}")
+        stack = np.stack([s.matrix for s in states])
+        stack.setflags(write=False)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def num_keys(self) -> int:
@@ -77,10 +85,7 @@ class CQEnsemble:
     @cached_property
     def average(self) -> DensityOperator:
         """The prior-averaged probe state, built and validated on first use."""
-        acc = np.zeros((self.state_dim, self.state_dim), dtype=np.complex128)
-        for w, s in zip(self.prior, self.states):
-            acc += w * s.matrix
-        return DensityOperator(acc)
+        return DensityOperator((self.prior[:, None, None] * self.stack).sum(axis=0))
 
     def key_label(self, k: int) -> str:
         return format(k, f"0{self.n_bits}b") if self.n_bits else ""
@@ -190,8 +195,7 @@ def measurement_table(e: CQEnsemble, povm: "POVM") -> np.ndarray:
     """Outcome probabilities per key: entry (k, y) is p(y | k)."""
     if povm.dim != e.state_dim:
         raise DimensionMismatchError(f"POVM dim {povm.dim} != state dim {e.state_dim}")
-    elements = np.stack([el.matrix for el in povm.elements])
-    table = np.einsum("yij,kji->ky", elements, np.stack([s.matrix for s in e.states])).real
+    table = np.einsum("yij,kji->ky", povm.stack, e.stack).real
     table = np.clip(table, 0.0, None)
     return table / table.sum(axis=1, keepdims=True)
 

@@ -271,17 +271,9 @@ def _refine_min_error(
     iterations = 0
     previous = _success(weighted, elements)
     for iterations in range(1, max_iters + 1):
-        g = np.einsum("kab,kbc,kcd->kad", weighted, elements, weighted)
-        g = _hermitian_part(g)
-        lam = g.sum(axis=0)
-        vals, vecs = np.linalg.eigh(lam)
-        cutoff = max(float(vals.max()), 0.0) * 1e-12
-        support = vals > cutoff
-        inv_root = np.zeros_like(vals)
-        inv_root[support] = vals[support] ** -0.5
-        a_pinv = (vecs * inv_root) @ vecs.conj().T
-        elements = np.einsum("ab,kbc,cd->kad", a_pinv, g, a_pinv)
-        elements = _hermitian_part(elements)
+        g = _hermitian_part(weighted @ elements @ weighted)
+        a_pinv, _ = _psd_pinv_sqrt(g.sum(axis=0))
+        elements = _hermitian_part(a_pinv @ g @ a_pinv)
         value = _success(weighted, elements)
         if value > best_value:
             best_value = value
@@ -293,9 +285,8 @@ def _refine_min_error(
 
     # complete the best refinement to a full POVM on the whole space; the
     # leftover is the complement of the refinement's support
-    completion = np.eye(d) - best_elements.sum(axis=0)
     final = best_elements.copy()
-    final[guess] = final[guess] + _hermitian_part(completion)
+    final[guess] += _hermitian_part(np.eye(d) - best_elements.sum(axis=0))
     final = _hermitian_part(final)
     vals, vecs = np.linalg.eigh(final)
     if vals[:, 0].min() < -ELEMENT_PSD_TOL:

@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .detection import POVM
 
 JOINT_DIM_CAP = 64
+MAX_KEY_BITS = dist.MAX_DENSE_SIZE.bit_length() - 1  # 2^n keys stay a dense vector
 FORM_TOL = 1e-9
 
 
@@ -56,6 +57,8 @@ class CQEnsemble:
     def __post_init__(self):
         if self.n_bits < 0:
             raise ValidationError("key length must be nonnegative")
+        if self.n_bits > MAX_KEY_BITS:
+            raise ValidationError(f"key length {self.n_bits} exceeds cap {MAX_KEY_BITS}")
         prior = dist.validate_distribution(self.prior)
         n_keys = 2**self.n_bits
         if prior.size != n_keys:
@@ -372,7 +375,7 @@ def ensemble_from_dict(obj) -> CQEnsemble:
             raise ValidationError(f"state {k}: {exc}") from exc
     try:
         return CQEnsemble(n_bits=int(obj["n"]), prior=obj["prior"], states=tuple(states))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad ensemble record: {exc}") from exc
 
 
@@ -382,7 +385,8 @@ def load_ensemble(path) -> CQEnsemble:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers too long to parse
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return ensemble_from_dict(obj)
 

@@ -143,9 +143,13 @@ class TestCriteria:
         ["extremal", "--kind", "variational_distance", "--n", "2000", "--l", "3"],
         ["bounds-sweep", "--max-dim", "1"],
         ["criteria", "{tmp}/prior_sums_to_1_4.json"],
+        ["criteria", "{tmp}/n_1e400.json"],
+        ["criteria", "{tmp}/deeply_nested.json"],
+        ["criteria", "{tmp}/n_1e12.json"],
+        ["criteria", "{tmp}/n_5001_digits.json"],
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
-         "prior-sum-1.4"],
+         "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(
@@ -155,6 +159,13 @@ def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
         ensembles.CQEnsemble(1, [0.5, 0.5], (ops.maximally_mixed(2), ops.maximally_mixed(2)))
     )
     (tmp_path / "prior_sums_to_1_4.json").write_text(json.dumps({**mixed, "prior": [0.7, 0.7]}))
+    # json reads 1e400 as inf, which int() cannot convert
+    (tmp_path / "n_1e400.json").write_text(json.dumps(mixed).replace('"n": 1', '"n": 1e400'))
+    (tmp_path / "deeply_nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "n_1e12.json").write_text(json.dumps({**mixed, "n": 10**12}))
+    (tmp_path / "n_5001_digits.json").write_text(
+        json.dumps(mixed).replace('"n": 1', '"n": 1' + "0" * 5000)
+    )
     (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{")
     code, out, err = run_cli(capsys, [arg.format(tmp=tmp_path) for arg in argv])
     assert code == 1

@@ -1,9 +1,12 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qseclab import cli, ensembles, locking, operators as ops
 
@@ -171,6 +174,68 @@ def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("qseclab: error: ")
+
+
+# Scalars of every JSON kind, including the NaN and Infinity tokens json writes.
+_scalars = st.one_of(
+    st.floats(), st.integers(), st.text(max_size=3), st.none(), st.booleans()
+)
+_nests = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+
+
+@st.composite
+def _qubit_literal(draw):
+    """The pair literal of a valid qubit state: a pure state mixed with I/2."""
+    theta, phi = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    mix = draw(st.floats(0.0, 1.0))
+    return ops.matrix_to_pairs(mix * np.outer(ket, ket.conj()) + (1.0 - mix) * np.eye(2) / 2)
+
+
+_records = st.fixed_dictionaries(
+    {
+        "n": st.one_of(
+            st.integers(0, 2), st.integers(), st.floats(), st.text(max_size=3), st.none(),
+            st.lists(st.integers(), max_size=2),
+        ),
+        "prior": st.one_of(
+            st.sampled_from([[1.0], [0.5, 0.5], [0.25] * 4, [0.9, 0.1]]),
+            st.lists(st.floats(), max_size=4),
+            _nests,
+        ),
+        "states": st.one_of(
+            st.lists(_qubit_literal(), min_size=1, max_size=4),
+            st.lists(st.one_of(_qubit_literal(), _nests), max_size=4),
+            _nests,
+        ),
+    }
+)
+
+
+@st.composite
+def _valid_records(draw):
+    """A well-formed record on qubit states, with a uniform or a skewed prior."""
+    n = draw(st.integers(0, 2))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=2**n, max_size=2**n)))
+    prior = draw(st.sampled_from([np.full(2**n, 1.0 / 2**n), weights / weights.sum()]))
+    states = draw(st.lists(_qubit_literal(), min_size=2**n, max_size=2**n))
+    return {"n": n, "prior": [float(w) for w in prior], "states": states}
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=st.one_of(_valid_records(), _records, _nests))
+def test_any_ensemble_file_gives_a_report_or_a_clean_error(tmp_path_factory, record):
+    path = tmp_path_factory.getbasetemp() / "generated_ensemble.json"
+    path.write_text(json.dumps(record))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["criteria", str(path)])
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == "criteria"
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("qseclab: error: ")
 
 
 class TestBoundsSweep:

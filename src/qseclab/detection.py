@@ -102,7 +102,9 @@ class DiscriminationResult:
     ``success_probability >= max(prior)`` holds for the closed-form binary
     optimum, the refined M-ary result and the brute-force oracle; the raw
     square-root measurement can dip below it for skewed priors, so the
-    bound is asserted by tests only where it is a theorem.
+    bound is asserted by tests only where it is a theorem.  ``gap``, where
+    set, certifies the result: the optimum lies in
+    ``[success_probability, success_probability + gap]``.
     """
 
     success_probability: float
@@ -110,6 +112,7 @@ class DiscriminationResult:
     method: str
     converged: bool
     iterations: int
+    gap: float | None = None
 
 
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
@@ -118,6 +121,18 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
 
 def _success(weighted: np.ndarray, elements: np.ndarray) -> float:
     return float(np.einsum("kij,kji->", elements, weighted).real)
+
+
+def _duality_gap(weighted: np.ndarray, elements: np.ndarray) -> float:
+    """Yuen-Kennedy-Lax bound on how far ``elements`` fall short of the optimum.
+
+    With L the Hermitian part of sum_k W_k E_k (trace: the success P) and t
+    the largest amount by which some W_k exceeds L, Y = L + t I dominates
+    every W_k, so no measurement succeeds with more than tr Y = P + t d.
+    """
+    lam = _hermitian_part((weighted @ elements).sum(axis=0))
+    t = max(0.0, -float(np.linalg.eigvalsh(lam - weighted)[:, 0].min()))
+    return t * weighted.shape[-1]
 
 
 def helstrom_binary(rho: DensityOperator, sigma: DensityOperator, prior: float) -> DiscriminationResult:
@@ -144,6 +159,7 @@ def helstrom_binary(rho: DensityOperator, sigma: DensityOperator, prior: float) 
         method="helstrom",
         converged=True,
         iterations=0,
+        gap=0.0,
     )
 
 
@@ -241,8 +257,10 @@ def minimum_error_iterate(
     elements through the optimality condition (the operator sum of
     weighted states times elements must dominate every weighted state).
     Reports the success probability of the returned elements, never below
-    the square-root value or the best trivial guess.  Non-convergence
-    within ``max_iters`` is flagged, not raised.
+    the square-root value or the best trivial guess, with the duality gap
+    of Yuen, Kennedy and Lax (IEEE Trans. IT 21, 125, 1975) as its
+    certificate.  Non-convergence within ``max_iters`` is flagged, not
+    raised.
     """
     return _refine_min_error(e, square_root_measurement(e), max_iters, tol)
 
@@ -300,13 +318,15 @@ def _refine_min_error(
         final = _hermitian_part(s @ final @ s)
         if _success(weighted, final) < floor.success_probability:
             # the repair cost more than the iteration gained
-            return replace(floor, converged=converged, iterations=iterations)
+            gap = _duality_gap(weighted, floor.povm.stack[: e.num_keys])
+            return replace(floor, converged=converged, iterations=iterations, gap=gap)
     return DiscriminationResult(
         success_probability=min(_success(weighted, final), 1.0),
         povm=POVM(tuple(final)),
         method="iterative",
         converged=converged,
         iterations=iterations,
+        gap=_duality_gap(weighted, final),
     )
 
 

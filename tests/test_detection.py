@@ -55,6 +55,11 @@ class TestPOVMValidation:
 
 
 class TestHelstromBinary:
+    def test_closed_form_is_certified(self):
+        rng = np.random.default_rng(97)
+        rho, sigma = bounds.random_mixed_state(3, rng), bounds.random_mixed_state(3, rng)
+        assert det.helstrom_binary(rho, sigma, 0.3).gap == 0.0
+
     def test_identical_states_coin_flip(self):
         rho = ops.maximally_mixed(2)
         assert det.helstrom_binary(rho, rho, 0.5).success_probability == pytest.approx(0.5)
@@ -197,6 +202,34 @@ class TestMinimumErrorIterate:
         for k, (w, s) in enumerate(zip(le.ensemble.prior, le.ensemble.states)):
             achieved += w * det.outcome_distribution(result.povm, s)[k]
         assert achieved == pytest.approx(result.success_probability, abs=1e-9)
+
+    @pytest.mark.parametrize("max_iters", [3, 500])
+    def test_gap_brackets_the_helstrom_optimum(self, max_iters):
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            dim = int(rng.integers(2, 5))
+            make = bounds.random_pure_state if rng.random() < 0.5 else bounds.random_mixed_state
+            a, b = make(dim, rng), make(dim, rng)
+            prior = float(rng.uniform(0.05, 0.95))
+            result = det.minimum_error_iterate(ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b)),
+                                               max_iters=max_iters)
+            optimum = det.helstrom_binary(a, b, prior).success_probability
+            value = result.success_probability
+            assert value - 1e-12 <= optimum <= value + result.gap + 1e-12
+
+    def test_gap_bounds_a_longer_run_on_campaign_instances(self):
+        for recipe in bounds.default_recipes(300, seed=3):
+            e = bounds.build_instance(recipe)
+            short = det.minimum_error_iterate(e, max_iters=5)
+            longer = det.minimum_error_iterate(e, max_iters=60)
+            assert short.gap >= 0.0 and longer.gap >= 0.0
+            # no measurement beats the short run's certified ceiling
+            assert longer.success_probability <= short.success_probability + short.gap + 1e-12
+
+    def test_gap_closes_on_the_trivial_guess(self):
+        states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
+        result = det.minimum_error_iterate(ens.CQEnsemble(1, [0.9, 0.1], states))
+        assert result.gap == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAccessibleInfoLowerBound:

@@ -1,5 +1,7 @@
 """Tests for the basis-locking counterexample and its attack simulation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,43 @@ def independent_first_qubit_marginal(state):
     """Partial-trace oracle written directly with einsum."""
     blocks = state.matrix.reshape(2, 2, 2, 2)
     return np.einsum("abcb->ac", blocks)
+
+
+def sequential_unlock_oracle(le, known_k1):
+    """Success of the chained sequential unlock, from the density matrices.
+
+    Qubit 1 is measured in basis 1-3 when the known first bit is 1, else in
+    2-4; each later qubit in 1-3 after an outcome 1 or 2, else in 2-4.  An
+    outcome on the first state of its basis (1 or 2) decodes the bit as 1.
+    Sums tr((P_o1 x ... x P_on) rho_k) over the outcome sequences that decode
+    the hidden bits of key k, with projectors built from ``basis.kets``.
+    """
+    n = le.n_bits
+    projectors = [np.outer(ket, ket.conj()) for ket in le.basis.kets]
+    total = 0.0
+    for hidden in itertools.product((0, 1), repeat=n - 1):
+        key = int("".join(map(str, (known_k1, *hidden))), 2)
+        rho = le.ensemble.states[key].matrix
+        for took_first in itertools.product((True, False), repeat=n):
+            first = 1 if known_k1 == 1 else 2
+            measured = np.ones((1, 1))
+            for took in took_first:
+                state = first if took else first + 2
+                measured = np.kron(measured, projectors[state - 1])
+                first = 1 if state in (1, 2) else 2
+            if took_first[1:] == tuple(bit == 1 for bit in hidden):
+                total += float(np.trace(measured @ rho).real)
+    return total / 2 ** (n - 1)
+
+
+def one_conjugate_slot_table():
+    """The chained n = 3 table with key 101's first term moved, in its last
+    slot, into the conjugate basis."""
+    terms = dict(locking.build_chained_locking_ensemble(3).terms)
+    first, second = terms[(1, 0, 1)]
+    conjugate = {1: 2, 2: 1, 3: 4, 4: 3}
+    terms[(1, 0, 1)] = (first[:2] + (conjugate[first[2]],), second)
+    return locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
 
 
 class TestBasis:
@@ -165,17 +204,25 @@ class TestKPASimulate:
         # Moving the last slot of one of them into the conjugate basis makes
         # the measured third qubit a fair coin on that term only, so the
         # unlock succeeds with probability 7/8 * 1 + 1/8 * 1/2 = 15/16.
-        terms = dict(locking.build_chained_locking_ensemble(3).terms)
-        first, second = terms[(1, 0, 1)]
-        conjugate = {1: 2, 2: 1, 3: 4, 4: 3}
-        terms[(1, 0, 1)] = (first[:2] + (conjugate[first[2]],), second)
-        le = locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
+        le = one_conjugate_slot_table()
         trials = 40_000
         result = locking.kpa_simulate(le, 1, trials=trials, seed=29)
         assert result.closed_form_success == 15 / 16
         sigma = np.sqrt(15 / 16 * (1 / 16) / trials)
         assert abs(result.success_rate - 15 / 16) <= 5 * sigma
         assert result.success_rate < 1.0
+
+    @pytest.mark.parametrize(
+        "build, known_k1",
+        [(lambda: locking.build_chained_locking_ensemble(n), k1) for n in (3, 4) for k1 in (0, 1)]
+        + [(one_conjugate_slot_table, 1)],
+        ids=["chained_3-k1=0", "chained_3-k1=1", "chained_4-k1=0", "chained_4-k1=1",
+             "one_conjugate_slot"],
+    )
+    def test_chain_closed_form_matches_born_oracle(self, build, known_k1):
+        le = build()
+        oracle = sequential_unlock_oracle(le, known_k1)
+        assert locking._chain_closed_form(le, known_k1) == pytest.approx(oracle, abs=1e-12)
 
     def test_all_equal_control_is_blind(self):
         control = locking.build_all_equal_control()

@@ -41,8 +41,14 @@ class TestPOVMValidation:
         assert povm.dim == 2
 
     def test_non_positive_element_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="element eigenvalue -5.000e-01"):
             det.POVM((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
+
+    def test_stack_is_the_read_only_element_matrices(self):
+        povm = det.square_root_measurement(orthogonal_ensemble(2)).povm
+        np.testing.assert_array_equal(povm.stack, np.stack([el.matrix for el in povm.elements]))
+        with pytest.raises(ValueError):
+            povm.stack[0, 0, 0] = 1.0
 
     def test_incomplete_elements_rejected(self):
         with pytest.raises(ValidationError):

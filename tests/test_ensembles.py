@@ -54,6 +54,12 @@ class TestConstruction:
         e = constant_ensemble(2)
         assert [e.key_label(k) for k in range(4)] == ["00", "01", "10", "11"]
 
+    def test_stack_is_the_read_only_state_matrices(self):
+        e = random_ensemble(2, 3, np.random.default_rng(6))
+        np.testing.assert_array_equal(e.stack, np.stack([s.matrix for s in e.states]))
+        with pytest.raises(ValueError):
+            e.stack[0, 0, 0] = 1.0
+
 
 class TestAverageState:
     def test_constant_ensemble(self):
@@ -72,6 +78,14 @@ class TestAverageState:
     def test_built_once_per_ensemble(self):
         e = random_ensemble(2, 3, np.random.default_rng(8))
         assert ens.average_state(e) is ens.average_state(e)
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 3])
+    def test_bit_identical_to_the_weighted_sum_loop(self, n_bits):
+        e = random_ensemble(n_bits, 3, np.random.default_rng(10 + n_bits), uniform=False)
+        expected = np.zeros((3, 3), dtype=np.complex128)
+        for w, s in zip(e.prior, e.states):
+            expected += w * s.matrix
+        assert np.array_equal(e.average.matrix, expected)
 
 
 class TestJointProductDistance:

@@ -44,16 +44,6 @@ def sequential_unlock_oracle(le, known_k1):
     return total / 2 ** (n - 1)
 
 
-def one_conjugate_slot_table():
-    """The chained n = 3 table with key 101's first term moved, in its last
-    slot, into the conjugate basis."""
-    terms = dict(locking.build_chained_locking_ensemble(3).terms)
-    first, second = terms[(1, 0, 1)]
-    conjugate = {1: 2, 2: 1, 3: 4, 4: 3}
-    terms[(1, 0, 1)] = (first[:2] + (conjugate[first[2]],), second)
-    return locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
-
-
 class TestBasis:
     def test_default_basis_invariants(self):
         basis = locking.default_basis()
@@ -204,23 +194,22 @@ class TestKPASimulate:
         # Moving the last slot of one of them into the conjugate basis makes
         # the measured third qubit a fair coin on that term only, so the
         # unlock succeeds with probability 7/8 * 1 + 1/8 * 1/2 = 15/16.
-        le = one_conjugate_slot_table()
+        terms = dict(locking.build_chained_locking_ensemble(3).terms)
+        first, second = terms[(1, 0, 1)]
+        conjugate = {1: 2, 2: 1, 3: 4, 4: 3}
+        terms[(1, 0, 1)] = (first[:2] + (conjugate[first[2]],), second)
+        le = locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
         trials = 40_000
         result = locking.kpa_simulate(le, 1, trials=trials, seed=29)
         assert result.closed_form_success == 15 / 16
+        assert sequential_unlock_oracle(le, 1) == pytest.approx(15 / 16, abs=1e-12)
         sigma = np.sqrt(15 / 16 * (1 / 16) / trials)
         assert abs(result.success_rate - 15 / 16) <= 5 * sigma
         assert result.success_rate < 1.0
 
-    @pytest.mark.parametrize(
-        "build, known_k1",
-        [(lambda: locking.build_chained_locking_ensemble(n), k1) for n in (3, 4) for k1 in (0, 1)]
-        + [(one_conjugate_slot_table, 1)],
-        ids=["chained_3-k1=0", "chained_3-k1=1", "chained_4-k1=0", "chained_4-k1=1",
-             "one_conjugate_slot"],
-    )
-    def test_chain_closed_form_matches_born_oracle(self, build, known_k1):
-        le = build()
+    @pytest.mark.parametrize("n_bits, known_k1", [(3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_chain_closed_form_matches_born_oracle(self, n_bits, known_k1):
+        le = locking.build_chained_locking_ensemble(n_bits)
         oracle = sequential_unlock_oracle(le, known_k1)
         assert locking._chain_closed_form(le, known_k1) == pytest.approx(oracle, abs=1e-12)
 

@@ -6,9 +6,9 @@ the square-root (pretty good) measurement followed by fixed-point
 refinement of the optimality conditions.  The extractable-information
 search evaluates a few deterministic candidate measurements, then runs
 seeded fixed-point ascents of the mutual information over rank-1
-measurement frames (Rehacek, Englert and Kaszlikowski, PRA 71, 054303);
-its result is reported strictly as a lower bound, with the number of
-restarts under caller control.
+measurement frames kept on the POVM set by their polar factors (Rehacek,
+Englert and Kaszlikowski, PRA 71, 054303); its result is reported strictly
+as a lower bound, with the number of restarts under caller control.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ def eigenbasis_povm(op: HermitianOperator | DensityOperator) -> POVM:
     """Projective measurement in the eigenbasis of an operator."""
     _, vecs = eig_hermitian(op)
     return projective_povm(vecs)
-
-
-def outcome_distribution(povm: POVM, rho: DensityOperator) -> np.ndarray:
-    """Born-rule outcome probabilities, clipped onto the simplex."""
-    if povm.dim != rho.dim:
-        raise DimensionMismatchError(f"POVM dim {povm.dim} != state dim {rho.dim}")
-    probs = np.array([float(np.trace(el.matrix @ rho.matrix).real) for el in povm.elements])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
 
 
 @dataclass(frozen=True)
@@ -357,38 +348,40 @@ def _frame_ascent(
     The fixed-point iteration of Rehacek, Englert and Kaszlikowski (PRA 71,
     054303, 2005): each ket steps along R_y v_y, with
     R_y = sum_k p_k ln(t_ky / q_y) rho_k the information's gradient, and
-    the frame returns to a POVM by V <- G^{-1/2} W, G = sum_y w_y w_y^dag.
-    Each step also carries ``ASCENT_MOMENTUM`` of the last kept move, which
-    crosses the flat ridges where plain gradient steps crawl for thousands
-    of attempts.  A step that loses information is dropped, and the next is
-    half the size and starts the momentum afresh; a kept step grows by a
-    quarter.  Runs exactly ``ASCENT_STEPS`` attempts.
+    the frame W returns to a POVM as its polar factor W (W^dag W)^{-1/2},
+    which is an isometry even where W is rank-deficient.  Each step also
+    carries ``ASCENT_MOMENTUM`` of the last kept move, which crosses the
+    flat ridges where plain gradient steps crawl for thousands of attempts.
+    A step that loses information, or gives NaN, is dropped, and the next
+    is half the size and starts the momentum afresh; a kept step grows by a
+    quarter.  Runs exactly ``ASCENT_STEPS`` attempts, each with one
+    unvalidated information call; the final joint is validated.
     """
+    weight = np.log(2.0) * prior[:, None]
 
     def evaluate(v):
-        rho_v = np.einsum("kab,yb->kya", states, v)
-        table = np.clip(np.einsum("ya,kya->ky", v.conj(), rho_v).real, 0.0, None)
+        rho_v = states @ v.T  # rho_v[k, :, y] = rho_k v_y
+        table = np.clip(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0, None)
         joint = prior[:, None] * table
-        return dist.mutual_information(joint, joint.shape), joint, rho_v
+        return (*dist._information(joint), joint, rho_v)
 
-    current, joint, rho_v = evaluate(kets)
+    current, log2_ratio, joint, rho_v = evaluate(kets)
     step = 1.0
     move = 0.0
     for _ in range(ASCENT_STEPS):
-        product = np.outer(prior, joint.sum(axis=0))
-        ratio = np.divide(joint, product, out=np.ones_like(joint), where=joint > 0.0)
-        gradient = np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
+        gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
         trial = kets + step * gradient + ASCENT_MOMENTUM * move
-        s, _ = _psd_pinv_sqrt(trial.T @ trial.conj())
-        trial = trial @ s.T
-        value, trial_joint, trial_rho_v = evaluate(trial)
-        if value < current:
+        u, _, vh = np.linalg.svd(trial, full_matrices=False)
+        trial = u @ vh
+        value, trial_ratio, trial_joint, trial_rho_v = evaluate(trial)
+        if not value >= current:
             step /= 2.0
             move = 0.0
             continue
-        move = trial - kets
-        current, joint, rho_v, kets = value, trial_joint, trial_rho_v, trial
+        move, kets = trial - kets, trial
+        current, log2_ratio, joint, rho_v = value, trial_ratio, trial_joint, trial_rho_v
         step *= 1.25
+    dist.validate_distribution(joint)
     return current, kets
 
 

@@ -54,6 +54,8 @@ def validate_distribution(probs) -> np.ndarray:
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, not 1")
     out = np.clip(p, 0.0, None)
+    if p.min() < 0.0:  # the clip added mass: take it back
+        out /= out.sum()
     out.setflags(write=False)
     return out
 
@@ -131,13 +133,16 @@ def mutual_information(joint, marginal_sizes: tuple[int, int]) -> float:
     elif j.shape != (rows, cols):
         raise SizeMismatchError(f"joint shape {j.shape} != {(rows, cols)}")
     validate_distribution(j.reshape(-1))
-    j = np.clip(j, 0.0, None)
-    pk = j.sum(axis=1)
-    py = j.sum(axis=0)
+    return _information(np.clip(j, 0.0, None))[0]
+
+
+def _information(j: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bits of a nonnegative 2-D joint (unvalidated) and log2(j / pk py), zero off its support."""
     mask = j > 0.0
-    outer = np.outer(pk, py)
-    terms = j[mask] * (np.log2(j[mask]) - np.log2(outer[mask]))
-    return max(0.0, float(terms.sum()))
+    positive = j[mask]
+    log2_ratio = np.zeros_like(j)
+    log2_ratio[mask] = np.log2(positive) - np.log2(np.outer(j.sum(axis=1), j.sum(axis=0))[mask])
+    return max(0.0, float((positive * log2_ratio[mask]).sum())), log2_ratio
 
 
 def kl_divergence(p, q) -> float:

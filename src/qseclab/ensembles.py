@@ -363,6 +363,8 @@ def ensemble_from_dict(obj) -> CQEnsemble:
     missing = {"n", "prior", "states"} - set(obj)
     if missing:
         raise ParseError(f"ensemble record missing fields {sorted(missing)}")
+    if type(obj["n"]) is not int:  # a JSON integer; bool and float are not
+        raise ParseError(f'"n" must be an integer, got {type(obj["n"]).__name__}')
     if not isinstance(obj["states"], list):
         raise ParseError(f'"states" must be a list, got {type(obj["states"]).__name__}')
     states = []
@@ -374,7 +376,7 @@ def ensemble_from_dict(obj) -> CQEnsemble:
         except ValidationError as exc:
             raise ValidationError(f"state {k}: {exc}") from exc
     try:
-        return CQEnsemble(n_bits=int(obj["n"]), prior=obj["prior"], states=tuple(states))
+        return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad ensemble record: {exc}") from exc
 

@@ -109,6 +109,16 @@ class TestCriteria:
         assert code == 1
         assert "state 1" in err
 
+    def test_prior_round_off_below_zero_gives_a_report(self, capsys, tmp_path):
+        zero = ops.matrix_to_pairs(np.diag([1.0, 0.0]))
+        one = ops.matrix_to_pairs(np.diag([0.0, 1.0]))
+        record = {"n": 1, "prior": [1.0 + 5e-11, -5e-11], "states": [zero, one]}
+        path = tmp_path / "round_off.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["criteria", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["criteria"]["chi"] == pytest.approx(0.0, abs=1e-9)
+
     def test_skewed_prior_ensemble(self, capsys, tmp_path):
         zero = ops.matrix_to_pairs(np.diag([1.0, 0.0]))
         one = ops.matrix_to_pairs(np.diag([0.0, 1.0]))
@@ -150,9 +160,13 @@ class TestCriteria:
         ["criteria", "{tmp}/deeply_nested.json"],
         ["criteria", "{tmp}/n_1e12.json"],
         ["criteria", "{tmp}/n_5001_digits.json"],
+        ["criteria", "{tmp}/n_1_9.json"],
+        ["criteria", "{tmp}/n_true.json"],
+        ["criteria", "{tmp}/n_string.json"],
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
-         "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits"],
+         "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
+         "n-1.9", "n-true", "n-string"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(
@@ -162,8 +176,11 @@ def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
         ensembles.CQEnsemble(1, [0.5, 0.5], (ops.maximally_mixed(2), ops.maximally_mixed(2)))
     )
     (tmp_path / "prior_sums_to_1_4.json").write_text(json.dumps({**mixed, "prior": [0.7, 0.7]}))
-    # json reads 1e400 as inf, which int() cannot convert
+    # json reads 1e400 as inf, a float
     (tmp_path / "n_1e400.json").write_text(json.dumps(mixed).replace('"n": 1', '"n": 1e400'))
+    (tmp_path / "n_1_9.json").write_text(json.dumps({**mixed, "n": 1.9}))
+    (tmp_path / "n_true.json").write_text(json.dumps({**mixed, "n": True}))
+    (tmp_path / "n_string.json").write_text(json.dumps({**mixed, "n": "1"}))
     (tmp_path / "deeply_nested.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "n_1e12.json").write_text(json.dumps({**mixed, "n": 10**12}))
     (tmp_path / "n_5001_digits.json").write_text(
@@ -192,14 +209,25 @@ def _qubit_literal(draw):
     return ops.matrix_to_pairs(mix * np.outer(ket, ket.conj()) + (1.0 - mix) * np.eye(2) / 2)
 
 
+@st.composite
+def _tiny_negative_priors(draw):
+    """A prior whose last entry round-off has pushed a little below zero."""
+    size = draw(st.sampled_from([2, 4]))
+    eps = draw(st.floats(1e-17, 1e-10))
+    return [1.0 + eps] + [0.0] * (size - 2) + [-eps]
+
+
 _records = st.fixed_dictionaries(
     {
         "n": st.one_of(
             st.integers(0, 2), st.integers(), st.floats(), st.text(max_size=3), st.none(),
-            st.lists(st.integers(), max_size=2),
+            st.lists(st.integers(), max_size=2), st.booleans(),
+            st.floats(0.0, 3.0).filter(lambda x: not x.is_integer()),
+            st.integers(0, 2).map(str),
         ),
         "prior": st.one_of(
             st.sampled_from([[1.0], [0.5, 0.5], [0.25] * 4, [0.9, 0.1]]),
+            _tiny_negative_priors(),
             st.lists(st.floats(), max_size=4),
             _nests,
         ),
@@ -218,6 +246,11 @@ def _valid_records(draw):
     n = draw(st.integers(0, 2))
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=2**n, max_size=2**n)))
     prior = draw(st.sampled_from([np.full(2**n, 1.0 / 2**n), weights / weights.sum()]))
+    if n and draw(st.booleans()):
+        # round-off upstream left the last entry a little below zero
+        eps = draw(st.floats(1e-17, 1e-10))
+        prior = np.append(prior[:-1], -eps)
+        prior[0] += 1.0 - prior.sum()
     states = draw(st.lists(_qubit_literal(), min_size=2**n, max_size=2**n))
     return {"n": n, "prior": [float(w) for w in prior], "states": states}
 
@@ -232,6 +265,8 @@ def test_any_ensemble_file_gives_a_report_or_a_clean_error(tmp_path_factory, rec
         code = cli.main(["criteria", str(path)])
     if code == 0:
         assert json.loads(out.getvalue())["command"] == "criteria"
+        # only a JSON integer is a key length
+        assert type(record["n"]) is int
     else:
         assert code == 1
         assert out.getvalue() == ""

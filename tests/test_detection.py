@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import qseclab
-from qseclab import bounds, detection as det, ensembles as ens, locking
+from qseclab import bounds, detection as det, distributions as dist, ensembles as ens, locking
 from qseclab import operators as ops
 from qseclab.errors import DimensionMismatchError, ValidationError, ZeroMassError
+
+from born_rule import outcome_distribution
 
 
 def uniform_ensemble(states):
@@ -56,7 +58,7 @@ class TestPOVMValidation:
 
     def test_outcome_distribution(self):
         povm = det.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        probs = det.outcome_distribution(povm, ops.validate_density(np.diag([0.3, 0.7])))
+        probs = outcome_distribution(povm, ops.validate_density(np.diag([0.3, 0.7])))
         np.testing.assert_allclose(probs, [0.3, 0.7], atol=1e-12)
 
 
@@ -105,8 +107,8 @@ class TestHelstromBinary:
         a = bounds.random_mixed_state(2, rng)
         b = bounds.random_mixed_state(2, rng)
         result = det.helstrom_binary(a, b, 0.5)
-        achieved = 0.5 * det.outcome_distribution(result.povm, a)[0]
-        achieved += 0.5 * det.outcome_distribution(result.povm, b)[1]
+        achieved = 0.5 * outcome_distribution(result.povm, a)[0]
+        achieved += 0.5 * outcome_distribution(result.povm, b)[1]
         assert achieved == pytest.approx(result.success_probability, abs=1e-10)
 
     def test_dimension_mismatch(self):
@@ -206,7 +208,7 @@ class TestMinimumErrorIterate:
         result = det.minimum_error_iterate(le.ensemble)
         achieved = 0.0
         for k, (w, s) in enumerate(zip(le.ensemble.prior, le.ensemble.states)):
-            achieved += w * det.outcome_distribution(result.povm, s)[k]
+            achieved += w * outcome_distribution(result.povm, s)[k]
         assert achieved == pytest.approx(result.success_probability, abs=1e-9)
 
     @pytest.mark.parametrize("max_iters", [3, 500])
@@ -287,6 +289,93 @@ class TestAccessibleInfoLowerBound:
         first = det.accessible_info_lower_bound(le.ensemble, restarts=1, seed=9)
         second = det.accessible_info_lower_bound(le.ensemble, restarts=1, seed=9)
         assert first.bits == second.bits
+
+
+def reference_frame_ascent(prior, states, kets):
+    """The frame ascent as a plain loop: validated information per attempt,
+    the log ratio recomputed from the joint, and the frame returned to a
+    POVM by G^{-1/2}, G = sum_y w_y w_y^dag."""
+
+    def evaluate(v):
+        rho_v = np.einsum("kab,yb->kya", states, v)
+        table = np.clip(np.einsum("ya,kya->ky", v.conj(), rho_v).real, 0.0, None)
+        joint = prior[:, None] * table
+        return dist.mutual_information(joint, joint.shape), joint, rho_v
+
+    current, joint, rho_v = evaluate(kets)
+    step = 1.0
+    move = 0.0
+    for _ in range(det.ASCENT_STEPS):
+        product = np.outer(prior, joint.sum(axis=0))
+        ratio = np.divide(joint, product, out=np.ones_like(joint), where=joint > 0.0)
+        gradient = np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
+        trial = kets + step * gradient + det.ASCENT_MOMENTUM * move
+        s, _ = det._psd_pinv_sqrt(trial.T @ trial.conj())
+        trial = trial @ s.T
+        value, trial_joint, trial_rho_v = evaluate(trial)
+        if value < current:
+            step /= 2.0
+            move = 0.0
+            continue
+        move = trial - kets
+        current, joint, rho_v, kets = value, trial_joint, trial_rho_v, trial
+        step *= 1.25
+    return current, kets
+
+
+def _ascent_instances():
+    """40 (ensemble, start frame) pairs: random_mixed and random_pure with
+    n <= 3 and d <= 4, and the two-basis ensembles for n = 1, 2."""
+    ensembles = [
+        bounds.build_instance(bounds.EnsembleRecipe(kind, n_bits, dim, seed))
+        for kind in ("random_mixed", "random_pure")
+        for n_bits in (1, 2, 3)
+        for dim in (2, 3, 4)
+        for seed in (0, 1)
+    ]
+    ensembles += [two_basis_ensemble(n) for n in (1, 2) for _ in range(2)]
+    rng = np.random.default_rng(211)
+    for e in ensembles:
+        d = e.state_dim
+        yield e, det._haar_isometry(d * d, d, rng).conj()
+
+
+@pytest.fixture(scope="module")
+def ascents():
+    return [
+        (e, reference_frame_ascent(e.prior, e.stack, kets),
+         det._frame_ascent(e.prior, e.stack, kets))
+        for e, kets in _ascent_instances()
+    ]
+
+
+class TestFrameAscent:
+    def test_matches_the_loop_reference(self, ascents):
+        assert len(ascents) >= 40
+        for _, (expected, _), (bits, _) in ascents:
+            assert abs(bits - expected) <= 1e-12
+
+    def test_returned_frame_is_a_povm(self, ascents):
+        for e, _, (_, kets) in ascents:
+            gram = kets.T @ kets.conj()
+            np.testing.assert_allclose(gram, np.eye(e.state_dim), rtol=0.0, atol=1e-12)
+
+    def test_search_validates_the_information_of_candidates_only(self, monkeypatch):
+        calls = []
+        validated = dist.mutual_information
+
+        def counted(*args):
+            calls.append(args)
+            return validated(*args)
+
+        monkeypatch.setattr(dist, "mutual_information", counted)
+        e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 2, 2, 3))
+        for steps in (10, det.ASCENT_STEPS):
+            monkeypatch.setattr(det, "ASCENT_STEPS", steps)
+            calls.clear()
+            det.accessible_info_lower_bound(e, restarts=2)
+            # one call per candidate measurement, none per ascent attempt
+            assert len(calls) == 3
 
 
 class TestConditionedEnsemble:

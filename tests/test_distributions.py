@@ -31,6 +31,18 @@ class TestValidateDistribution:
         with pytest.raises(ValidationError):
             dist.validate_distribution(probs)
 
+    def test_clipped_round_off_is_renormalised(self):
+        p = dist.validate_distribution([1.0 + 5e-11, -5e-11])
+        assert p.tolist() == [1.0, 0.0]
+
+    def test_nonnegative_entries_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            raw = rng.exponential(size=7)
+            raw[rng.integers(0, 7)] = 0.0
+            probs = raw / raw.sum()
+            np.testing.assert_array_equal(dist.validate_distribution(probs), probs)
+
 
 class TestVariationalDistance:
     def test_identical_is_zero(self):
@@ -152,6 +164,19 @@ class TestMutualInformation:
                         expected += joint[k, y] * math.log2(joint[k, y] / (pk[k] * py[y]))
             got = dist.mutual_information(joint.ravel(), (4, 4))
             assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_kernel_is_bit_equal_to_the_validated_function(self):
+        rng = np.random.default_rng(101)
+        for _ in range(50):
+            shape = tuple(int(x) for x in rng.integers(1, 6, size=2))
+            raw = rng.exponential(size=shape) * (rng.random(shape) < 0.7)
+            raw.flat[0] += 1e-3  # at least one positive entry
+            joint = raw / raw.sum()
+            bits, log2_ratio = dist._information(joint)
+            assert bits == dist.mutual_information(joint, joint.shape)
+            # the log ratio vanishes off the support and sums back to the bits
+            assert np.all(log2_ratio[joint == 0.0] == 0.0)
+            assert (joint * log2_ratio).sum() == pytest.approx(bits, abs=1e-12)
 
 
 class TestKLDivergence:

@@ -12,6 +12,8 @@ from qseclab.errors import (
     TraceNotOneError,
 )
 
+from born_rule import outcome_distribution
+
 # the fixed conjugate-basis realization used throughout the locking work
 KET = {
     1: np.array([1, 0], dtype=complex),
@@ -211,8 +213,8 @@ class TestMeasurementContraction:
             povm = detection.POVM(
                 tuple(np.outer(frame[y].conj(), frame[y]) for y in range(6))
             )
-            p = detection.outcome_distribution(povm, rho)
-            qdist = detection.outcome_distribution(povm, sigma)
+            p = outcome_distribution(povm, rho)
+            qdist = outcome_distribution(povm, sigma)
             assert variational_distance(p, qdist) <= ops.trace_distance(rho, sigma) + 1e-9
 
     def test_difference_eigenbasis_achieves_distance(self):
@@ -224,8 +226,8 @@ class TestMeasurementContraction:
             rho, sigma = random_density(4, rng), random_density(4, rng)
             diff = ops.hermitian(rho.matrix - sigma.matrix)
             povm = detection.eigenbasis_povm(diff)
-            p = detection.outcome_distribution(povm, rho)
-            q = detection.outcome_distribution(povm, sigma)
+            p = outcome_distribution(povm, rho)
+            q = outcome_distribution(povm, sigma)
             assert variational_distance(p, q) == pytest.approx(
                 ops.trace_distance(rho, sigma), abs=1e-9
             )

@@ -49,6 +49,5 @@ from .operators import (  # noqa: F401
     eig_hermitian,
     tensor,
     trace_distance,
-    validate_density,
     von_neumann_entropy,
 )

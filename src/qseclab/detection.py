@@ -13,7 +13,7 @@ as a lower bound, with the number of restarts under caller control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import distributions as dist
 from . import ensembles as ens
 from .errors import DimensionMismatchError, ValidationError, ZeroMassError
-from .operators import DensityOperator, HermitianOperator, eig_hermitian
+from .operators import DensityOperator, HermitianOperator, _as_hermitian, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -35,49 +35,49 @@ ORACLE_ZOOMS = 5
 class POVM:
     """A finite measurement: positive elements summing to the identity.
 
-    ``stack`` holds the element matrices once, as a read-only
-    (outcomes, d, d) array.
+    ``stack`` is one validated array: a read-only (outcomes, d, d)
+    ``complex128`` copy of the input, which may be any sequence of
+    equal-sized square matrices or a 3-D array.
     """
 
-    elements: tuple[HermitianOperator, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    stack: np.ndarray
 
     def __post_init__(self):
-        wrapped = tuple(
-            el if isinstance(el, HermitianOperator) else HermitianOperator(el)
-            for el in self.elements
-        )
-        if not wrapped:
+        if len(self.stack) == 0:
             raise ValidationError("a POVM needs at least one element")
-        if len(wrapped) > MAX_OUTCOMES:
-            raise ValidationError(f"{len(wrapped)} outcomes exceed cap {MAX_OUTCOMES}")
-        dims = {el.dim for el in wrapped}
-        if len(dims) != 1:
-            raise ValidationError(f"elements have mixed dimensions {sorted(dims)}")
-        stack = np.stack([el.matrix for el in wrapped])
+        try:
+            stack = _as_hermitian(self.stack, ndim=3)
+        except ValueError:
+            # a ragged sequence: the first malformed element, if any, names the fault
+            dims = sorted({_as_hermitian(el).shape[0] for el in self.stack})
+            raise ValidationError(f"elements have mixed dimensions {dims}") from None
+        if len(stack) > MAX_OUTCOMES:
+            raise ValidationError(f"{len(stack)} outcomes exceed cap {MAX_OUTCOMES}")
         low = float(np.linalg.eigvalsh(stack)[:, 0].min())
         if low < -ELEMENT_PSD_TOL:
             raise ValidationError(f"element eigenvalue {low:.3e} below tolerance")
-        dev = float(np.abs(stack.sum(axis=0) - np.eye(wrapped[0].dim)).max())
+        dev = float(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1])).max())
         if dev > COMPLETENESS_TOL:
             raise ValidationError(f"elements sum to identity only within {dev:.3e}")
-        stack.setflags(write=False)
-        object.__setattr__(self, "elements", wrapped)
         object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.stack.shape[-1]
 
     @property
     def num_outcomes(self) -> int:
-        return len(self.elements)
+        return self.stack.shape[0]
+
+
+def _rank_one(kets: np.ndarray) -> np.ndarray:
+    """The projectors |v_y><v_y| of the rows v_y, bit-equal to ``np.outer``."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
 
 
 def projective_povm(vectors: np.ndarray) -> POVM:
     """Rank-1 projective POVM from the orthonormal columns of a matrix."""
-    cols = np.asarray(vectors, dtype=np.complex128)
-    return POVM(tuple(np.outer(cols[:, i], cols[:, i].conj()) for i in range(cols.shape[1])))
+    return POVM(_rank_one(np.asarray(vectors, dtype=np.complex128).T))
 
 
 def eigenbasis_povm(op: HermitianOperator | DensityOperator) -> POVM:
@@ -229,10 +229,12 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     weighted = e.prior[:, None, None] * e.stack
     # s @ wk @ s is Hermitian only up to round-off that can exceed 1e-12
     elements = _hermitian_part(s @ weighted @ s)
-    remainder = (kernel,) if float(np.trace(kernel).real) > 1e-9 else ()
+    stack = elements
+    if float(np.trace(kernel).real) > 1e-9:
+        stack = np.concatenate([elements, kernel[None]])
     return DiscriminationResult(
         success_probability=min(_success(weighted, elements), 1.0),
-        povm=POVM(tuple(elements) + remainder),
+        povm=POVM(stack),
         method="square_root",
         converged=True,
         iterations=0,
@@ -274,7 +276,7 @@ def _refine_min_error(
     if float(e.prior[guess]) > best_value:
         best_value = float(e.prior[guess])
         best_elements = trivial
-        floor = DiscriminationResult(best_value, POVM(tuple(trivial)), "trivial_guess", True, 0)
+        floor = DiscriminationResult(best_value, POVM(trivial), "trivial_guess", True, 0)
 
     converged = False
     iterations = 0
@@ -313,7 +315,7 @@ def _refine_min_error(
             return replace(floor, converged=converged, iterations=iterations, gap=gap)
     return DiscriminationResult(
         success_probability=min(_success(weighted, final), 1.0),
-        povm=POVM(tuple(final)),
+        povm=POVM(final),
         method="iterative",
         converged=converged,
         iterations=iterations,
@@ -420,7 +422,7 @@ def accessible_info_lower_bound(
     for _ in range(max(0, restarts)):
         bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
         if bits > best_bits:
-            best_bits, best_povm = bits, POVM(tuple(np.outer(k, k.conj()) for k in kets))
+            best_bits, best_povm = bits, POVM(_rank_one(kets))
     return AccessibleInfo(bits=float(best_bits), povm=best_povm)
 
 

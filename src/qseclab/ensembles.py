@@ -217,9 +217,9 @@ def measured_criteria(e: CQEnsemble, povm: "POVM") -> MeasuredCriteria:
     outcome_probs = joint.sum(axis=0)
     product = e.prior[:, None] * outcome_probs[None, :]
     delta = 0.5 * float(np.abs(joint - product).sum())
-    cpds = np.empty((len(povm.elements), e.num_keys))
-    deficits = np.empty(len(povm.elements))
-    for y in range(len(povm.elements)):
+    cpds = np.empty((povm.num_outcomes, e.num_keys))
+    deficits = np.empty(povm.num_outcomes)
+    for y in range(povm.num_outcomes):
         if outcome_probs[y] > 0.0:
             cpds[y] = joint[:, y] / outcome_probs[y]
         else:
@@ -322,7 +322,7 @@ def criteria_record(e: CQEnsemble, povm: "POVM | None" = None) -> CriteriaRecord
         povm = detection.square_root_measurement(e).povm
         povm_name = "square-root measurement"
     else:
-        povm_name = f"caller POVM ({len(povm.elements)} outcomes)"
+        povm_name = f"caller POVM ({povm.num_outcomes} outcomes)"
     chi = holevo_information(e)
     if chi > e.n_bits + 1e-9:
         raise ValidationError(f"chi = {chi!r} exceeds key length {e.n_bits}")

@@ -232,12 +232,6 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
     return build_term_ensemble(terms, f"chained_{n_bits}")
 
 
-def build_all_equal_control() -> LockingEnsemble:
-    """Control ensemble: every key maps to the same state, so nothing leaks."""
-    terms = {bits: ((1, 1), (3, 2)) for bits in map(tuple, _bit_rows(2).tolist())}
-    return build_term_ensemble(terms, "control_all_equal")
-
-
 # ---------------------------------------------------------------------------
 # Ideal-reference comparison
 # ---------------------------------------------------------------------------
@@ -428,8 +422,10 @@ def _kpa_two_bit(le, known_k1, trials, seed, conjugate) -> KPAResult:
         p_second = np.array([le.basis.overlap2(c, j) for j in (1, 2, 3, 4)])
         o2[mask] = np.where(rng.random(mask.sum()) < p_second[second_true[mask] - 1], c, dd)
 
-    decoded = np.array([strategy.decode[(f, s)] for f, s in zip(o1, o2)])
-    rate = float(np.mean(decoded == k2))
+    table = np.zeros((5, 5), dtype=np.int64)  # outcomes are basis indices 1-4
+    for (f, s), guess in strategy.decode.items():
+        table[f, s] = guess
+    rate = float(np.mean(table[o1, o2] == k2))
     return KPAResult(
         success_rate=rate,
         closed_form_success=strategy.closed_form_success,

@@ -29,23 +29,25 @@ POSITIVITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-def _as_square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
+def _as_hermitian(matrix, ndim: int = 2) -> np.ndarray:
+    """A read-only ``complex128`` copy of one matrix (``ndim`` 2) or a stack
+    of matrices (``ndim`` 3), checked in order: square shape, the dimension
+    cap, finite entries, Hermiticity within ``HERMITIAN_TOL`` (max entry)."""
+    m = np.array(matrix, dtype=np.complex128)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        kind = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise NotHermitianError(f"expected {kind}, got shape {m.shape}")
+    if m.shape[-1] < 1 or m.shape[-1] > MAX_DIM:
         raise DimensionCapError(
-            f"dimension {m.shape[0]} outside supported range [1, {MAX_DIM}]"
+            f"dimension {m.shape[-1]} outside supported range [1, {MAX_DIM}]"
         )
     if not np.all(np.isfinite(m)):
         raise NotHermitianError("matrix contains non-finite entries")
+    dev = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max()
+    if dev > HERMITIAN_TOL:
+        raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
+    m.setflags(write=False)
     return m
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,11 +57,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square(self.matrix)
-        dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", _as_hermitian(self.matrix))
 
     @property
     def dim(self) -> int:
@@ -70,19 +68,17 @@ class HermitianOperator:
 class DensityOperator:
     """A state: Hermitian, positive semidefinite and unit trace.
 
-    Tolerances: Hermiticity 1e-12 (max entry), eigenvalues >= -1e-10,
-    trace within 1e-10 of one.  ``eigenvalues`` keeps the ascending
-    spectrum the positivity check computed.
+    Checks run in order: Hermiticity (1e-12, max entry), positivity
+    (eigenvalues >= -1e-10; the error reports the most negative one), unit
+    trace (within 1e-10).  ``eigenvalues`` keeps the ascending spectrum the
+    positivity check computed.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = _as_square(self.matrix)
-        dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
+        m = _as_hermitian(self.matrix)
         eigenvalues = np.linalg.eigvalsh(m)
         if eigenvalues[0] < -POSITIVITY_TOL:
             raise NotPositiveError(float(eigenvalues[0]))
@@ -90,7 +86,7 @@ class DensityOperator:
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
         eigenvalues.setflags(write=False)
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
@@ -99,20 +95,6 @@ class DensityOperator:
 
 
 Operator = HermitianOperator | DensityOperator
-
-
-def validate_density(matrix) -> DensityOperator:
-    """Validate a raw matrix as a density operator.
-
-    Checks run in order: Hermiticity, positivity (the error reports the
-    most negative eigenvalue), unit trace.
-    """
-    return DensityOperator(matrix)
-
-
-def hermitian(matrix) -> HermitianOperator:
-    """Wrap a raw matrix as a validated Hermitian operator."""
-    return HermitianOperator(matrix)
 
 
 def pure_state(amplitudes) -> DensityOperator:

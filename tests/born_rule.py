@@ -9,6 +9,6 @@ def outcome_distribution(povm, rho) -> np.ndarray:
     """Outcome probabilities tr(E_y rho) of a POVM, clipped onto the simplex."""
     if povm.dim != rho.dim:
         raise DimensionMismatchError(f"POVM dim {povm.dim} != state dim {rho.dim}")
-    probs = np.array([float(np.trace(el.matrix @ rho.matrix).real) for el in povm.elements])
+    probs = np.array([float(np.trace(el @ rho.matrix).real) for el in povm.stack])
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()

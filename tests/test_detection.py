@@ -10,7 +10,14 @@ import pytest
 import qseclab
 from qseclab import bounds, detection as det, distributions as dist, ensembles as ens, locking
 from qseclab import operators as ops
-from qseclab.errors import DimensionMismatchError, ValidationError, ZeroMassError
+from qseclab.errors import (
+    DimensionCapError,
+    DimensionMismatchError,
+    Error,
+    NotHermitianError,
+    ValidationError,
+    ZeroMassError,
+)
 
 from born_rule import outcome_distribution
 
@@ -48,7 +55,6 @@ class TestPOVMValidation:
 
     def test_stack_is_the_read_only_element_matrices(self):
         povm = det.square_root_measurement(orthogonal_ensemble(2)).povm
-        np.testing.assert_array_equal(povm.stack, np.stack([el.matrix for el in povm.elements]))
         with pytest.raises(ValueError):
             povm.stack[0, 0, 0] = 1.0
 
@@ -56,9 +62,57 @@ class TestPOVMValidation:
         with pytest.raises(ValidationError):
             det.POVM((np.diag([0.5, 0.0]), np.diag([0.0, 0.5])))
 
+    @pytest.mark.parametrize(
+        "elements, error",
+        [
+            ((), ValidationError),
+            ((np.full((1, 1), 1 / 257),) * 257, ValidationError),
+            ((np.diag([1.0, 0.0]), np.diag([0.0, 0.0, 1.0])), ValidationError),
+            ((np.ones((2, 3)) / 2,), NotHermitianError),
+            ((np.array([[0.5, 1e-11], [0.0, 0.5]]), np.eye(2) / 2), NotHermitianError),
+            ((np.array([[np.nan, 0.0], [0.0, 1.0]]),), NotHermitianError),
+            ((np.eye(65),), DimensionCapError),
+            ((np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(3)), NotHermitianError),
+            ((np.array([[0.0, 1.0], [0.0, 0.0]]),) * 257, NotHermitianError),
+        ],
+        ids=["empty", "257_outcomes", "mixed_dims", "non_square", "off_hermitian", "nan", "d65",
+             "mixed_dims_non_hermitian", "257_outcomes_non_hermitian"],
+    )
+    def test_malformed_input_raises_its_error_class(self, elements, error):
+        with pytest.raises(Error) as caught:
+            det.POVM(elements)
+        assert type(caught.value) is error
+
+    def test_stack_is_a_complex_copy_of_the_input(self):
+        elements = [[[1, 0], [0, 0]], np.diag([0.0, 1.0])]
+        povm = det.POVM(elements)
+        assert povm.stack.dtype == np.complex128
+        assert np.array_equal(povm.stack, np.array(elements, dtype=np.complex128))
+
+    def test_writing_the_callers_array_leaves_the_stack(self):
+        elements = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        povm = det.POVM(elements)
+        elements[0, 0, 0] = 7.0
+        np.testing.assert_array_equal(povm.stack, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+    def test_measurements_wrap_no_element_as_an_operator(self, monkeypatch):
+        calls = []
+        post_init = ops.HermitianOperator.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ops.HermitianOperator, "__post_init__", counted)
+        e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 3, 8, 5))
+        det.square_root_measurement(e)
+        det.minimum_error_iterate(e)
+        det.accessible_info_lower_bound(e, restarts=1)
+        assert calls == []
+
     def test_outcome_distribution(self):
         povm = det.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        probs = outcome_distribution(povm, ops.validate_density(np.diag([0.3, 0.7])))
+        probs = outcome_distribution(povm, ops.DensityOperator(np.diag([0.3, 0.7])))
         np.testing.assert_allclose(probs, [0.3, 0.7], atol=1e-12)
 
 
@@ -193,13 +247,13 @@ class TestMinimumErrorIterate:
         # fell below -1e-10 (to -3.4e-7 for seed 13 at d = 8)
         e = bounds.build_instance(bounds.EnsembleRecipe("random_pure", n_bits, dim, seed))
         result = det.minimum_error_iterate(e, max_iters=60)
-        total = sum(el.matrix for el in result.povm.elements)
+        total = sum(result.povm.stack)
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
         srm = det.square_root_measurement(e).success_probability
         assert result.success_probability >= srm - 1e-12
         achieved = sum(
-            w * np.trace(st.matrix @ el.matrix).real
-            for w, st, el in zip(e.prior, e.states, result.povm.elements)
+            w * np.trace(st.matrix @ el).real
+            for w, st, el in zip(e.prior, e.states, result.povm.stack)
         )
         assert achieved == pytest.approx(result.success_probability, abs=1e-12)
 

@@ -17,6 +17,13 @@ def independent_first_qubit_marginal(state):
     return np.einsum("abcb->ac", blocks)
 
 
+@pytest.fixture
+def all_equal_control():
+    """Control ensemble: every key maps to the same state, so nothing leaks."""
+    terms = {bits: ((1, 1), (3, 2)) for bits in itertools.product((0, 1), repeat=2)}
+    return locking.build_term_ensemble(terms, "control_all_equal")
+
+
 def sequential_unlock_oracle(le, known_k1):
     """Success of the chained sequential unlock, from the density matrices.
 
@@ -213,9 +220,8 @@ class TestKPASimulate:
         oracle = sequential_unlock_oracle(le, known_k1)
         assert locking._chain_closed_form(le, known_k1) == pytest.approx(oracle, abs=1e-12)
 
-    def test_all_equal_control_is_blind(self):
-        control = locking.build_all_equal_control()
-        result = locking.kpa_simulate(control, 1, trials=20_000, seed=17)
+    def test_all_equal_control_is_blind(self, all_equal_control):
+        result = locking.kpa_simulate(all_equal_control, 1, trials=20_000, seed=17)
         assert result.closed_form_success == pytest.approx(0.5)
         assert abs(result.success_rate - 0.5) <= 3 * np.sqrt(0.25 / 20_000)
 
@@ -239,9 +245,8 @@ class TestLockingReport:
         assert report.average_state_distance_from_mixed > 1e-3
         assert report.criteria.d < 1.0 - 1e-6
 
-    def test_control_report_shows_no_leakage(self):
-        control = locking.build_all_equal_control()
-        report = locking.locking_report(control, trials=2_000, seed=0)
+    def test_control_report_shows_no_leakage(self, all_equal_control):
+        report = locking.locking_report(all_equal_control, trials=2_000, seed=0)
         assert report.criteria.d == pytest.approx(0.0, abs=1e-10)
         assert report.kpa[1].closed_form_success == pytest.approx(0.5)
 

@@ -37,26 +37,26 @@ def random_density(dim, rng):
 
 class TestValidateDensity:
     def test_maximally_mixed_qubit_is_valid(self):
-        state = ops.validate_density(np.eye(2) / 2)
+        state = ops.DensityOperator(np.eye(2) / 2)
         assert state.dim == 2
         assert np.trace(state.matrix).real == pytest.approx(1.0)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositiveError) as info:
-            ops.validate_density(np.diag([1.0, -0.001]))
+            ops.DensityOperator(np.diag([1.0, -0.001]))
         assert info.value.most_negative == pytest.approx(-0.001, abs=1e-12)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
-            ops.validate_density(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+            ops.DensityOperator(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOneError):
-            ops.validate_density(np.diag([0.6, 0.6]))
+            ops.DensityOperator(np.diag([0.6, 0.6]))
 
     def test_non_square_rejected(self):
         with pytest.raises(NotHermitianError):
-            ops.validate_density(np.ones((2, 3)))
+            ops.DensityOperator(np.ones((2, 3)))
 
     def test_keeps_the_validated_spectrum(self):
         m = random_density(6, np.random.default_rng(4)).matrix.copy()
@@ -67,18 +67,18 @@ class TestValidateDensity:
 
 class TestEigHermitian:
     def test_pauli_z_descending(self):
-        vals, _ = ops.eig_hermitian(ops.hermitian(np.diag([1.0, -1.0])))
+        vals, _ = ops.eig_hermitian(ops.HermitianOperator(np.diag([1.0, -1.0])))
         np.testing.assert_allclose(vals, [1.0, -1.0])
 
     def test_identity_dim4(self):
-        vals, _ = ops.eig_hermitian(ops.hermitian(np.eye(4)))
+        vals, _ = ops.eig_hermitian(ops.HermitianOperator(np.eye(4)))
         np.testing.assert_allclose(vals, np.ones(4))
 
     def test_random_dim8_reconstruction(self):
         # self-consistency oracle: rebuild the operator from its decomposition
         rng = np.random.default_rng(81)
         for _ in range(20):
-            h = ops.hermitian(random_hermitian(8, rng))
+            h = ops.HermitianOperator(random_hermitian(8, rng))
             vals, vecs = ops.eig_hermitian(h)
             rebuilt = (vecs * vals) @ vecs.conj().T
             assert np.abs(rebuilt - h.matrix).max() < 1e-9
@@ -88,9 +88,9 @@ class TestEigHermitian:
 
     def test_deterministic_for_identical_bits(self):
         rng = np.random.default_rng(3)
-        h = ops.hermitian(random_hermitian(6, rng))
+        h = ops.HermitianOperator(random_hermitian(6, rng))
         first = ops.eig_hermitian(h)
-        second = ops.eig_hermitian(ops.hermitian(h.matrix.copy()))
+        second = ops.eig_hermitian(ops.HermitianOperator(h.matrix.copy()))
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
@@ -147,15 +147,15 @@ class TestTensor:
         # oracle: direct multiplication of the individual traces
         rng = np.random.default_rng(12)
         for _ in range(25):
-            a = ops.hermitian(random_hermitian(3, rng))
-            b = ops.hermitian(random_hermitian(4, rng))
+            a = ops.HermitianOperator(random_hermitian(3, rng))
+            b = ops.HermitianOperator(random_hermitian(4, rng))
             left = np.trace(ops.tensor(a, b).matrix)
             right = np.trace(a.matrix) * np.trace(b.matrix)
             assert abs(left - right) < 1e-10
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(TypeError):
-            ops.tensor(ops.maximally_mixed(2), ops.hermitian(np.eye(2)))
+            ops.tensor(ops.maximally_mixed(2), ops.HermitianOperator(np.eye(2)))
 
 
 class TestPartialTrace:
@@ -182,7 +182,7 @@ class TestVonNeumannEntropy:
 
     def test_qubit_against_binary_entropy_formula(self):
         expected = -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75))
-        got = ops.von_neumann_entropy(ops.validate_density(np.diag([0.25, 0.75])))
+        got = ops.von_neumann_entropy(ops.DensityOperator(np.diag([0.25, 0.75])))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_concavity_spot_check(self):
@@ -224,7 +224,7 @@ class TestMeasurementContraction:
         rng = np.random.default_rng(45)
         for _ in range(20):
             rho, sigma = random_density(4, rng), random_density(4, rng)
-            diff = ops.hermitian(rho.matrix - sigma.matrix)
+            diff = ops.HermitianOperator(rho.matrix - sigma.matrix)
             povm = detection.eigenbasis_povm(diff)
             p = outcome_distribution(povm, rho)
             q = outcome_distribution(povm, sigma)

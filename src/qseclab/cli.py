@@ -76,8 +76,11 @@ def _dump_text(obj, indent: int = 0) -> str:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise Error(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -88,15 +91,24 @@ def _emit_report(payload: dict, args) -> None:
     _emit(text, args.out)
 
 
-def _positive_int(value: str) -> int:
+def _int_at_least(value: str, low: int) -> int:
     number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    if number < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {number}")
     return number
 
 
+def _positive_int(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _non_negative_int(value: str) -> int:
+    return _int_at_least(value, 0)
+
+
 def _add_common(parser, formats=FORMATS):
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+    parser.add_argument("--seed", type=_non_negative_int, default=0,
+                        help="seed recorded in the report")
     parser.add_argument("--format", choices=formats, default="json")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=None, help="comma list of checks")
     p.add_argument("--max-n", type=_positive_int, default=3, dest="max_n")
     p.add_argument("--max-dim", type=_positive_int, default=8, dest="max_dim")
-    p.add_argument("--restarts", type=int, default=0,
+    p.add_argument("--restarts", type=_non_negative_int, default=0,
                    help="search restarts for the accessible-information checks")
     _add_common(p)
     p.set_defaults(func=cmd_bounds_sweep)

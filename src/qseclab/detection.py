@@ -26,7 +26,7 @@ from .operators import DensityOperator, HermitianOperator, _as_hermitian, eig_he
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 MAX_OUTCOMES = 256
-ASCENT_STEPS = 200  # attempts per restart, fixed: a search's cost does not depend on the instance
+ASCENT_STEPS = 200  # cap on attempts per restart; a stalled ascent stops sooner
 ASCENT_MOMENTUM = 0.9  # share of the last kept move carried into the next step
 ORACLE_ZOOMS = 5
 
@@ -356,8 +356,15 @@ def _frame_ascent(
     flat ridges where plain gradient steps crawl for thousands of attempts.
     A step that loses information, or gives NaN, is dropped, and the next
     is half the size and starts the momentum afresh; a kept step grows by a
-    quarter.  Runs exactly ``ASCENT_STEPS`` attempts, each with one
+    quarter.  Runs at most ``ASCENT_STEPS`` attempts, each with one
     unvalidated information call; the final joint is validated.
+
+    The gradient is computed once per kept frame.  The ascent stops early
+    once it has stalled: a rejected attempt without momentum whose step
+    ``kets + step * gradient`` rounds to ``kets`` itself.  Every later
+    step is half as long, so by monotone rounding it gives the same
+    trial, the same value and the same rejection; the result is the one
+    the full budget returns, bit for bit.
     """
     weight = np.log(2.0) * prior[:, None]
 
@@ -368,20 +375,23 @@ def _frame_ascent(
         return (*dist._information(joint), joint, rho_v)
 
     current, log2_ratio, joint, rho_v = evaluate(kets)
+    gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
     step = 1.0
     move = 0.0
     for _ in range(ASCENT_STEPS):
-        gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
-        trial = kets + step * gradient + ASCENT_MOMENTUM * move
-        u, _, vh = np.linalg.svd(trial, full_matrices=False)
+        target = kets + step * gradient + ASCENT_MOMENTUM * move
+        u, _, vh = np.linalg.svd(target, full_matrices=False)
         trial = u @ vh
         value, trial_ratio, trial_joint, trial_rho_v = evaluate(trial)
         if not value >= current:
+            if np.ndim(move) == 0 and np.array_equal(target, kets):
+                break
             step /= 2.0
             move = 0.0
             continue
         move, kets = trial - kets, trial
         current, log2_ratio, joint, rho_v = value, trial_ratio, trial_joint, trial_rho_v
+        gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
         step *= 1.25
     dist.validate_distribution(joint)
     return current, kets

@@ -225,6 +225,17 @@ def spike_entropy_deficit(p1: float, n_bits: int) -> float:
     return p1 * (n_bits + c) - h - c
 
 
+def _power_of_half(exponent: float, what: str) -> float:
+    """``2^-exponent``, refused where it is not a normal float: an infinite
+    exponent, or one so large that the power underflows."""
+    value = 2.0**-exponent
+    if not value >= sys.float_info.min:
+        raise InfeasibleError(
+            f"{what} 2^-{exponent} is below the smallest normal float {sys.float_info.min:.6e}"
+        )
+    return value
+
+
 def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstruction:
     """Maximal spike mass with entropy deficit ``n - H(P) = 2^-l'``.
 
@@ -237,6 +248,8 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
         raise InfeasibleError("key length must be at least one bit")
     if not l_prime > 0.0:
         raise InfeasibleError(f"constraint exponent must be positive, got {l_prime!r}")
+    reference_exponent = l_prime + math.log2(n_bits)
+    reference_p1 = _power_of_half(reference_exponent, "first-order reference mass")
     target = 2.0**-l_prime
     if not target < n_bits:
         raise InfeasibleError(f"deficit 2^-{l_prime} is not below {n_bits} bits")
@@ -255,8 +268,6 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
     residual = spike_entropy_deficit(p1, n_bits) - target
     if abs(residual) > 1e-9:
         raise RootSearchError(f"bisection stalled with residual {residual:.3e}")
-    reference_exponent = l_prime + math.log2(n_bits)
-    reference_p1 = 2.0**-reference_exponent
     return SpikeConstruction(
         n=n_bits,
         constraint_kind="mutual_information",
@@ -292,7 +303,7 @@ def spike_for_variational_distance(n_bits: int, l: float) -> SpikeConstruction:
             f"key length {n_bits} must be below {sys.float_info.max_exp}: 2^n overflows a float"
         )
     size = 2**n_bits
-    epsilon = 2.0**-l
+    epsilon = _power_of_half(l, "distance")
     if epsilon > 1.0 - 1.0 / size:
         raise InfeasibleError(
             f"distance 2^-{l} exceeds the maximum 1 - 1/N = {1.0 - 1.0 / size}"

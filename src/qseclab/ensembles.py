@@ -28,6 +28,7 @@ from .errors import (
     DimensionCapError,
     DimensionMismatchError,
     EmptySubsetError,
+    Error,
     ParseError,
     ValidationError,
 )
@@ -394,6 +395,9 @@ def load_ensemble(path) -> CQEnsemble:
 
 
 def save_ensemble(e: CQEnsemble, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ensemble_to_dict(e), fh, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(ensemble_to_dict(e), fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise Error(f"cannot write {path}: {exc.strerror}") from exc

@@ -41,6 +41,9 @@ def golden_runs() -> list[tuple[str, list[str]]]:
         ("sweep_restarts_30_seed5.jsonl",
          ["bounds-sweep", "--count", "30", "--max-n", "2", "--max-dim", "4", "--seed", "5",
           "--checks", "accessible_info", "--restarts", "1"]),
+        ("sweep_restarts2_40_seed7.jsonl",
+         ["bounds-sweep", "--count", "40", "--max-dim", "8", "--seed", "7",
+          "--checks", "accessible_info", "--restarts", "2"]),
         ("extremal_mi_4000.json",
          ["extremal", "--kind", "mutual_information", "--n", "4000", "--l-prime", "21"]),
         ("extremal_mi_8.json",

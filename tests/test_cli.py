@@ -163,10 +163,17 @@ class TestCriteria:
         ["criteria", "{tmp}/n_1_9.json"],
         ["criteria", "{tmp}/n_true.json"],
         ["criteria", "{tmp}/n_string.json"],
+        ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "1100"],
+        ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "inf"],
+        ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "1100"],
+        ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "inf"],
+        ["locking-demo", "--trials", "10", "--out", "{tmp}/missing_dir/x.json"],
+        ["locking-demo", "--trials", "10", "--emit-ensemble", "{tmp}/missing_dir/x.json"],
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
          "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
-         "n-1.9", "n-true", "n-string"],
+         "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf", "l-1100", "l-inf",
+         "out-in-missing-dir", "emit-ensemble-in-missing-dir"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(
@@ -191,6 +198,22 @@ def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("qseclab: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds-sweep", "--count", "1", "--seed", "-1"],
+        ["locking-demo", "--seed", "-5"],
+        ["bounds-sweep", "--count", "1", "--restarts", "-3"],
+    ],
+    ids=["sweep-seed", "demo-seed", "restarts"],
+)
+def test_negative_seed_or_restarts_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
 
 
 # Scalars of every JSON kind, including the NaN and Infinity tokens json writes.

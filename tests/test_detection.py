@@ -394,6 +394,37 @@ def _ascent_instances():
         yield e, det._haar_isometry(d * d, d, rng).conj()
 
 
+def full_budget_frame_ascent(prior, states, kets):
+    """The production ascent without its stall exit: all ``ASCENT_STEPS``
+    attempts, with the gradient recomputed on every attempt."""
+    weight = np.log(2.0) * prior[:, None]
+
+    def evaluate(v):
+        rho_v = states @ v.T
+        table = np.clip(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0, None)
+        joint = prior[:, None] * table
+        return (*dist._information(joint), joint, rho_v)
+
+    current, log2_ratio, joint, rho_v = evaluate(kets)
+    step = 1.0
+    move = 0.0
+    for _ in range(det.ASCENT_STEPS):
+        gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
+        trial = kets + step * gradient + det.ASCENT_MOMENTUM * move
+        u, _, vh = np.linalg.svd(trial, full_matrices=False)
+        trial = u @ vh
+        value, trial_ratio, trial_joint, trial_rho_v = evaluate(trial)
+        if not value >= current:
+            step /= 2.0
+            move = 0.0
+            continue
+        move, kets = trial - kets, trial
+        current, log2_ratio, joint, rho_v = value, trial_ratio, trial_joint, trial_rho_v
+        step *= 1.25
+    dist.validate_distribution(joint)
+    return current, kets
+
+
 @pytest.fixture(scope="module")
 def ascents():
     return [
@@ -408,6 +439,33 @@ class TestFrameAscent:
         assert len(ascents) >= 40
         for _, (expected, _), (bits, _) in ascents:
             assert abs(bits - expected) <= 1e-12
+
+    def test_stall_exit_returns_the_full_budget_result_exactly(self):
+        for e, kets in _ascent_instances():
+            expected_bits, expected_kets = full_budget_frame_ascent(e.prior, e.stack, kets)
+            bits, found = det._frame_ascent(e.prior, e.stack, kets)
+            assert bits == expected_bits
+            assert np.array_equal(found, expected_kets)
+
+    def test_stalled_ascent_stops_before_the_cap(self, monkeypatch):
+        # from this start the ascent reaches I_acc = 1/2 and stalls there;
+        # from others it is still climbing when the cap ends it
+        e = two_basis_ensemble(1)
+        kets = det._haar_isometry(4, 2, np.random.default_rng(7)).conj()
+        expected = full_budget_frame_ascent(e.prior, e.stack, kets)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        bits, found = det._frame_ascent(e.prior, e.stack, kets)
+        # one factorisation per attempt
+        assert 0 < len(calls) < det.ASCENT_STEPS
+        assert bits == expected[0]
+        assert np.array_equal(found, expected[1])
 
     def test_returned_frame_is_a_povm(self, ascents):
         for e, _, (_, kets) in ascents:

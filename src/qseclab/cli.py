@@ -33,23 +33,8 @@ def _envelope(command: str, argv: list[str], seed: int) -> dict:
     }
 
 
-def _clean(value):
-    """Make a report JSON-ready: plain floats, ints, strings, dicts, lists."""
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if hasattr(value, "item"):
-        return value.item()
-    return str(value)
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _dump_text(obj, indent: int = 0) -> str:
@@ -87,7 +72,7 @@ def _emit(text: str, out_path) -> None:
 
 def _emit_report(payload: dict, args) -> None:
     """Write a report in the requested json or text format."""
-    text = _dump_json(payload) if args.format == "json" else _dump_text(_clean(payload)) + "\n"
+    text = _dump_json(payload) if args.format == "json" else _dump_text(payload) + "\n"
     _emit(text, args.out)
 
 
@@ -167,8 +152,8 @@ def cmd_bounds_sweep(args, argv) -> int:
         **_envelope("bounds-sweep", argv, args.seed),
     }
     if args.format == "json":
-        lines = [json.dumps(_clean(row), sort_keys=True) for row in rows]
-        lines.append(json.dumps(_clean(summary), sort_keys=True))
+        lines = [json.dumps(row, sort_keys=True) for row in rows]
+        lines.append(json.dumps(summary, sort_keys=True))
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "csv":
         columns: list[str] = []
@@ -180,7 +165,7 @@ def cmd_bounds_sweep(args, argv) -> int:
         writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
         writer.writeheader()
         for row in rows:
-            writer.writerow(_clean(row))
+            writer.writerow(row)
         _emit(buffer.getvalue(), args.out)
     else:
         lines = []
@@ -188,7 +173,7 @@ def cmd_bounds_sweep(args, argv) -> int:
             cells = [f"{k}={row[k]}" for k in sorted(row)]
             lines.append("  ".join(cells))
         lines.append("summary:")
-        lines.append(_dump_text(_clean(result.summary), 1))
+        lines.append(_dump_text(result.summary, 1))
         lines.append(f"hard_failures: {result.hard_failures}")
         _emit("\n".join(lines) + "\n", args.out)
     return 1 if result.hard_failures else 0
@@ -222,7 +207,7 @@ def cmd_extremal(args, argv) -> int:
             "resulting_distribution": (
                 None
                 if construction.resulting_distribution is None
-                else [float(x) for x in construction.resulting_distribution]
+                else construction.resulting_distribution.tolist()
             ),
         }
     )

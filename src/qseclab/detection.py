@@ -28,6 +28,7 @@ COMPLETENESS_TOL = 1e-9
 MAX_OUTCOMES = 256
 ASCENT_STEPS = 200  # cap on attempts per restart; a stalled ascent stops sooner
 ASCENT_MOMENTUM = 0.9  # share of the last kept move carried into the next step
+ORACLE_GRID = 100  # angles per axis of the oracle's first scan
 ORACLE_ZOOMS = 5
 
 
@@ -155,14 +156,11 @@ def helstrom_binary(rho: DensityOperator, sigma: DensityOperator, prior: float) 
 
 
 def brute_force_binary_qubit(
-    rho: DensityOperator,
-    sigma: DensityOperator,
-    prior: float,
-    grid_points: int = 10_000,
+    rho: DensityOperator, sigma: DensityOperator, prior: float
 ) -> DiscriminationResult:
     """Direct maximization over qubit projective measurements.
 
-    Scans a deterministic angle grid of ``grid_points`` Bloch directions,
+    Scans a deterministic angle grid of ``ORACLE_GRID``^2 Bloch directions,
     evaluating the success functional by plain traces, then zooms a 21x21
     angle grid onto the best point ``ORACLE_ZOOMS`` times, each spanning one
     previous step either side.  Serves as an oracle for the closed form (no
@@ -182,7 +180,7 @@ def brute_force_binary_qubit(
         best = int(np.argmax(values))
         return float(values[best]), float(tt.ravel()[best]), float(pp.ravel()[best])
 
-    m = int(np.sqrt(grid_points))
+    m = ORACLE_GRID
     success, theta, phi = successes(
         np.linspace(0.0, np.pi, m), np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     )
@@ -332,7 +330,7 @@ def povm_mutual_information(e: ens.CQEnsemble, povm: POVM) -> float:
     """Mutual information in bits between the key and the POVM outcome."""
     table = ens.measurement_table(e, povm)
     joint = e.prior[:, None] * table
-    return dist.mutual_information(joint.reshape(-1), (e.num_keys, povm.num_outcomes))
+    return dist.mutual_information(joint)
 
 
 def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -401,20 +399,17 @@ def accessible_info_lower_bound(
     e: ens.CQEnsemble,
     restarts: int = 2,
     seed: int = 0,
-    outcomes: int | None = None,
 ) -> AccessibleInfo:
     """Best mutual information found over a family of measurements.
 
     Deterministic candidates (square-root measurement, average-state
     eigenbasis, a briefly refined minimum-error POVM) are always
     evaluated; ``restarts`` seeded fixed-point ascents over rank-1 frames
-    with up to d^2 outcomes, each from a Haar-random frame, refine
+    with min(d^2, ``MAX_OUTCOMES``) outcomes, each from a Haar-random frame, refine
     further.  The result is a LOWER bound on the extractable information
     only; the true maximum may be higher.
     """
     d = e.state_dim
-    if outcomes is not None and outcomes < d:
-        raise ValidationError(f"{outcomes} outcomes cannot form a rank-1 frame in dimension {d}")
     srm = square_root_measurement(e)
     candidates = [
         srm.povm,
@@ -427,7 +422,7 @@ def accessible_info_lower_bound(
         bits = povm_mutual_information(e, povm)
         if bits > best_bits:
             best_bits, best_povm = bits, povm
-    m = min(outcomes or d * d, MAX_OUTCOMES)
+    m = min(d * d, MAX_OUTCOMES)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts)):
         bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
@@ -455,11 +450,7 @@ def conditioned_ensemble(e: ens.CQEnsemble, known_bits, known_values) -> ens.CQE
         raise ValidationError(f"bit values {values} must be 0 or 1")
     if not positions:
         return e
-    keep = []
-    for k in range(e.num_keys):
-        bits = [(k >> (e.n_bits - 1 - b)) & 1 for b in positions]
-        if tuple(bits) == values:
-            keep.append(k)
+    keep = np.flatnonzero((ens._bit_rows(e.n_bits, positions) == values).all(axis=1))
     mass = float(e.prior[keep].sum())
     if mass <= 0.0:
         raise ZeroMassError(f"conditioning event {dict(zip(positions, values))} has zero mass")

@@ -118,21 +118,15 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / _LN2
 
 
-def mutual_information(joint, marginal_sizes: tuple[int, int]) -> float:
-    """Mutual information in bits of a joint distribution over index pairs.
+def mutual_information(joint) -> float:
+    """Mutual information in bits of a 2-D joint distribution over ``(k, y)``.
 
-    The joint may be flat (row-major over ``(k, y)``) or already 2-D.
     Product joints give zero.
     """
-    rows, cols = marginal_sizes
     j = np.asarray(joint, dtype=np.float64)
-    if j.ndim == 1:
-        if j.size != rows * cols:
-            raise SizeMismatchError(f"flat joint of size {j.size} != {rows}*{cols}")
-        j = j.reshape(rows, cols)
-    elif j.shape != (rows, cols):
-        raise SizeMismatchError(f"joint shape {j.shape} != {(rows, cols)}")
-    validate_distribution(j.reshape(-1))
+    if j.ndim != 2:
+        raise SizeMismatchError(f"joint has {j.ndim} dimensions, expected 2")
+    validate_distribution(j)
     return _information(np.clip(j, 0.0, None))[0]
 
 

@@ -95,6 +95,13 @@ class CQEnsemble:
         return format(k, f"0{self.n_bits}b") if self.n_bits else ""
 
 
+def _bit_rows(count: int, positions=None) -> np.ndarray:
+    """Key bits in key order: row k holds the bits of key k (a ``count``-bit
+    key) at ``positions``, all of them by default, MSB first."""
+    columns = np.arange(count) if positions is None else np.asarray(positions, dtype=np.int64)
+    return (np.arange(2**count)[:, None] >> (count - 1 - columns)) & 1
+
+
 def uniform_prior(n_bits: int) -> np.ndarray:
     return np.full(2**n_bits, 1.0 / 2**n_bits)
 
@@ -255,11 +262,7 @@ def semantic_security_gap(cpd, subset_positions) -> tuple[float, float]:
         raise ValidationError(f"duplicate bit positions in {positions}")
     if any(not 0 <= b < n_bits for b in positions):
         raise ValidationError(f"bit positions {positions} outside [0, {n_bits})")
-    keys = np.arange(p.size)
-    values = np.zeros(p.size, dtype=np.int64)
-    for j, b in enumerate(positions):
-        bit = (keys >> (n_bits - 1 - b)) & 1
-        values |= bit << (len(positions) - 1 - j)
+    values = _bit_rows(n_bits, positions) @ (1 << np.arange(len(positions) - 1, -1, -1))
     marginal = np.bincount(values, weights=p, minlength=2 ** len(positions))
     gaps = np.abs(marginal - 2.0 ** -len(positions))
     return float(gaps.max()), float(gaps.mean())
@@ -306,12 +309,11 @@ class CriteriaRecord:
         }
 
 
-def criteria_record(e: CQEnsemble, povm: "POVM | None" = None) -> CriteriaRecord:
+def criteria_record(e: CQEnsemble) -> CriteriaRecord:
     """Evaluate every criterion on one ensemble.
 
     The joint form is included when the joint dimension fits the cap.  The
-    measured quantities default to the square-root measurement when no
-    POVM is supplied.
+    measured quantities are those of the square-root measurement.
     """
     from . import detection  # deferred: detection builds on this module
 
@@ -319,18 +321,14 @@ def criteria_record(e: CQEnsemble, povm: "POVM | None" = None) -> CriteriaRecord
     d_joint = None
     if e.num_keys * e.state_dim <= JOINT_DIM_CAP:
         d_joint = joint_product_distance(e)
-    if povm is None:
-        povm = detection.square_root_measurement(e).povm
-        povm_name = "square-root measurement"
-    else:
-        povm_name = f"caller POVM ({povm.num_outcomes} outcomes)"
+    povm = detection.square_root_measurement(e).povm
     chi = holevo_information(e)
     if chi > e.n_bits + 1e-9:
         raise ValidationError(f"chi = {chi!r} exceeds key length {e.n_bits}")
     measured = measured_criteria(e, povm)
     top = float(measured.cpd_table.max())
     notes = (
-        f"measurement: {povm_name}; max posterior key mass {top:.6g}; "
+        f"measurement: square-root measurement; max posterior key mass {top:.6g}; "
         "classical delta computed as v(joint, product) with no extra 1/2 "
         "prefactor so it contracts exactly from d; "
         + dist.EVENT_GAP_NOTE

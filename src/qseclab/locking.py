@@ -18,7 +18,8 @@ are first-class and every report labels the one in use.
 
 Basis realization is fixed for bit-reproducibility: state 1 = (1, 0),
 state 3 = (0, 1), state 2 = (1, 1)/sqrt2, state 4 = (1, -1)/sqrt2, so
-1-3 and 2-4 are the two conjugate bases.
+1-3 and 2-4 are the two conjugate bases (``KETS``; ``OVERLAP2`` holds the
+exact Born weights between them).
 """
 
 from __future__ import annotations
@@ -34,15 +35,26 @@ from .operators import DensityOperator
 BASIS_13 = (1, 3)
 BASIS_24 = (2, 4)
 
-_KETS = {
-    1: np.array([1.0, 0.0], dtype=np.complex128),
-    2: np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0),
-    3: np.array([0.0, 1.0], dtype=np.complex128),
-    4: np.array([1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0),
-}
+_S = 1.0 / np.sqrt(2.0)
+KETS = np.array([[1.0, 0.0], [_S, _S], [0.0, 1.0], [_S, -_S]], dtype=np.complex128)  # states 1..4
+KETS.setflags(write=False)
+_PROJECTORS = KETS[:, :, None] * KETS.conj()[:, None, :]
+# Born weights |<i|j>|^2 at [i - 1, j - 1]: exactly 0, 1/2 or 1 for two
+# mutually unbiased bases, where computing them from KETS would carry the
+# round-off of 1/sqrt2 into the deterministic attack paths
+OVERLAP2 = np.array([
+    [1.0, 0.5, 0.0, 0.5],
+    [0.5, 1.0, 0.5, 0.0],
+    [0.0, 0.5, 1.0, 0.5],
+    [0.5, 0.0, 0.5, 1.0],
+])
+OVERLAP2.setflags(write=False)
 
 # half of the 2-term mixture; exact in binary floating point
 _HALF = 0.5
+# cap on the KPA trials of one run: the sampler holds about 66 bytes per
+# trial at once, so 10^7 trials peak near 0.7 GB
+MAX_TRIALS = 10**7
 
 TERM_TABLES = {
     "symmetric_corrected": {
@@ -63,57 +75,6 @@ VARIANTS = tuple(TERM_TABLES)
 
 
 @dataclass(frozen=True, eq=False)
-class BB84Basis:
-    """Four qubit states forming two mutually unbiased bases."""
-
-    kets: np.ndarray  # shape (4, 2), rows are states 1..4
-
-    def __post_init__(self):
-        kets = np.asarray(self.kets, dtype=np.complex128)
-        if kets.shape != (4, 2):
-            raise ValidationError(f"expected four qubit kets, got shape {kets.shape}")
-        if abs(np.vdot(kets[0], kets[2])) > 1e-12 or abs(np.vdot(kets[1], kets[3])) > 1e-12:
-            raise ValidationError("states 1-3 and 2-4 must be orthogonal pairs")
-        if abs(abs(np.vdot(kets[0], kets[1])) ** 2 - 0.5) > 1e-12:
-            raise ValidationError("the two bases must be mutually unbiased")
-        kets = kets.copy()
-        kets.setflags(write=False)
-        object.__setattr__(self, "kets", kets)
-        # Born weights between basis states can only be 0, 1/2 or 1 by the
-        # invariants above; snap away representation noise (1/sqrt2 is not
-        # exactly representable) so deterministic attack paths stay exact.
-        table = np.empty((4, 4))
-        for i in range(4):
-            for j in range(4):
-                raw = abs(np.vdot(kets[i], kets[j])) ** 2
-                snapped = min((0.0, 0.5, 1.0), key=lambda v: abs(raw - v))
-                if abs(raw - snapped) > 1e-9:
-                    raise ValidationError(f"overlap {raw!r} is not one of 0, 1/2, 1")
-                table[i, j] = snapped
-        table.setflags(write=False)
-        object.__setattr__(self, "_overlap_table", table)
-
-    def ket(self, index: int) -> np.ndarray:
-        return self.kets[index - 1]
-
-    def projector(self, index: int) -> np.ndarray:
-        k = self.ket(index)
-        return np.outer(k, k.conj())
-
-    def overlap2(self, i: int, j: int) -> float:
-        """Born weight |<i|j>|^2, snapped to its exact value in {0, 1/2, 1}."""
-        return float(self._overlap_table[i - 1, j - 1])
-
-
-def default_basis() -> BB84Basis:
-    return BB84Basis(np.stack([_KETS[i] for i in (1, 2, 3, 4)]))
-
-
-def _basis_of(index: int) -> tuple[int, int]:
-    return BASIS_13 if index in BASIS_13 else BASIS_24
-
-
-@dataclass(frozen=True, eq=False)
 class LockingEnsemble:
     """A term table together with the ensemble it generates.
 
@@ -126,7 +87,6 @@ class LockingEnsemble:
     """
 
     variant: str
-    basis: BB84Basis
     terms: dict
     ensemble: ens.CQEnsemble
     term_orthogonality: dict
@@ -136,19 +96,19 @@ class LockingEnsemble:
         return self.ensemble.n_bits
 
 
-def _state_from_term(basis: BB84Basis, slots: tuple[int, ...]) -> np.ndarray:
-    out = basis.projector(slots[0])
+def _overlap2(i: int, j: int) -> float:
+    """Born weight |<i|j>|^2 of basis states i and j, exactly 0, 1/2 or 1."""
+    return float(OVERLAP2[i - 1, j - 1])
+
+
+def _state_from_term(slots: tuple[int, ...]) -> np.ndarray:
+    out = _PROJECTORS[slots[0] - 1]
     for index in slots[1:]:
-        out = np.kron(out, basis.projector(index))
+        out = np.kron(out, _PROJECTORS[index - 1])
     return out
 
 
-def _bit_rows(count: int) -> np.ndarray:
-    """Every value of ``count`` bits, one row each, in key order (MSB first)."""
-    return (np.arange(2**count)[:, None] >> np.arange(count - 1, -1, -1)) & 1
-
-
-def build_term_ensemble(terms: dict, variant: str, basis: BB84Basis | None = None) -> LockingEnsemble:
+def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
     """Assemble a locking ensemble from an explicit term table.
 
     Keys are indexed with the first bit most significant; the prior is
@@ -157,17 +117,16 @@ def build_term_ensemble(terms: dict, variant: str, basis: BB84Basis | None = Non
     eigenvalues (1/2, 1/2) within 1e-10; non-orthogonal term pairs (the
     as_printed key 00) are permitted and recorded.
     """
-    basis = basis or default_basis()
     n_bits = len(next(iter(terms)))
     states = []
     orthogonality = {}
-    for bits in map(tuple, _bit_rows(n_bits).tolist()):
+    for bits in map(tuple, ens._bit_rows(n_bits).tolist()):
         first, second = terms[bits]
-        matrix = _HALF * (_state_from_term(basis, first) + _state_from_term(basis, second))
+        matrix = _HALF * (_state_from_term(first) + _state_from_term(second))
         state = DensityOperator(matrix)
         overlap = 1.0
         for a, b in zip(first, second):
-            overlap *= basis.overlap2(a, b)
+            overlap *= _overlap2(a, b)
         orthogonality[bits] = overlap == 0.0
         top = state.eigenvalues[::-1][:2]
         if orthogonality[bits] and np.abs(top - 0.5).max() > 1e-10:
@@ -178,7 +137,6 @@ def build_term_ensemble(terms: dict, variant: str, basis: BB84Basis | None = Non
     )
     return LockingEnsemble(
         variant=variant,
-        basis=basis,
         terms=dict(terms),
         ensemble=ensemble,
         term_orthogonality=orthogonality,
@@ -223,12 +181,12 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
         raise ValidationError("chained construction needs at least two bits")
     if 2**n_bits > ops.MAX_DIM:
         raise ValidationError(f"probe dimension 2^{n_bits} exceeds cap {ops.MAX_DIM}")
-    keys = _bit_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
+    keys = ens._bit_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
     takes_first = np.column_stack([np.tile([True, False], 2**n_bits), keys[:, 1:] == 1])
     slots, _ = _chain_walk(keys[:, 0], n_bits, lambda j, _: takes_first[:, j])
     slots = [tuple(row) for row in slots.tolist()]
     terms = {tuple(key): tuple(slots[2 * k:2 * k + 2])
-             for k, key in enumerate(_bit_rows(n_bits).tolist())}
+             for k, key in enumerate(ens._bit_rows(n_bits).tolist())}
     return build_term_ensemble(terms, f"chained_{n_bits}")
 
 
@@ -288,10 +246,8 @@ class UnlockingStrategy:
 
 def _joint_outcome_weight(le: LockingEnsemble, key: tuple, f: int, s: int) -> float:
     """Probability of first outcome f then second outcome s for one key."""
-    basis = le.basis
     return _HALF * sum(
-        basis.overlap2(f, first) * basis.overlap2(s, second)
-        for first, second in le.terms[key]
+        _overlap2(f, first) * _overlap2(s, second) for first, second in le.terms[key]
     )
 
 
@@ -308,13 +264,8 @@ def _decode_second(le: LockingEnsemble, known_k1: int, f: int, basis) -> tuple[f
     return contribution, table
 
 
-def unlocking_strategy(le: LockingEnsemble, known_k1: int, conjugate: bool = False) -> UnlockingStrategy:
-    """Derive the unlock rule for a known first bit.
-
-    With ``conjugate=True`` the second-qubit measurement is flipped to the
-    other basis (a control arm: decoding then degrades to coin flipping on
-    the deterministic paths).
-    """
+def unlocking_strategy(le: LockingEnsemble, known_k1: int) -> UnlockingStrategy:
+    """Derive the unlock rule for a known first bit."""
     if le.n_bits != 2:
         raise ValidationError("table-derived strategy applies to 2-bit ensembles")
     if known_k1 not in (0, 1):
@@ -339,9 +290,6 @@ def unlocking_strategy(le: LockingEnsemble, known_k1: int, conjugate: bool = Fal
             if best is None or contribution > best[0] + 1e-15:
                 best = (contribution, basis, table)
         contribution, basis, table = best
-        if conjugate:
-            basis = BASIS_24 if basis == BASIS_13 else BASIS_13
-            contribution, table = _decode_second(le, known_k1, f, basis)
         second_basis[f] = basis
         decode.update(table)
         closed_form += contribution
@@ -379,7 +327,6 @@ def kpa_simulate(
     known_k1: int,
     trials: int,
     seed: int,
-    conjugate: bool = False,
 ) -> KPAResult:
     """Sample the unlock attack on keys with a known first bit.
 
@@ -390,15 +337,16 @@ def kpa_simulate(
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"{trials} trials exceed cap {MAX_TRIALS}")
     if le.n_bits == 2:
-        return _kpa_two_bit(le, known_k1, trials, seed, conjugate)
-    if conjugate:
-        raise ValidationError("conjugate control arm is available for 2-bit tables only")
+        return _kpa_two_bit(le, unlocking_strategy(le, known_k1), trials, seed)
     return _kpa_chain(le, known_k1, trials, seed)
 
 
-def _kpa_two_bit(le, known_k1, trials, seed, conjugate) -> KPAResult:
-    strategy = unlocking_strategy(le, known_k1, conjugate=conjugate)
+def _kpa_two_bit(le, strategy, trials, seed) -> KPAResult:
+    """Sample the two-bit unlock, measuring and decoding per ``strategy``."""
+    known_k1 = strategy.known_bit_value
     rng = np.random.default_rng([seed, known_k1])
     k2 = rng.integers(0, 2, size=trials)
     coin = rng.integers(0, 2, size=trials)
@@ -412,15 +360,13 @@ def _kpa_two_bit(le, known_k1, trials, seed, conjugate) -> KPAResult:
             second_true[mask] = s
 
     a, b = strategy.first_basis
-    p_first = np.array([le.basis.overlap2(a, j) for j in (1, 2, 3, 4)])
-    o1 = np.where(rng.random(trials) < p_first[first_true - 1], a, b)
+    o1 = np.where(rng.random(trials) < OVERLAP2[a - 1, first_true - 1], a, b)
 
     o2 = np.empty(trials, dtype=np.int64)
     for f in strategy.first_basis:
         c, dd = strategy.second_basis[f]
         mask = o1 == f
-        p_second = np.array([le.basis.overlap2(c, j) for j in (1, 2, 3, 4)])
-        o2[mask] = np.where(rng.random(mask.sum()) < p_second[second_true[mask] - 1], c, dd)
+        o2[mask] = np.where(rng.random(mask.sum()) < OVERLAP2[c - 1, second_true[mask] - 1], c, dd)
 
     table = np.zeros((5, 5), dtype=np.int64)  # outcomes are basis indices 1-4
     for (f, s), guess in strategy.decode.items():
@@ -438,7 +384,7 @@ def _kpa_two_bit(le, known_k1, trials, seed, conjugate) -> KPAResult:
 
 def _chain_terms(le, known_k1) -> np.ndarray:
     """The terms of the keys with a known first bit, shape (hidden, coin, n)."""
-    return np.array([le.terms[(known_k1, *h)] for h in _bit_rows(le.n_bits - 1).tolist()])
+    return np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
 
 
 def _kpa_chain(le, known_k1, trials, seed) -> KPAResult:
@@ -449,10 +395,9 @@ def _kpa_chain(le, known_k1, trials, seed) -> KPAResult:
     hidden = rng.integers(0, 2, size=(trials, n - 1))
     coin = rng.integers(0, 2, size=trials)
     prepared = _chain_terms(le, known_k1)[hidden @ (1 << np.arange(n - 2, -1, -1)), coin]
-    overlap = le.basis._overlap_table
     _, decoded = _chain_walk(
         np.full(trials, known_k1), n,
-        lambda j, first: rng.random(trials) < overlap[first - 1, prepared[:, j] - 1],
+        lambda j, first: rng.random(trials) < OVERLAP2[first - 1, prepared[:, j] - 1],
     )
     correct = np.all(decoded[:, 1:] == (hidden == 1), axis=1)
     return KPAResult(
@@ -470,12 +415,12 @@ def _chain_closed_form(le, known_k1) -> float:
     over every term, of the outcome sequences that decode the hidden bits
     (qubit 1's outcome is free)."""
     terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)
-    hidden = _bit_rows(le.n_bits - 1).repeat(2, axis=0) == 1
+    hidden = ens._bit_rows(le.n_bits - 1).repeat(2, axis=0) == 1
     prepared = np.tile(terms, (2, 1))
     takes_first = np.column_stack([np.repeat([True, False], len(terms)), np.tile(hidden, (2, 1))])
     outcomes, _ = _chain_walk(np.full(len(prepared), known_k1), le.n_bits,
                               lambda j, _: takes_first[:, j])
-    born = le.basis._overlap_table[outcomes - 1, prepared - 1].prod(axis=1)
+    born = OVERLAP2[outcomes - 1, prepared - 1].prod(axis=1)
     return float(born.sum()) / len(terms)
 
 

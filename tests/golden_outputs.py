@@ -35,6 +35,12 @@ def golden_runs() -> list[tuple[str, list[str]]]:
         ("sweep_600_seed3.jsonl", ["bounds-sweep", "--count", "600", "--seed", "3"]),
         ("sweep_200_seed3.csv",
          ["bounds-sweep", "--count", "200", "--seed", "3", "--format", "csv"]),
+        ("sweep_200_seed3.text",
+         ["bounds-sweep", "--count", "200", "--seed", "3", "--format", "text"]),
+        ("sweep_all_checks_100_seed5.csv",
+         ["bounds-sweep", "--count", "100", "--seed", "5", "--format", "csv",
+          "--checks", "pinsker,quantum_pinsker,chi_two_sided,accessible_info,"
+                      "holevo_consistency,exponent_relation"]),
         ("sweep_accessible_200_seed5.jsonl",
          ["bounds-sweep", "--count", "200", "--seed", "5",
           "--checks", "accessible_info,holevo_consistency"]),
@@ -48,6 +54,9 @@ def golden_runs() -> list[tuple[str, list[str]]]:
          ["extremal", "--kind", "mutual_information", "--n", "4000", "--l-prime", "21"]),
         ("extremal_mi_8.json",
          ["extremal", "--kind", "mutual_information", "--n", "8", "--l-prime", "0.25"]),
+        ("extremal_mi_8.text",
+         ["extremal", "--kind", "mutual_information", "--n", "8", "--l-prime", "0.25",
+          "--format", "text"]),
         ("extremal_vd_10.json",
          ["extremal", "--kind", "variational_distance", "--n", "10", "--l", "3.5"]),
     ]

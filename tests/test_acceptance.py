@@ -96,7 +96,7 @@ def test_criterion_05_theorem_suite_zero_failures():
     for _ in range(10_000):
         rows = int(rng.integers(2, 17))
         cols = int(rng.integers(2, 17))
-        result = bounds.check_pinsker(bounds.random_joint(rows, cols, rng), (rows, cols))
+        result = bounds.check_pinsker(bounds.random_joint(rows, cols, rng))
         assert result.verdict == "pass", f"classical quadratic bound failed: {result}"
     recipes = bounds.default_recipes(1_000, seed=505, max_n=3, max_dim=8)
     campaign = bounds.run_campaign(recipes, checks=("quantum_pinsker", "chi_two_sided"), seed=505)

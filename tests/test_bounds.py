@@ -29,13 +29,13 @@ def d_chi(e):
 class TestPinskerCheck:
     def test_product_joint_passes_with_zero_margin(self):
         joint = np.outer([0.3, 0.7], [0.4, 0.6])
-        result = bounds.check_pinsker(joint, (2, 2))
+        result = bounds.check_pinsker(joint)
         assert result.verdict == "pass"
         assert result.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_perfectly_correlated_bit(self):
         joint = np.diag([0.5, 0.5])
-        result = bounds.check_pinsker(joint, (2, 2))
+        result = bounds.check_pinsker(joint)
         assert result.verdict == "pass"
         assert result.extras["delta"] == pytest.approx(0.5)
         assert result.extras["mutual_information"] == pytest.approx(1.0)
@@ -46,7 +46,7 @@ class TestPinskerCheck:
         for _ in range(2_000):
             rows = int(rng.integers(2, 17))
             cols = int(rng.integers(2, 17))
-            result = bounds.check_pinsker(bounds.random_joint(rows, cols, rng), (rows, cols))
+            result = bounds.check_pinsker(bounds.random_joint(rows, cols, rng))
             assert result.verdict == "pass"
             assert result.extras["tight_margin"] >= -1e-10
 

@@ -169,11 +169,12 @@ class TestCriteria:
         ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "inf"],
         ["locking-demo", "--trials", "10", "--out", "{tmp}/missing_dir/x.json"],
         ["locking-demo", "--trials", "10", "--emit-ensemble", "{tmp}/missing_dir/x.json"],
+        ["locking-demo", "--trials", "10000001"],
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
          "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
          "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf", "l-1100", "l-inf",
-         "out-in-missing-dir", "emit-ensemble-in-missing-dir"],
+         "out-in-missing-dir", "emit-ensemble-in-missing-dir", "trials-above-cap"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(

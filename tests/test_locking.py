@@ -1,5 +1,6 @@
 """Tests for the basis-locking counterexample and its attack simulation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -31,10 +32,10 @@ def sequential_unlock_oracle(le, known_k1):
     2-4; each later qubit in 1-3 after an outcome 1 or 2, else in 2-4.  An
     outcome on the first state of its basis (1 or 2) decodes the bit as 1.
     Sums tr((P_o1 x ... x P_on) rho_k) over the outcome sequences that decode
-    the hidden bits of key k, with projectors built from ``basis.kets``.
+    the hidden bits of key k, with projectors built from ``locking.KETS``.
     """
     n = le.n_bits
-    projectors = [np.outer(ket, ket.conj()) for ket in le.basis.kets]
+    projectors = [np.outer(ket, ket.conj()) for ket in locking.KETS]
     total = 0.0
     for hidden in itertools.product((0, 1), repeat=n - 1):
         key = int("".join(map(str, (known_k1, *hidden))), 2)
@@ -51,26 +52,41 @@ def sequential_unlock_oracle(le, known_k1):
     return total / 2 ** (n - 1)
 
 
+def conjugate_strategy(le, known_k1):
+    """The derived unlock with qubit 2 measured in the other basis: a control
+    arm whose decoding degrades to coin flipping on the deterministic paths."""
+    strategy = locking.unlocking_strategy(le, known_k1)
+    second_basis, decode, closed_form = {}, {}, 0.0
+    for f, basis in strategy.second_basis.items():
+        flipped = locking.BASIS_24 if basis == locking.BASIS_13 else locking.BASIS_13
+        contribution, table = locking._decode_second(le, known_k1, f, flipped)
+        second_basis[f] = flipped
+        decode.update(table)
+        closed_form += contribution
+    return dataclasses.replace(
+        strategy, second_basis=second_basis, decode=decode, closed_form_success=closed_form
+    )
+
+
 class TestBasis:
     def test_default_basis_invariants(self):
-        basis = locking.default_basis()
-        assert abs(np.vdot(basis.ket(1), basis.ket(3))) == 0.0
-        assert abs(np.vdot(basis.ket(2), basis.ket(4))) < 1e-12
-        assert basis.overlap2(1, 2) == 0.5
-        assert basis.overlap2(2, 2) == 1.0
-        assert basis.overlap2(2, 4) == 0.0
+        kets = locking.KETS
+        assert abs(np.vdot(kets[0], kets[2])) < 1e-12
+        assert abs(np.vdot(kets[1], kets[3])) < 1e-12
+        for i in (0, 2):
+            for j in (1, 3):
+                assert abs(np.vdot(kets[i], kets[j])) ** 2 == pytest.approx(0.5, abs=1e-12)
+        for i, j in itertools.product(range(4), repeat=2):
+            born = abs(np.vdot(kets[i], kets[j])) ** 2
+            assert abs(locking.OVERLAP2[i, j] - born) <= 1e-12
+            assert locking.OVERLAP2[i, j] in (0.0, 0.5, 1.0)
 
     def test_fixed_realization(self):
-        basis = locking.default_basis()
-        np.testing.assert_allclose(basis.ket(1), [1, 0])
-        np.testing.assert_allclose(basis.ket(3), [0, 1])
-        np.testing.assert_allclose(basis.ket(2), [1 / SQRT2, 1 / SQRT2])
-        np.testing.assert_allclose(basis.ket(4), [1 / SQRT2, -1 / SQRT2])
-
-    def test_bad_basis_rejected(self):
-        kets = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex)
-        with pytest.raises(ValidationError):
-            locking.BB84Basis(kets)
+        kets = locking.KETS
+        np.testing.assert_allclose(kets[0], [1, 0])
+        np.testing.assert_allclose(kets[2], [0, 1])
+        np.testing.assert_allclose(kets[1], [1 / SQRT2, 1 / SQRT2])
+        np.testing.assert_allclose(kets[3], [1 / SQRT2, -1 / SQRT2])
 
 
 class TestConstruction:
@@ -95,12 +111,13 @@ class TestConstruction:
     def test_as_printed_first_qubit_marginal_of_00(self):
         le = locking.build_locking_ensemble("as_printed")
         marginal = independent_first_qubit_marginal(le.ensemble.states[0])
-        np.testing.assert_allclose(marginal, le.basis.projector(4), atol=1e-12)
+        ket = locking.KETS[3]
+        np.testing.assert_allclose(marginal, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_symmetric_first_qubit_marginal_of_00(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
         marginal = independent_first_qubit_marginal(le.ensemble.states[0])
-        expected = 0.5 * (le.basis.projector(2) + le.basis.projector(4))
+        expected = 0.5 * sum(np.outer(ket, ket.conj()) for ket in locking.KETS[[1, 3]])
         np.testing.assert_allclose(marginal, expected, atol=1e-12)
 
     def test_unknown_variant_rejected(self):
@@ -156,7 +173,7 @@ class TestUnlockingStrategy:
 
     def test_conjugate_strategy_is_coin_flip(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
-        strategy = locking.unlocking_strategy(le, 1, conjugate=True)
+        strategy = conjugate_strategy(le, 1)
         assert strategy.closed_form_success == pytest.approx(0.5)
 
 
@@ -171,7 +188,7 @@ class TestKPASimulate:
     def test_wrong_basis_control_near_half(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
         trials = 40_000
-        result = locking.kpa_simulate(le, 1, trials=trials, seed=11, conjugate=True)
+        result = locking._kpa_two_bit(le, conjugate_strategy(le, 1), trials=trials, seed=11)
         assert result.closed_form_success == pytest.approx(0.5)
         sigma = np.sqrt(0.25 / trials)
         assert abs(result.success_rate - 0.5) <= 3 * sigma + 1e-9

@@ -203,16 +203,21 @@ def brute_force_binary_qubit(
     )
 
 
-def _psd_pinv_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse square root on the support plus the kernel projector."""
+def _psd_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of a PSD matrix and its inverse square-root spectrum,
+    which is 0 off the support (eigenvalues up to 1e-12 of the largest)."""
     vals, vecs = np.linalg.eigh(matrix)
     cutoff = max(float(vals.max()), 0.0) * 1e-12
     support = vals > cutoff
     inv_sqrt = np.zeros_like(vals)
     inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
-    s = (vecs * inv_sqrt) @ vecs.conj().T
-    kernel = (vecs * (~support)) @ vecs.conj().T
-    return s, kernel
+    return vecs, inv_sqrt
+
+
+def _psd_pinv_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Inverse square root of a PSD matrix on its support, 0 on its kernel."""
+    vecs, inv_sqrt = _psd_spectrum(matrix)
+    return (vecs * inv_sqrt) @ vecs.conj().T
 
 
 def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
@@ -222,8 +227,9 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     average state on its support; a remainder element on the kernel
     completes the POVM (that outcome never fires on in-support states).
     """
-    avg = ens.average_state(e).matrix
-    s, kernel = _psd_pinv_sqrt(avg)
+    vecs, inv_sqrt = _psd_spectrum(ens.average_state(e).matrix)
+    s = (vecs * inv_sqrt) @ vecs.conj().T
+    kernel = (vecs * (inv_sqrt == 0.0)) @ vecs.conj().T
     weighted = e.prior[:, None, None] * e.stack
     # s @ wk @ s is Hermitian only up to round-off that can exceed 1e-12
     elements = _hermitian_part(s @ weighted @ s)
@@ -281,7 +287,7 @@ def _refine_min_error(
     previous = _success(weighted, elements)
     for iterations in range(1, max_iters + 1):
         g = _hermitian_part(weighted @ elements @ weighted)
-        a_pinv, _ = _psd_pinv_sqrt(g.sum(axis=0))
+        a_pinv = _psd_pinv_sqrt(g.sum(axis=0))
         elements = _hermitian_part(a_pinv @ g @ a_pinv)
         value = _success(weighted, elements)
         if value > best_value:
@@ -305,7 +311,7 @@ def _refine_min_error(
         # elements so that they still sum to the identity
         clipped = vecs * np.clip(vals, 0.0, None)[:, None, :]
         final = clipped @ np.conj(np.transpose(vecs, (0, 2, 1)))
-        s, _ = _psd_pinv_sqrt(final.sum(axis=0))
+        s = _psd_pinv_sqrt(final.sum(axis=0))
         final = _hermitian_part(s @ final @ s)
         if _success(weighted, final) < floor.success_probability:
             # the repair cost more than the iteration gained

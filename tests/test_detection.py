@@ -191,6 +191,19 @@ class TestSquareRootMeasurement:
         assert srm.success_probability >= 0.25 - 1e-12
         assert srm.success_probability <= refined.success_probability + 1e-9
 
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_inverse_square_root_is_bit_equal_to_the_spectral_form(self, rank):
+        # the form that also built the kernel projector on every call
+        rng = np.random.default_rng(rank)
+        z = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+        matrix = z @ z.conj().T
+        vals, vecs = np.linalg.eigh(matrix)
+        support = vals > max(float(vals.max()), 0.0) * 1e-12
+        inv_sqrt = np.zeros_like(vals)
+        inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
+        expected = (vecs * inv_sqrt) @ vecs.conj().T
+        assert np.array_equal(det._psd_pinv_sqrt(matrix), expected)
+
     def test_kernel_completion_on_rank_deficient_average(self):
         # two pure states in a 4-dim space leave a kernel remainder outcome
         states = [ops.pure_state(np.eye(4)[0]), ops.pure_state(np.eye(4)[1])]
@@ -359,7 +372,7 @@ def reference_frame_ascent(prior, states, kets):
         ratio = np.divide(joint, product, out=np.ones_like(joint), where=joint > 0.0)
         gradient = np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
         trial = kets + step * gradient + det.ASCENT_MOMENTUM * move
-        s, _ = det._psd_pinv_sqrt(trial.T @ trial.conj())
+        s = det._psd_pinv_sqrt(trial.T @ trial.conj())
         trial = trial @ s.T
         value, trial_joint, trial_rho_v = evaluate(trial)
         if value < current:

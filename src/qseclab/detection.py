@@ -4,7 +4,9 @@ and lower bounds on the information a measurement can extract.
 The binary optimum has a closed form; the M-ary problem is attacked with
 the square-root (pretty good) measurement followed by fixed-point
 refinement of the optimality conditions.  The extractable-information
-search evaluates a few deterministic candidate measurements, then runs
+search evaluates a few deterministic candidate measurements (its
+minimum-error one is the exact maximum a posteriori rule when every state
+is diagonal, and a briefly refined iterate otherwise), then runs
 seeded fixed-point ascents of the mutual information over rank-1
 measurement frames kept on the POVM set by their polar factors (Rehacek,
 Englert and Kaszlikowski, PRA 71, 054303); its result is reported strictly
@@ -327,6 +329,32 @@ def _refine_min_error(
     )
 
 
+def _map_rule(e: ens.CQEnsemble) -> DiscriminationResult | None:
+    """The exact minimum-error measurement when every state is diagonal.
+
+    Diagonal states make discrimination classical, and its optimum is the
+    maximum a posteriori rule: E_k projects onto the basis vectors y on
+    which p_k rho_k(y, y) is largest, ties going to the first key.  One
+    argmax, no eigensolve, duality gap 0.  Returns None if any state has a
+    nonzero off-diagonal entry.
+    """
+    diagonal = np.diagonal(e.stack, axis1=1, axis2=2)
+    if np.count_nonzero(e.stack) != np.count_nonzero(diagonal):
+        return None
+    weights = e.prior[:, None] * diagonal.real
+    basis = np.arange(e.state_dim)
+    elements = np.zeros_like(e.stack)
+    elements[np.argmax(weights, axis=0), basis, basis] = 1.0
+    return DiscriminationResult(
+        success_probability=min(float(weights.max(axis=0).sum()), 1.0),
+        povm=POVM(elements),
+        method="map_rule",
+        converged=True,
+        iterations=0,
+        gap=0.0,
+    )
+
+
 class AccessibleInfo(NamedTuple):
     bits: float
     povm: POVM
@@ -409,7 +437,8 @@ def accessible_info_lower_bound(
     """Best mutual information found over a family of measurements.
 
     Deterministic candidates (square-root measurement, average-state
-    eigenbasis, a briefly refined minimum-error POVM) are always
+    eigenbasis, and a minimum-error POVM: the exact maximum a posteriori
+    rule when every state is diagonal, else 60 refinement steps) are always
     evaluated; ``restarts`` seeded fixed-point ascents over rank-1 frames
     with min(d^2, ``MAX_OUTCOMES``) outcomes, each from a Haar-random frame, refine
     further.  The result is a LOWER bound on the extractable information
@@ -417,11 +446,8 @@ def accessible_info_lower_bound(
     """
     d = e.state_dim
     srm = square_root_measurement(e)
-    candidates = [
-        srm.povm,
-        eigenbasis_povm(ens.average_state(e)),
-        _refine_min_error(e, srm, max_iters=60).povm,
-    ]
+    min_error = _map_rule(e) or _refine_min_error(e, srm, max_iters=60)
+    candidates = [srm.povm, eigenbasis_povm(ens.average_state(e)), min_error.povm]
     best_bits = -1.0
     best_povm = candidates[0]
     for povm in candidates:

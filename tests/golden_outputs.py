@@ -9,14 +9,26 @@ under ``OUTDIR/ensembles`` and passed by a path relative to OUTDIR, so the
 argument vectors embedded in the reports are the same wherever OUTDIR is.
 Running it on two checkouts and comparing the directories with ``diff -r``
 shows every byte a change altered.  pytest does not collect this file.
+
+    python tests/golden_outputs.py --compare OLDDIR NEWDIR
+
+summarises how two such directories differ, file by file: for each numeric
+(float) field, how many values rose, how many fell and the largest absolute
+change; and, one by one, every other changed value (verdicts, summary
+counts, exit codes, notes).  A field is named by its path inside a record,
+with list indices written ``[]``; records are the lines of a ``.jsonl``
+file, the rows of a ``.csv`` file and the ``key=value`` rows of a text
+report.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import sys
 
 from qseclab import bounds, cli, ensembles, locking
@@ -75,10 +87,127 @@ def write_ensembles(directory: str) -> None:
         ensembles.save_ensemble(e, os.path.join(directory, f"{name}.json"))
 
 
+def _scalar(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _flatten(value, path: str, record, out: dict) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(item, f"{path}.{key}" if path else key, record, out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _flatten(item, f"{path}[{i}]", record, out)
+    else:
+        out[(record, path)] = value
+
+
+def _text_fields(text: str, out: dict) -> None:
+    """Leaves of a text report: ``key=value`` rows, and indented ``key: value``
+    blocks whose ``- item`` lines are list entries of the key above them."""
+    parents: list[tuple[int, str]] = []
+    items: dict[str, int] = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        body = line.lstrip()
+        indent = len(line) - len(body)
+        if "=" in body.split("  ")[0]:
+            for part in body.split("  "):
+                key, _, value = part.partition("=")
+                out[(number, key)] = _scalar(value)
+            continue
+        if body.startswith("- "):
+            parent = ".".join(key for _, key in parents)
+            items[parent] = items.get(parent, -1) + 1
+            out[(None, f"{parent}[{items[parent]}]")] = _scalar(body[2:])
+            continue
+        while parents and parents[-1][0] >= indent:
+            parents.pop()
+        key, _, value = body.partition(":")
+        if value.strip():
+            out[(None, ".".join([k for _, k in parents] + [key]))] = _scalar(value.strip())
+        else:
+            parents.append((indent, key))
+
+
+def _leaves(path: str) -> dict:
+    """A golden file as {(record, field path): value}; record is None for a
+    file that is one record."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    out: dict = {}
+    if path.endswith(".jsonl"):
+        for number, line in enumerate(text.splitlines(), 1):
+            _flatten(json.loads(line), "", number, out)
+    elif path.endswith(".json"):
+        _flatten(json.loads(text), "", None, out)
+    elif path.endswith(".csv"):
+        for number, row in enumerate(csv.DictReader(io.StringIO(text)), 2):
+            for key, value in row.items():
+                out[(number, key)] = _scalar(value)
+    else:
+        _text_fields(text, out)
+    return out
+
+
+def _files(directory: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(root, name), directory)
+        for root, _, names in os.walk(directory)
+        for name in names
+    }
+
+
+def compare(old_dir: str, new_dir: str) -> int:
+    """Print how the golden outputs in ``new_dir`` differ from ``old_dir``."""
+    old_files, new_files = _files(old_dir), _files(new_dir)
+    identical = 0
+    for name in sorted(old_files | new_files):
+        if name not in new_files or name not in old_files:
+            print(f"{name}: only in {old_dir if name in old_files else new_dir}")
+            continue
+        old_path, new_path = os.path.join(old_dir, name), os.path.join(new_dir, name)
+        with open(old_path, "rb") as a, open(new_path, "rb") as b:
+            if a.read() == b.read():
+                identical += 1
+                continue
+        old, new = _leaves(old_path), _leaves(new_path)
+        moved: dict[str, list] = {}  # field -> [rose, fell, largest |delta|]
+        changed = []
+        missing = object()
+        for record, field in sorted(old.keys() | new.keys(), key=str):
+            a, b = old.get((record, field), missing), new.get((record, field), missing)
+            if a == b:
+                continue
+            if type(a) is float and type(b) is float:
+                stats = moved.setdefault(re.sub(r"\[\d+\]", "[]", field), [0, 0, 0.0])
+                stats[0 if b > a else 1] += 1
+                stats[2] = max(stats[2], abs(b - a))
+            else:
+                where = "" if record is None else f"record {record} "
+                shown = ["(absent)" if v is missing else repr(v) for v in (a, b)]
+                changed.append(f"  {where}{field}: {shown[0]} -> {shown[1]}")
+        print(name)
+        if moved:
+            width = max(len(field) for field in moved)
+            print(f"  {'field':<{width}}  {'rose':>5}  {'fell':>5}  largest |delta|")
+            for field, (rose, fell, largest) in sorted(moved.items()):
+                print(f"  {field:<{width}}  {rose:>5}  {fell:>5}  {largest:.3g}")
+        print("\n".join(changed) if changed else "  no verdict, count or text changed")
+    print(f"{identical} of {len(old_files | new_files)} files byte-identical")
+    return 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
-        print("usage: golden_outputs.py OUTDIR", file=sys.stderr)
+        print("usage: golden_outputs.py OUTDIR | --compare OLDDIR NEWDIR", file=sys.stderr)
         return 2
     outdir = os.path.abspath(argv[0])
     os.makedirs(outdir, exist_ok=True)

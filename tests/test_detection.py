@@ -307,6 +307,61 @@ class TestMinimumErrorIterate:
         assert result.gap == pytest.approx(0.0, abs=1e-12)
 
 
+def diagonal_ensembles():
+    """(ensemble, rows, prior) for 21 random ensembles of diagonal states,
+    n <= 3 key bits, dimension 2 to 5 and skewed priors."""
+    rng = np.random.default_rng(5)
+    for n_bits, dim in [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 4), (3, 5)] * 3:
+        rows = rng.exponential(size=(2**n_bits, dim))
+        rows /= rows.sum(axis=1, keepdims=True)
+        prior = rng.exponential(size=2**n_bits) + 0.1
+        prior /= prior.sum()
+        states = tuple(ops.DensityOperator(np.diag(r.astype(complex))) for r in rows)
+        yield ens.CQEnsemble(n_bits, prior, states), rows, prior
+
+
+class TestMapRule:
+    def test_success_is_the_classical_map_value(self):
+        for e, rows, prior in diagonal_ensembles():
+            expected = sum(max(prior[k] * rows[k, y] for k in range(len(prior)))
+                           for y in range(rows.shape[1]))
+            result = det._map_rule(e)
+            assert result.gap == 0.0 and result.converged
+            assert abs(result.success_probability - expected) <= 1e-12
+            achieved = sum(w * np.trace(s.matrix @ el).real
+                           for w, s, el in zip(prior, e.states, result.povm.stack))
+            assert abs(achieved - expected) <= 1e-12
+
+    def test_matches_the_iteration_on_the_rotated_ensemble(self):
+        # a Haar rotation keeps the optimum but takes the iterative path
+        rng = np.random.default_rng(7)
+        for e, _, prior in diagonal_ensembles():
+            u = det._haar_isometry(e.state_dim, e.state_dim, rng)
+            rotated = ens.CQEnsemble(
+                e.n_bits, prior, tuple(ops.DensityOperator(u @ s.matrix @ u.conj().T)
+                                       for s in e.states)
+            )
+            assert det._map_rule(rotated) is None
+            iterated = det.minimum_error_iterate(rotated, max_iters=3000, tol=1e-13)
+            closed = det._map_rule(e).success_probability
+            assert iterated.success_probability == pytest.approx(closed, abs=1e-8)
+
+    def test_ties_go_to_the_first_key(self):
+        e = uniform_ensemble([ops.maximally_mixed(3)] * 4)
+        stack = det._map_rule(e).povm.stack
+        np.testing.assert_array_equal(stack[0], np.eye(3))
+        assert not stack[1:].any()
+
+    @pytest.mark.parametrize("kind", ["commuting_classical", "spike_classical"])
+    def test_search_reaches_the_computational_basis_information(self, kind):
+        # every candidate is diagonal, so none beats the computational basis
+        for recipe in bounds.default_recipes(60, seed=13, kinds=(kind,)):
+            e = bounds.build_instance(recipe)
+            basis = dist.mutual_information(e.prior[:, None] * np.diagonal(e.stack, 0, 1, 2).real)
+            bits = det.accessible_info_lower_bound(e, restarts=0).bits
+            assert abs(bits - basis) <= 1e-12
+
+
 class TestAccessibleInfoLowerBound:
     def test_orthogonal_states_reach_key_length(self):
         for n_bits in (1, 2):

@@ -204,19 +204,28 @@ def _materialize_spike(p1: float, n_bits: int) -> np.ndarray | None:
     return out
 
 
-def spike_entropy_deficit(p1: float, n_bits: int) -> float:
-    """``n - H(spike)`` for the spike with top mass ``p1`` over 2^n outcomes.
-
-    Evaluated in closed form, arranged to avoid cancellation so it stays
-    accurate for key lengths in the thousands of bits.
-    """
+def _spike_deficit_terms(p1: float, n_bits: int) -> tuple[float, float, float]:
+    """The terms ``p1 (n + c)``, ``-h`` and ``-c`` whose sum, left to right,
+    is the entropy deficit of the spike."""
     # log2(2^n - 1) = n + c with c = log2(1 - 2^-n) <= 0
     c = math.log1p(-(2.0**-n_bits)) / _LN2
     if p1 <= 0.0 or p1 >= 1.0:
         h = 0.0
     else:
         h = -p1 * math.log2(p1) - (1.0 - p1) * math.log1p(-p1) / _LN2
-    return p1 * (n_bits + c) - h - c
+    return p1 * (n_bits + c), -h, -c
+
+
+def spike_entropy_deficit(p1: float, n_bits: int) -> float:
+    """``n - H(spike)`` for the spike with top mass ``p1`` over 2^n outcomes.
+
+    Evaluated in closed form, arranged to avoid cancellation so it stays
+    accurate for key lengths in the thousands of bits.  Near the uniform
+    spike the terms still cancel: their sum is known only to a few ulps of
+    the largest term.
+    """
+    head, entropy, offset = _spike_deficit_terms(p1, n_bits)
+    return head + entropy + offset
 
 
 def _power_of_half(exponent: float, what: str) -> float:
@@ -234,8 +243,11 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
     """Maximal spike mass with entropy deficit ``n - H(P) = 2^-l'``.
 
     Found by bisection on the spike mass (the deficit is monotone along
-    the spike family).  The companion value ``2^-(l' + log2 n)`` is the
-    usual approximation for the same extremal mass; it is reported, not
+    the spike family) to a residual within 1e-12 of the target, or as
+    close as double precision gets; a residual above 1e-6 of the target is
+    an error.  A deficit below what double precision resolves at the
+    solution is infeasible.  The companion value ``2^-(l' + log2 n)`` is
+    the usual approximation for the same extremal mass; it is reported, not
     substituted.
     """
     if n_bits < 1:
@@ -252,15 +264,22 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         residual = spike_entropy_deficit(mid, n_bits) - target
-        if abs(residual) <= 1e-12:
+        if abs(residual) <= 1e-12 * target:
             break
         if residual < 0.0:
             lo = mid
         else:
             hi = mid
     p1 = mid
+    terms = _spike_deficit_terms(p1, n_bits)
+    resolution = 8.0 * sys.float_info.epsilon * max(abs(t) for t in terms)
+    if resolution > 1e-6 * target:
+        raise InfeasibleError(
+            f"deficit 2^-{l_prime} cannot be met within 1e-6 of itself: double "
+            f"precision resolves the {n_bits}-bit spike's deficit only to {resolution:.1e}"
+        )
     residual = spike_entropy_deficit(p1, n_bits) - target
-    if abs(residual) > 1e-9:
+    if abs(residual) > 1e-6 * target:
         raise RootSearchError(f"bisection stalled with residual {residual:.3e}")
     return SpikeConstruction(
         n=n_bits,

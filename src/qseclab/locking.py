@@ -264,12 +264,16 @@ def _decode_second(le: LockingEnsemble, known_k1: int, f: int, basis) -> tuple[f
     return contribution, table
 
 
+def _check_known_bit(known_k1) -> None:
+    if known_k1 not in (0, 1):
+        raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
+
+
 def unlocking_strategy(le: LockingEnsemble, known_k1: int) -> UnlockingStrategy:
     """Derive the unlock rule for a known first bit."""
     if le.n_bits != 2:
         raise ValidationError("table-derived strategy applies to 2-bit ensembles")
-    if known_k1 not in (0, 1):
-        raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
+    _check_known_bit(known_k1)
     keys = [(known_k1, 0), (known_k1, 1)]
     first_slots = {first for key in keys for first, _ in le.terms[key]}
     first_basis = None
@@ -339,6 +343,7 @@ def kpa_simulate(
         raise ValidationError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise ValidationError(f"{trials} trials exceed cap {MAX_TRIALS}")
+    _check_known_bit(known_k1)
     if le.n_bits == 2:
         return _kpa_two_bit(le, unlocking_strategy(le, known_k1), trials, seed)
     return _kpa_chain(le, known_k1, trials, seed)

@@ -165,6 +165,7 @@ class TestCriteria:
         ["criteria", "{tmp}/n_string.json"],
         ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "1100"],
         ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "inf"],
+        ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "50"],
         ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "1100"],
         ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "inf"],
         ["locking-demo", "--trials", "10", "--out", "{tmp}/missing_dir/x.json"],
@@ -173,7 +174,8 @@ class TestCriteria:
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
          "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
-         "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf", "l-1100", "l-inf",
+         "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf",
+         "l-prime-50-unresolvable", "l-1100", "l-inf",
          "out-in-missing-dir", "emit-ensemble-in-missing-dir", "trials-above-cap"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):

@@ -1,5 +1,6 @@
 """Tests for classical distances, entropies and the extremal constructions."""
 
+import decimal
 import math
 
 import numpy as np
@@ -202,8 +203,38 @@ class TestKLDivergence:
 
 class TestSpikeForMutualInformation:
     def test_tiny_deficit_recovers_uniform(self):
-        spike = dist.spike_for_mutual_information(4, l_prime=50.0)
-        assert spike.resulting_p1 == pytest.approx(1 / 16, abs=1e-6)
+        # near the uniform spike the deficit is N^2 eps^2 / (2 ln 2 (N - 1))
+        # for spike mass 1/N + eps; 2^-28 is about the smallest deficit
+        # double precision resolves at n = 4
+        target = 2.0**-28
+        spike = dist.spike_for_mutual_information(4, l_prime=28.0)
+        eps = math.sqrt(2.0 * math.log(2.0) * 15 * target) / 16
+        assert spike.resulting_p1 == pytest.approx(1 / 16 + eps, rel=1e-6)
+
+    @pytest.mark.parametrize("n, l_prime", [(3, 50.0), (3, 100.0), (4, 50.0), (64, 100.0)])
+    def test_unresolvable_deficit_is_infeasible(self, n, l_prime):
+        with pytest.raises(InfeasibleError, match="double precision"):
+            dist.spike_for_mutual_information(n, l_prime)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 64])
+    def test_constraint_met_relative_to_the_target(self, n):
+        # oracle: the deficit of the returned mass in 60-digit decimals
+        met = 0
+        for l_prime in (0.25, 1.0, 5.0, 10.0, 20.0, 25.0, 28.0, 30.0, 35.0, 40.0, 60.0):
+            target = 2.0**-l_prime
+            try:
+                spike = dist.spike_for_mutual_information(n, l_prime)
+            except InfeasibleError:
+                continue
+            assert abs(spike.residual) <= 1e-6 * target
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                p1 = decimal.Decimal(spike.resulting_p1)
+                tail = (1 - p1) / (2**n - 1)
+                exact = n + (p1 * p1.ln() + (1 - p1) * tail.ln()) / decimal.Decimal(2).ln()
+            assert abs(float(exact) - target) <= 1e-6 * target
+            met += 1
+        assert met >= 7
 
     def test_against_grid_search_oracle(self):
         # oracle: coarse grid over the spike mass with entropy computed on

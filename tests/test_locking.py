@@ -237,6 +237,14 @@ class TestKPASimulate:
         oracle = sequential_unlock_oracle(le, known_k1)
         assert locking._chain_closed_form(le, known_k1) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("n_bits", [2, 3, 4])
+    @pytest.mark.parametrize("known_k1", [2, -1])
+    def test_known_bit_outside_zero_one_rejected(self, n_bits, known_k1):
+        # n = 2 takes the two-bit sampler, n >= 3 the chained one
+        le = locking.build_chained_locking_ensemble(n_bits)
+        with pytest.raises(ValidationError, match="known first bit must be 0 or 1"):
+            locking.kpa_simulate(le, known_k1, trials=10, seed=0)
+
     def test_all_equal_control_is_blind(self, all_equal_control):
         result = locking.kpa_simulate(all_equal_control, 1, trials=20_000, seed=17)
         assert result.closed_form_success == pytest.approx(0.5)

@@ -243,8 +243,8 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
     """Maximal spike mass with entropy deficit ``n - H(P) = 2^-l'``.
 
     Found by bisection on the spike mass (the deficit is monotone along
-    the spike family) to a residual within 1e-12 of the target, or as
-    close as double precision gets; a residual above 1e-6 of the target is
+    the spike family) to a residual within 1e-12 of the target, or until
+    the bracket holds no float between its ends; a residual above 1e-6 of the target is
     an error.  A deficit below what double precision resolves at the
     solution is infeasible.  The companion value ``2^-(l' + log2 n)`` is
     the usual approximation for the same extremal mass; it is reported, not
@@ -264,7 +264,7 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         residual = spike_entropy_deficit(mid, n_bits) - target
-        if abs(residual) <= 1e-12 * target:
+        if abs(residual) <= 1e-12 * target or mid in (lo, hi):
             break
         if residual < 0.0:
             lo = mid

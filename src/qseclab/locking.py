@@ -264,7 +264,7 @@ def _decode_second(le: LockingEnsemble, known_k1: int, f: int, basis) -> tuple[f
     return contribution, table
 
 
-def _check_known_bit(known_k1) -> None:
+def _check_known_bit(known_k1: int) -> None:
     if known_k1 not in (0, 1):
         raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
 

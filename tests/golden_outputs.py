@@ -115,7 +115,9 @@ def _text_fields(text: str, out: dict) -> None:
     for number, line in enumerate(text.splitlines(), 1):
         body = line.lstrip()
         indent = len(line) - len(body)
-        if "=" in body.split("  ")[0]:
+        if not body:
+            continue
+        if re.match(r"[\w.]+=", body):
             for part in body.split("  "):
                 key, _, value = part.partition("=")
                 out[(number, key)] = _scalar(value)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +47,7 @@ class CQEnsemble:
     """Prior over 2^n key values paired with per-key probe states.
 
     ``stack`` holds the state matrices once, as a read-only (keys, d, d)
-    array.
+    array.  It is immutable, so quantities derived from it are kept on it.
     """
 
     n_bits: int
@@ -86,13 +86,21 @@ class CQEnsemble:
     def state_dim(self) -> int:
         return self.states[0].dim
 
-    @cached_property
-    def average(self) -> DensityOperator:
-        """The prior-averaged probe state, built and validated on first use."""
-        return DensityOperator((self.prior[:, None, None] * self.stack).sum(axis=0))
-
     def key_label(self, k: int) -> str:
         return format(k, f"0{self.n_bits}b") if self.n_bits else ""
+
+
+def _once_per_ensemble(fn):
+    """Compute ``fn(e)`` on the first call for an ensemble and keep it there."""
+    key = f"_once_{fn.__name__}"
+
+    @wraps(fn)
+    def once(e):
+        if key not in e.__dict__:
+            e.__dict__[key] = fn(e)
+        return e.__dict__[key]
+
+    return once
 
 
 def _bit_rows(count: int, positions=None) -> np.ndarray:
@@ -106,9 +114,10 @@ def uniform_prior(n_bits: int) -> np.ndarray:
     return np.full(2**n_bits, 1.0 / 2**n_bits)
 
 
+@_once_per_ensemble
 def average_state(e: CQEnsemble) -> DensityOperator:
-    """The prior-averaged probe state (computed once per ensemble)."""
-    return e.average
+    """The prior-averaged probe state, built and validated once per ensemble."""
+    return DensityOperator((e.prior[:, None, None] * e.stack).sum(axis=0))
 
 
 def key_register_state(e: CQEnsemble) -> DensityOperator:
@@ -154,6 +163,7 @@ def conditional_distances(e: CQEnsemble, reference: DensityOperator | None = Non
     return np.array([ops.trace_distance(s, ref) for s in e.states])
 
 
+@_once_per_ensemble
 def mean_conditional_distance(e: CQEnsemble) -> float:
     """Prior-weighted mean distance between per-key states and the average.
 
@@ -177,6 +187,7 @@ def weighted_conditional_distance(e: CQEnsemble) -> float:
     return 0.5 * total
 
 
+@_once_per_ensemble
 def holevo_information(e: CQEnsemble) -> float:
     """Average-state entropy minus mean per-key entropy, in bits.
 
@@ -262,7 +273,10 @@ def semantic_security_gap(cpd, subset_positions) -> tuple[float, float]:
         raise ValidationError(f"duplicate bit positions in {positions}")
     if any(not 0 <= b < n_bits for b in positions):
         raise ValidationError(f"bit positions {positions} outside [0, {n_bits})")
-    values = _bit_rows(n_bits, positions) @ (1 << np.arange(len(positions) - 1, -1, -1))
+    keys, values = np.arange(p.size), np.zeros(p.size, dtype=np.int64)
+    for b in positions:  # shift in one bit per position: a few 2^n vectors at most
+        values <<= 1
+        values |= (keys >> (n_bits - 1 - b)) & 1
     marginal = np.bincount(values, weights=p, minlength=2 ** len(positions))
     gaps = np.abs(marginal - 2.0 ** -len(positions))
     return float(gaps.max()), float(gaps.mean())

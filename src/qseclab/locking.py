@@ -25,6 +25,7 @@ exact Born weights between them).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,11 +73,12 @@ TERM_TABLES = {
 }
 
 VARIANTS = tuple(TERM_TABLES)
+_BUILT: dict = {}  # variant -> its LockingEnsemble, built on first use
 
 
 @dataclass(frozen=True, eq=False)
 class LockingEnsemble:
-    """A term table together with the ensemble it generates.
+    """A term table together with the ensemble it generates, all read-only.
 
     ``terms`` maps each key (tuple of bits, first bit first) to the two
     product terms of its state; each term is a tuple of basis-state
@@ -87,9 +89,9 @@ class LockingEnsemble:
     """
 
     variant: str
-    terms: dict
+    terms: MappingProxyType
     ensemble: ens.CQEnsemble
-    term_orthogonality: dict
+    term_orthogonality: MappingProxyType
 
     @property
     def n_bits(self) -> int:
@@ -137,17 +139,20 @@ def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
     )
     return LockingEnsemble(
         variant=variant,
-        terms=dict(terms),
+        terms=MappingProxyType(dict(terms)),
         ensemble=ensemble,
-        term_orthogonality=orthogonality,
+        term_orthogonality=MappingProxyType(orthogonality),
     )
 
 
 def build_locking_ensemble(variant: str = "symmetric_corrected") -> LockingEnsemble:
-    """The two-bit locking ensemble, in the requested variant."""
+    """The two-bit locking ensemble, in the requested variant; each variant
+    is built once per process, and later calls return the same object."""
     if variant not in TERM_TABLES:
         raise ValidationError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    return build_term_ensemble(TERM_TABLES[variant], variant)
+    if variant not in _BUILT:
+        _BUILT[variant] = build_term_ensemble(TERM_TABLES[variant], variant)
+    return _BUILT[variant]
 
 
 def _chain_walk(known: np.ndarray, n: int, takes_first) -> tuple[np.ndarray, np.ndarray]:

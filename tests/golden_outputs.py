@@ -18,7 +18,9 @@ change; and, one by one, every other changed value (verdicts, summary
 counts, exit codes, notes).  A field is named by its path inside a record,
 with list indices written ``[]``; records are the lines of a ``.jsonl``
 file, the rows of a ``.csv`` file and the ``key=value`` rows of a text
-report.
+report.  It exits 1 when any such non-float value changed or a file exists
+on one side only, and 0 otherwise, so it can gate a change whose floats
+are allowed to move.
 """
 
 from __future__ import annotations
@@ -165,12 +167,15 @@ def _files(directory: str) -> set[str]:
 
 
 def compare(old_dir: str, new_dir: str) -> int:
-    """Print how the golden outputs in ``new_dir`` differ from ``old_dir``."""
+    """Print how the golden outputs in ``new_dir`` differ from ``old_dir``;
+    1 if a non-float value changed or a file is on one side only, else 0."""
     old_files, new_files = _files(old_dir), _files(new_dir)
     identical = 0
+    status = 0
     for name in sorted(old_files | new_files):
         if name not in new_files or name not in old_files:
             print(f"{name}: only in {old_dir if name in old_files else new_dir}")
+            status = 1
             continue
         old_path, new_path = os.path.join(old_dir, name), os.path.join(new_dir, name)
         with open(old_path, "rb") as a, open(new_path, "rb") as b:
@@ -200,8 +205,10 @@ def compare(old_dir: str, new_dir: str) -> int:
             for field, (rose, fell, largest) in sorted(moved.items()):
                 print(f"  {field:<{width}}  {rose:>5}  {fell:>5}  {largest:.3g}")
         print("\n".join(changed) if changed else "  no verdict, count or text changed")
+        if changed:
+            status = 1
     print(f"{identical} of {len(old_files | new_files)} files byte-identical")
-    return 0
+    return status
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qseclab import bounds, ensembles as ens, locking, operators as ops
+from qseclab import bounds, detection as det, ensembles as ens, locking, operators as ops
 from qseclab.errors import OutOfScopeError, ValidationError
 
 
@@ -224,6 +224,42 @@ class TestRecipesAndCampaigns:
         recipe = bounds.EnsembleRecipe("random_pure", 3, 8, 13)
         result = bounds.run_campaign([recipe], checks=("pinsker",))
         assert result.reports[0].checks["pinsker"].verdict == "pass"
+
+    def test_one_square_root_spectrum_per_ensemble(self, monkeypatch):
+        # the pinsker check and the search share one square-root measurement,
+        # and both locking recipes one ensemble; the min-error steps also
+        # call _psd_spectrum, so only calls on an average state count
+        monkeypatch.setattr(locking, "_BUILT", {})  # a locking ensemble new to this test
+        built, spectra = [], []
+        build, spectrum = bounds.build_instance, det._psd_spectrum
+
+        def recording_build(recipe):
+            built.append(build(recipe))
+            return built[-1]
+
+        def recording_spectrum(matrix):
+            spectra.append(matrix)
+            return spectrum(matrix)
+
+        monkeypatch.setattr(bounds, "build_instance", recording_build)
+        monkeypatch.setattr(det, "_psd_spectrum", recording_spectrum)
+        bounds.run_campaign(bounds.default_recipes(10), checks=bounds.ALL_CHECKS)
+        distinct = list({id(e): e for e in built}.values())
+        assert len(built) == 10 and len(distinct) == 9
+        for e in distinct:
+            assert sum(m is ens.average_state(e).matrix for m in spectra) == 1
+
+    def test_locking_recipes_share_quantities_and_verdicts(self):
+        recipes = [r for r in bounds.default_recipes(15) if r.kind == "locking"]
+        reports = bounds.run_campaign(recipes, checks=bounds.ALL_CHECKS).reports
+        assert len(reports) == 3 and len({r.recipe.seed for r in reports}) == 3
+
+        def outcome(report):
+            checks = {name: (c.verdict, c.margin) for name, c in report.checks.items()}
+            return report.quantities, checks
+
+        assert outcome(reports[1]) == outcome(reports[0])
+        assert outcome(reports[2]) == outcome(reports[0])
 
     def test_flat_dict_shape(self):
         recipes = bounds.default_recipes(3, seed=2)

@@ -385,3 +385,53 @@ class TestExtremal:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+class TestGoldenCompare:
+    """``golden_outputs.py --compare`` as a gate: floats may move, nothing else."""
+
+    BASE = {
+        "sweep.jsonl": '{"d": 0.25, "verdict": "pass", "count": 3}\n',
+        "report.text": "d=0.25  verdict=pass\n",
+        "exit_codes.json": '{"sweep.jsonl": 0}\n',
+    }
+
+    @staticmethod
+    def compare(tmp_path, capsys, new):
+        import golden_outputs
+
+        for side, files in (("old", TestGoldenCompare.BASE), ("new", new)):
+            (tmp_path / side).mkdir()
+            for name, text in files.items():
+                (tmp_path / side / name).write_text(text)
+        code = golden_outputs.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")])
+        return code, capsys.readouterr().out
+
+    def test_identical_directories_pass(self, tmp_path, capsys):
+        code, out = self.compare(tmp_path, capsys, dict(self.BASE))
+        assert code == 0 and "3 of 3 files byte-identical" in out
+
+    def test_moved_floats_pass(self, tmp_path, capsys):
+        new = dict(self.BASE, **{"sweep.jsonl": '{"d": 0.2500000001, "verdict": "pass", "count": 3}\n',
+                                 "report.text": "d=0.26  verdict=pass\n"})
+        code, out = self.compare(tmp_path, capsys, new)
+        assert code == 0 and "1 of 3 files byte-identical" in out
+
+    @pytest.mark.parametrize("name, text", [
+        ("sweep.jsonl", '{"d": 0.25, "verdict": "fail", "count": 3}\n'),
+        ("sweep.jsonl", '{"d": 0.25, "verdict": "pass", "count": 4}\n'),
+        ("sweep.jsonl", '{"d": null, "verdict": "pass", "count": 3}\n'),
+        ("report.text", "d=0.25  verdict=inconclusive\n"),
+        ("exit_codes.json", '{"sweep.jsonl": 1}\n'),
+    ], ids=["verdict", "count", "float_to_null", "text", "exit_code"])
+    def test_changed_non_float_fails(self, tmp_path, capsys, name, text):
+        code, out = self.compare(tmp_path, capsys, dict(self.BASE, **{name: text}))
+        assert code == 1 and "->" in out
+
+    def test_file_on_one_side_fails(self, tmp_path, capsys):
+        new = dict(self.BASE)
+        del new["report.text"]
+        new["extra.json"] = "{}\n"
+        code, out = self.compare(tmp_path, capsys, new)
+        assert code == 1
+        assert "report.text: only in" in out and "extra.json: only in" in out

@@ -320,12 +320,38 @@ def diagonal_ensembles():
         yield ens.CQEnsemble(n_bits, prior, states), rows, prior
 
 
+def map_rule(e):
+    """The exact minimum-error measurement when every state is diagonal.
+
+    Diagonal states make discrimination classical, and its optimum is the
+    maximum a posteriori rule: E_k projects onto the basis vectors y on
+    which p_k rho_k(y, y) is largest, ties going to the first key.  One
+    argmax, no eigensolve, duality gap 0.  Returns None if any state has a
+    nonzero off-diagonal entry.
+    """
+    diagonal = np.diagonal(e.stack, axis1=1, axis2=2)
+    if np.count_nonzero(e.stack) != np.count_nonzero(diagonal):
+        return None
+    weights = e.prior[:, None] * diagonal.real
+    basis = np.arange(e.state_dim)
+    elements = np.zeros_like(e.stack)
+    elements[np.argmax(weights, axis=0), basis, basis] = 1.0
+    return det.DiscriminationResult(
+        success_probability=min(float(weights.max(axis=0).sum()), 1.0),
+        povm=det.POVM(elements),
+        method="map_rule",
+        converged=True,
+        iterations=0,
+        gap=0.0,
+    )
+
+
 class TestMapRule:
     def test_success_is_the_classical_map_value(self):
         for e, rows, prior in diagonal_ensembles():
             expected = sum(max(prior[k] * rows[k, y] for k in range(len(prior)))
                            for y in range(rows.shape[1]))
-            result = det._map_rule(e)
+            result = map_rule(e)
             assert result.gap == 0.0 and result.converged
             assert abs(result.success_probability - expected) <= 1e-12
             achieved = sum(w * np.trace(s.matrix @ el).real
@@ -341,25 +367,34 @@ class TestMapRule:
                 e.n_bits, prior, tuple(ops.DensityOperator(u @ s.matrix @ u.conj().T)
                                        for s in e.states)
             )
-            assert det._map_rule(rotated) is None
+            assert map_rule(rotated) is None
             iterated = det.minimum_error_iterate(rotated, max_iters=3000, tol=1e-13)
-            closed = det._map_rule(e).success_probability
+            closed = map_rule(e).success_probability
             assert iterated.success_probability == pytest.approx(closed, abs=1e-8)
 
     def test_ties_go_to_the_first_key(self):
         e = uniform_ensemble([ops.maximally_mixed(3)] * 4)
-        stack = det._map_rule(e).povm.stack
+        stack = map_rule(e).povm.stack
         np.testing.assert_array_equal(stack[0], np.eye(3))
         assert not stack[1:].any()
 
+    @pytest.mark.parametrize("restarts", [0, 2])
     @pytest.mark.parametrize("kind", ["commuting_classical", "spike_classical"])
-    def test_search_reaches_the_computational_basis_information(self, kind):
-        # every candidate is diagonal, so none beats the computational basis
+    def test_search_reaches_the_computational_basis_information(self, kind, restarts,
+                                                                monkeypatch):
+        # commuting states: the computational basis attains chi, so the
+        # search returns it without a square-root measurement or an ascent
+        def forbidden(*args):
+            raise AssertionError("the diagonal search took a general path")
+
+        monkeypatch.setattr(det, "_frame_ascent", forbidden)
+        monkeypatch.setattr(det, "square_root_measurement", forbidden)
         for recipe in bounds.default_recipes(60, seed=13, kinds=(kind,)):
             e = bounds.build_instance(recipe)
             basis = dist.mutual_information(e.prior[:, None] * np.diagonal(e.stack, 0, 1, 2).real)
-            bits = det.accessible_info_lower_bound(e, restarts=0).bits
+            bits = det.accessible_info_lower_bound(e, restarts=restarts, seed=3).bits
             assert abs(bits - basis) <= 1e-12
+            assert abs(bits - ens.holevo_information(e)) <= 2e-15
 
 
 class TestAccessibleInfoLowerBound:

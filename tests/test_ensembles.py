@@ -1,5 +1,7 @@
 """Tests for classical-quantum ensembles and the secrecy criteria."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,7 +87,7 @@ class TestAverageState:
         expected = np.zeros((3, 3), dtype=np.complex128)
         for w, s in zip(e.prior, e.states):
             expected += w * s.matrix
-        assert np.array_equal(e.average.matrix, expected)
+        assert np.array_equal(ens.average_state(e).matrix, expected)
 
 
 class TestJointProductDistance:
@@ -232,7 +234,37 @@ class TestMeasuredCriteria:
             assert v <= 2.0 * distances[k] + 1e-9
 
 
+def bit_matrix_gap(cpd, positions):
+    """The subset gap through the whole 2^n x |subset| matrix of key bits."""
+    p = np.asarray(cpd, dtype=np.float64)
+    n_bits = p.size.bit_length() - 1
+    bits = (np.arange(p.size)[:, None] >> (n_bits - 1 - np.asarray(positions))) & 1
+    values = bits @ (1 << np.arange(len(positions) - 1, -1, -1))
+    marginal = np.bincount(values, weights=p, minlength=2 ** len(positions))
+    gaps = np.abs(marginal - 2.0 ** -len(positions))
+    return float(gaps.max()), float(gaps.mean())
+
+
 class TestSemanticSecurityGap:
+    def test_equals_the_bit_matrix_form(self):
+        rng = np.random.default_rng(8)
+        for n_bits, positions in [(1, (0,)), (3, (2, 0)), (5, (1, 3, 4)),
+                                  (8, (7, 0, 5, 2)), (10, tuple(range(10))), (12, (11, 6))]:
+            cpd = rng.exponential(size=2**n_bits)
+            cpd /= cpd.sum()
+            assert ens.semantic_security_gap(cpd, positions) == bit_matrix_gap(cpd, positions)
+
+    def test_peak_memory_at_twenty_bits(self):
+        cpd = np.random.default_rng(2).exponential(size=2**20)
+        cpd /= cpd.sum()
+        tracemalloc.start()
+        try:
+            ens.semantic_security_gap(cpd, tuple(range(19, -1, -1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
     def test_uniform_cpd_no_gap(self):
         cpd = np.full(16, 1 / 16)
         max_gap, avg_gap = ens.semantic_security_gap(cpd, (0, 2))

@@ -124,6 +124,16 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             locking.build_locking_ensemble("fixed")
 
+    @pytest.mark.parametrize("variant", locking.VARIANTS)
+    def test_one_shared_read_only_object_per_variant(self, variant):
+        le = locking.build_locking_ensemble(variant)
+        assert locking.build_locking_ensemble(variant) is le
+        with pytest.raises(TypeError):
+            le.terms[(0, 0)] = ((1, 1), (1, 1))
+        with pytest.raises(TypeError):
+            le.term_orthogonality[(0, 0)] = True
+        assert le.terms == locking.TERM_TABLES[variant]
+
     def test_chained_reduces_to_symmetric_at_two_bits(self):
         chain = locking.build_chained_locking_ensemble(2)
         table = {bits: pair for bits, pair in chain.terms.items()}

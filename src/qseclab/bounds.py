@@ -34,7 +34,7 @@ import numpy as np
 
 from . import detection, distributions as dist, ensembles as ens, locking
 from .errors import OutOfScopeError, ValidationError
-from .operators import DensityOperator
+from .operators import MAX_DIM, DensityOperator
 
 CLASSICAL_TOL = 1e-10
 OPERATOR_TOL = 1e-9
@@ -91,6 +91,11 @@ class EnsembleRecipe:
     def __post_init__(self):
         if self.kind not in RECIPE_KINDS:
             raise ValidationError(f"unknown recipe kind {self.kind!r}")
+        # refused here, before build_instance makes 2^n states
+        if not 0 <= self.n_bits <= ens.MAX_KEY_BITS:
+            raise ValidationError(f"key length {self.n_bits} outside [0, {ens.MAX_KEY_BITS}]")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValidationError(f"dimension {self.dim} outside [1, {MAX_DIM}]")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n_bits": self.n_bits, "dim": self.dim, "seed": self.seed}

@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, bounds, distributions, ensembles, locking, operators
 from .errors import Error
 
@@ -34,7 +36,47 @@ def _envelope(command: str, argv: list[str], seed: int) -> dict:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    json's C encoder ignores ``indent``, so that call encodes element by
+    element in Python.  Here only the layout of str-keyed dicts and of
+    lists is written in Python; scalars go through the C encoder, and a
+    list of floats is encoded once per distinct bit pattern.
+    """
+    return _json_text(obj, "") + "\n"
+
+
+def _json_text(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value nested at ``pad``."""
+    inner = pad + "  "
+    if type(obj) is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
+        brackets = "{}"
+    elif type(obj) is list:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            items = _float_texts(obj)
+        else:
+            items = [_json_text(item, inner) for item in obj]
+        brackets = "[]"
+    elif obj is None or type(obj) in (str, int, float, bool):
+        return json.dumps(obj)
+    else:
+        # non-str keys, tuples, subclasses: json's own layout, moved to this depth
+        # (a JSON string never holds a raw newline)
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    separator = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{separator.join(items)}\n{pad}{brackets[1]}"
+
+
+def _float_texts(values: list) -> list[str]:
+    """The JSON text of each float, encoding each distinct bit pattern once."""
+    bits, index = np.unique(np.array(values).view(np.uint64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[index].tolist()
 
 
 def _dump_text(obj, indent: int = 0) -> str:

@@ -415,7 +415,7 @@ def accessible_info_lower_bound(
     basis is returned at once: it attains the Holevo information, so the
     result is exact.  Otherwise deterministic candidates (square-root
     measurement, average-state eigenbasis, and 60 minimum-error refinement
-    steps) are evaluated; ``restarts`` seeded fixed-point ascents over
+    steps) are evaluated, once per ensemble; ``restarts`` seeded fixed-point ascents over
     rank-1 frames with min(d^2, ``MAX_OUTCOMES``) outcomes, each from a
     Haar-random frame, refine further.  That result is a LOWER bound on the
     extractable information only; the true maximum may be higher.
@@ -424,6 +424,21 @@ def accessible_info_lower_bound(
     if np.count_nonzero(e.stack) == np.count_nonzero(np.diagonal(e.stack, axis1=1, axis2=2)):
         povm = projective_povm(np.eye(d))
         return AccessibleInfo(bits=povm_mutual_information(e, povm), povm=povm)
+    best_bits, best_povm = _best_candidate(e)
+    m = min(d * d, MAX_OUTCOMES)
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, restarts)):
+        bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
+        if bits > best_bits:
+            best_bits, best_povm = bits, POVM(_rank_one(kets))
+    return AccessibleInfo(bits=float(best_bits), povm=best_povm)
+
+
+@ens._once_per_ensemble
+def _best_candidate(e: ens.CQEnsemble) -> tuple[float, POVM]:
+    """The most informative of the search's deterministic candidates: the
+    square-root measurement, the average-state eigenbasis and 60
+    minimum-error refinement steps, with its information in bits."""
     srm = square_root_measurement(e)
     min_error = _refine_min_error(e, srm, max_iters=60)
     candidates = [srm.povm, eigenbasis_povm(ens.average_state(e)), min_error.povm]
@@ -433,13 +448,7 @@ def accessible_info_lower_bound(
         bits = povm_mutual_information(e, povm)
         if bits > best_bits:
             best_bits, best_povm = bits, povm
-    m = min(d * d, MAX_OUTCOMES)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts)):
-        bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
-        if bits > best_bits:
-            best_bits, best_povm = bits, POVM(_rank_one(kets))
-    return AccessibleInfo(bits=float(best_bits), povm=best_povm)
+    return best_bits, best_povm
 
 
 def conditioned_ensemble(e: ens.CQEnsemble, known_bits, known_values) -> ens.CQEnsemble:

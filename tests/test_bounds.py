@@ -168,6 +168,17 @@ class TestRecipesAndCampaigns:
         with pytest.raises(ValidationError):
             bounds.EnsembleRecipe("mystery", 1, 2, 0)
 
+    @pytest.mark.parametrize("n_bits, dim", [(-1, 2), (ens.MAX_KEY_BITS + 1, 2), (1, 0),
+                                             (1, ops.MAX_DIM + 1)])
+    def test_over_cap_recipe_rejected(self, n_bits, dim):
+        with pytest.raises(ValidationError):
+            bounds.EnsembleRecipe("random_mixed", n_bits, dim, 0)
+
+    def test_over_cap_campaign_refused_before_building(self):
+        # the 25th recipe has n = 25; the first 24 would make up to 2^24 states
+        with pytest.raises(ValidationError, match="key length 25"):
+            bounds.default_recipes(25, max_n=25, kinds=("random_mixed",))
+
     def test_every_kind_builds(self):
         for i, kind in enumerate(bounds.RECIPE_KINDS):
             recipe = bounds.EnsembleRecipe(kind, 2, 4, seed=i)
@@ -248,6 +259,23 @@ class TestRecipesAndCampaigns:
         assert len(built) == 10 and len(distinct) == 9
         for e in distinct:
             assert sum(m is ens.average_state(e).matrix for m in spectra) == 1
+
+    def test_one_candidate_search_per_ensemble(self, monkeypatch):
+        # at restarts=0 the search is its deterministic candidates only, the
+        # same on the one locking ensemble every locking recipe shares
+        monkeypatch.setattr(locking, "_BUILT", {})  # a locking ensemble new to this test
+        calls = []
+        refine = det._refine_min_error
+
+        def counting_refine(*args, **kwargs):
+            calls.append(args[0])
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(det, "_refine_min_error", counting_refine)
+        recipes = [r for r in bounds.default_recipes(15) if r.kind == "locking"]
+        reports = bounds.run_campaign(recipes, checks=("accessible_info",)).reports
+        assert len(reports) == 3 and len(calls) == 1
+        assert len({r.quantities["i_ac_lower"] for r in reports}) == 1
 
     def test_locking_recipes_share_quantities_and_verdicts(self):
         recipes = [r for r in bounds.default_recipes(15) if r.kind == "locking"]

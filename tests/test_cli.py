@@ -171,12 +171,14 @@ class TestCriteria:
         ["locking-demo", "--trials", "10", "--out", "{tmp}/missing_dir/x.json"],
         ["locking-demo", "--trials", "10", "--emit-ensemble", "{tmp}/missing_dir/x.json"],
         ["locking-demo", "--trials", "10000001"],
+        ["bounds-sweep", "--count", "25", "--max-n", "25", "--kinds", "random_mixed"],
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
          "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
          "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf",
          "l-prime-50-unresolvable", "l-1100", "l-inf",
-         "out-in-missing-dir", "emit-ensemble-in-missing-dir", "trials-above-cap"],
+         "out-in-missing-dir", "emit-ensemble-in-missing-dir", "trials-above-cap",
+         "key-length-above-cap"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(
@@ -385,6 +387,82 @@ class TestExtremal:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+def _indented(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("obj", [
+    [0.0, -0.0, 0.0],
+    [1.5, _NAN, _INF, -_INF, 1.5, _NAN],
+    [5e-324, -5e-324, 2.2250738585072014e-308],
+    [1e16, 1e-5, 123456789.125, 1e22, 0.1],
+    [True, 1.0],
+    [2**64 + 1, -(2**70), 1, 0],
+    [[0.5, 0.25], [0.25], [], [-0.0]],
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}], "d": [[]]},
+    {"q\"uote": "new\nline\ttab", "caf\u00e9": "\u2603 \U0001f600", "": None},
+    (1, 2.5, (3, [4.0])),
+    {"t": (1.0, {"k": [2]}), "u": [{3: [1.0, 2.0]}]},
+    {1: "one", 2: {"a": [1.0]}},
+    {"mixed": [1, 2.0, None, "a", [], {}, True]},
+    1.5, "s", None, False, 7,
+], ids=["signed-zeros", "nan-inf", "subnormals", "repr-forms", "bool-and-float",
+        "big-ints", "float-lists", "empty-dict", "empty-list", "empty-children", "strings",
+        "tuples", "tuple-and-int-keys-nested", "int-keys", "mixed-list",
+        "float", "str", "none", "bool", "int"])
+def test_dump_json_equals_indented_json_dumps(obj):
+    assert cli._dump_json(obj) == _indented(obj)
+
+
+_json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF, 5e-324]))
+_json_leaves = st.one_of(
+    _json_floats, st.integers(), st.integers(min_value=2**64), st.booleans(), st.none(),
+    st.text(max_size=4),
+)
+
+
+def _json_children(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(_json_floats, min_size=1, max_size=6),  # a float column
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.recursive(_json_leaves, _json_children, max_leaves=30))
+def test_dump_json_equals_indented_json_dumps_on_any_payload(obj):
+    assert cli._dump_json(obj) == _indented(obj)
+
+
+def test_json_reports_survive_a_json_round_trip(tmp_path, monkeypatch):
+    # the reports of the golden set, read back and rewritten by json itself
+    import golden_outputs
+
+    monkeypatch.chdir(tmp_path)
+    golden_outputs.write_ensembles("ensembles")
+    runs = [(name, argv) for name, argv in golden_outputs.golden_runs()
+            if name.endswith(".json") and not name.startswith("criteria_recipe_")]
+    runs += [(f"criteria_recipe_{i:02d}.json", ["criteria", f"ensembles/recipe_{i:02d}.json"])
+             for i in (0, 1, 2, 3, 4, 13)]
+    runs.append(("extremal_mi_16.json",
+                 ["extremal", "--kind", "mutual_information", "--n", "16", "--l-prime", "5"]))
+    assert sum(name.startswith("locking-demo") for name, _ in runs) == 2
+    for name, argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0, name
+        text = out.getvalue()
+        assert text == _indented(json.loads(text)), name
 
 
 class TestGoldenCompare:

@@ -579,9 +579,10 @@ class TestFrameAscent:
             return validated(*args)
 
         monkeypatch.setattr(dist, "mutual_information", counted)
-        e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 2, 2, 3))
         for steps in (10, det.ASCENT_STEPS):
             monkeypatch.setattr(det, "ASCENT_STEPS", steps)
+            # a new ensemble each time: the candidates are evaluated once per ensemble
+            e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 2, 2, 3))
             calls.clear()
             det.accessible_info_lower_bound(e, restarts=2)
             # one call per candidate measurement, none per ascent attempt

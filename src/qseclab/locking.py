@@ -1,4 +1,4 @@
-"""The two-bit basis-locking counterexample and its known-plaintext attack.
+"""The basis-locking counterexample and its known-plaintext attack.
 
 Construction: the first key bit selects which conjugate qubit basis
 carries it, and the first qubit's actual basis state selects the basis in
@@ -15,6 +15,14 @@ asymmetric fourth state (both mixture terms share one first-slot
 projector), which breaks the deterministic unlock for known first bit 0;
 whether that asymmetry is intentional is not decidable, so both variants
 are first-class and every report labels the one in use.
+
+``build_chained_locking_ensemble`` extends the construction to n bits,
+each qubit encoding its bit in the basis selected by the previous
+qubit's state; at n = 2 it reproduces ``symmetric_corrected``.  Every
+locking ensemble, two-bit or chained, is attacked by one sequential
+unlock rule (``_chain_walk``): qubit 1 is measured in the known bit's
+basis, each later qubit in the basis the previous outcome selects, and
+each outcome decodes its qubit's bit.
 
 Basis realization is fixed for bit-reproducibility: state 1 = (1, 0),
 state 3 = (0, 1), state 2 = (1, 1)/sqrt2, state 4 = (1, -1)/sqrt2, so
@@ -53,8 +61,11 @@ OVERLAP2.setflags(write=False)
 
 # half of the 2-term mixture; exact in binary floating point
 _HALF = 0.5
-# cap on the KPA trials of one run: the sampler holds about 66 bytes per
-# trial at once, so 10^7 trials peak near 0.7 GB
+# the KPA sampler draws BLOCK_TRIALS trials at a time, so its memory does
+# not grow with the count (tracemalloc peak 6.4 MB at n = 2, 13 MB at n = 6);
+# MAX_TRIALS caps the run time instead: 10^7 trials took 2.0 s at n = 2 and
+# 5.6 s at n = 6 on a 2-core x86-64 VM
+BLOCK_TRIALS = 2**16
 MAX_TRIALS = 10**7
 
 TERM_TABLES = {
@@ -98,11 +109,6 @@ class LockingEnsemble:
         return self.ensemble.n_bits
 
 
-def _overlap2(i: int, j: int) -> float:
-    """Born weight |<i|j>|^2 of basis states i and j, exactly 0, 1/2 or 1."""
-    return float(OVERLAP2[i - 1, j - 1])
-
-
 def _state_from_term(slots: tuple[int, ...]) -> np.ndarray:
     out = _PROJECTORS[slots[0] - 1]
     for index in slots[1:]:
@@ -126,10 +132,7 @@ def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
         first, second = terms[bits]
         matrix = _HALF * (_state_from_term(first) + _state_from_term(second))
         state = DensityOperator(matrix)
-        overlap = 1.0
-        for a, b in zip(first, second):
-            overlap *= _overlap2(a, b)
-        orthogonality[bits] = overlap == 0.0
+        orthogonality[bits] = any(OVERLAP2[a - 1, b - 1] == 0.0 for a, b in zip(first, second))
         top = state.eigenvalues[::-1][:2]
         if orthogonality[bits] and np.abs(top - 0.5).max() > 1e-10:
             raise ValidationError(f"state {bits}: orthogonal terms but eigenvalues {top}")
@@ -175,7 +178,7 @@ def _chain_walk(known: np.ndarray, n: int, takes_first) -> tuple[np.ndarray, np.
 
 
 def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
-    """Experimental n-bit generalization of the two-bit construction.
+    """The n-bit generalization of the two-bit construction.
 
     Bit 1 picks the basis of qubit 1 (its state within the basis is the
     coin of the two-term mixture); each later qubit encodes its bit in
@@ -220,115 +223,21 @@ def ideal_comparison_value(le: LockingEnsemble) -> IdealComparison:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnlockingStrategy:
-    """Measurement plan for recovering bit 2 given bit 1 of a 2-bit key.
-
-    Derived mechanically from the term table: qubit 1 is measured in the
-    basis covering the first slots of the consistent keys; for each first
-    outcome the second-qubit basis is whichever of the two bases decodes
-    best in closed form, with maximum-likelihood outcome decoding.
-    """
-
-    known_bit_value: int
-    first_basis: tuple[int, int]
-    second_basis: dict
-    decode: dict
-    closed_form_success: float
-
-    def describe(self) -> dict:
-        return {
-            "known_first_bit": self.known_bit_value,
-            "first_qubit_basis": list(self.first_basis),
-            "second_qubit_basis_by_first_outcome": {
-                str(o): list(b) for o, b in sorted(self.second_basis.items())
-            },
-            "decode_table": {
-                f"{o1},{o2}": guess for (o1, o2), guess in sorted(self.decode.items())
-            },
-            "closed_form_success": self.closed_form_success,
-        }
-
-
-def _joint_outcome_weight(le: LockingEnsemble, key: tuple, f: int, s: int) -> float:
-    """Probability of first outcome f then second outcome s for one key."""
-    return _HALF * sum(
-        _overlap2(f, first) * _overlap2(s, second) for first, second in le.terms[key]
-    )
-
-
-def _decode_second(le: LockingEnsemble, known_k1: int, f: int, basis) -> tuple[float, dict]:
-    """Maximum-likelihood decode of bit 2 from qubit 2 measured in ``basis``
-    after first outcome f: its share of the success and its decode table."""
-    contribution = 0.0
-    table = {}
-    for s in basis:
-        weights = {k2: _joint_outcome_weight(le, (known_k1, k2), f, s) for k2 in (0, 1)}
-        guess = max(sorted(weights), key=lambda k2: weights[k2])
-        table[(f, s)] = guess
-        contribution += 0.5 * weights[guess]
-    return contribution, table
-
-
-def _check_known_bit(known_k1: int) -> None:
-    if known_k1 not in (0, 1):
-        raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
-
-
-def unlocking_strategy(le: LockingEnsemble, known_k1: int) -> UnlockingStrategy:
-    """Derive the unlock rule for a known first bit."""
-    if le.n_bits != 2:
-        raise ValidationError("table-derived strategy applies to 2-bit ensembles")
-    _check_known_bit(known_k1)
-    keys = [(known_k1, 0), (known_k1, 1)]
-    first_slots = {first for key in keys for first, _ in le.terms[key]}
-    first_basis = None
-    for candidate in (BASIS_13, BASIS_24):
-        if first_slots <= set(candidate):
-            first_basis = candidate
-            break
-    if first_basis is None:
-        raise ValidationError(f"first slots {sorted(first_slots)} span both bases")
-
-    second_basis: dict = {}
-    decode: dict = {}
-    closed_form = 0.0
-    for f in first_basis:
-        best = None
-        for basis in (BASIS_13, BASIS_24):
-            contribution, table = _decode_second(le, known_k1, f, basis)
-            if best is None or contribution > best[0] + 1e-15:
-                best = (contribution, basis, table)
-        contribution, basis, table = best
-        second_basis[f] = basis
-        decode.update(table)
-        closed_form += contribution
-    return UnlockingStrategy(
-        known_bit_value=known_k1,
-        first_basis=first_basis,
-        second_basis=second_basis,
-        decode=decode,
-        closed_form_success=closed_form,
-    )
-
-
-@dataclass(frozen=True)
 class KPAResult:
     success_rate: float
     closed_form_success: float
     trials: int
     seed: int
-    strategy: UnlockingStrategy | None
-    description: str
+    strategy: dict | str
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "empirical_success": self.success_rate,
             "closed_form_success": self.closed_form_success,
             "trials": self.trials,
             "seed": self.seed,
-            "strategy": self.strategy.describe() if self.strategy else self.description,
+            "strategy": self.strategy,
         }
-        return out
 
 
 def kpa_simulate(
@@ -337,87 +246,70 @@ def kpa_simulate(
     trials: int,
     seed: int,
 ) -> KPAResult:
-    """Sample the unlock attack on keys with a known first bit.
+    """Sample the sequential unlock on keys with a known first bit.
 
-    The hidden bits are drawn uniformly each trial, the mixture coin is
-    tossed, both qubits are measured per the derived strategy and the
-    decode is compared to the truth.  Returns the empirical rate next to
-    the closed-form rate.
+    Each trial draws the hidden bits and the mixture coin uniformly,
+    measures every qubit in the basis ``_chain_walk`` steers to from the
+    previous outcome, and succeeds when the decoded bits equal the hidden
+    ones.  Trials are drawn from one generator in blocks of
+    ``BLOCK_TRIALS``, so memory does not grow with ``trials``.  Returns
+    the empirical rate next to the closed-form rate.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if trials > MAX_TRIALS:
         raise ValidationError(f"{trials} trials exceed cap {MAX_TRIALS}")
-    _check_known_bit(known_k1)
-    if le.n_bits == 2:
-        return _kpa_two_bit(le, unlocking_strategy(le, known_k1), trials, seed)
-    return _kpa_chain(le, known_k1, trials, seed)
-
-
-def _kpa_two_bit(le, strategy, trials, seed) -> KPAResult:
-    """Sample the two-bit unlock, measuring and decoding per ``strategy``."""
-    known_k1 = strategy.known_bit_value
+    if known_k1 not in (0, 1):
+        raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
     rng = np.random.default_rng([seed, known_k1])
-    k2 = rng.integers(0, 2, size=trials)
-    coin = rng.integers(0, 2, size=trials)
-    first_true = np.empty(trials, dtype=np.int64)
-    second_true = np.empty(trials, dtype=np.int64)
-    for value in (0, 1):
-        for t in (0, 1):
-            mask = (k2 == value) & (coin == t)
-            f, s = le.terms[(known_k1, value)][t]
-            first_true[mask] = f
-            second_true[mask] = s
-
-    a, b = strategy.first_basis
-    o1 = np.where(rng.random(trials) < OVERLAP2[a - 1, first_true - 1], a, b)
-
-    o2 = np.empty(trials, dtype=np.int64)
-    for f in strategy.first_basis:
-        c, dd = strategy.second_basis[f]
-        mask = o1 == f
-        o2[mask] = np.where(rng.random(mask.sum()) < OVERLAP2[c - 1, second_true[mask] - 1], c, dd)
-
-    table = np.zeros((5, 5), dtype=np.int64)  # outcomes are basis indices 1-4
-    for (f, s), guess in strategy.decode.items():
-        table[f, s] = guess
-    rate = float(np.mean(table[o1, o2] == k2))
+    terms = _chain_terms(le, known_k1)
+    correct = sum(_unlock_block(rng, terms, known_k1, min(BLOCK_TRIALS, trials - start))
+                  for start in range(0, trials, BLOCK_TRIALS))
+    closed_form = _chain_closed_form(le, known_k1)
     return KPAResult(
-        success_rate=rate,
-        closed_form_success=strategy.closed_form_success,
+        success_rate=correct / trials,
+        closed_form_success=closed_form,
         trials=trials,
         seed=seed,
-        strategy=strategy,
-        description="table-derived unlock",
+        strategy=_describe_unlock(le.n_bits, known_k1, closed_form),
     )
+
+
+def _unlock_block(rng, terms, known_k1, size) -> int:
+    """Successes among ``size`` sampled trials; ``terms`` as ``_chain_terms``."""
+    n = terms.shape[-1]
+    hidden = rng.integers(0, 2, size=(size, n - 1))
+    coin = rng.integers(0, 2, size=size)
+    prepared = terms[hidden @ (1 << np.arange(n - 2, -1, -1)), coin]
+    _, decoded = _chain_walk(
+        np.full(size, known_k1), n,
+        lambda j, first: rng.random(size) < OVERLAP2[first - 1, prepared[:, j] - 1],
+    )
+    return int(np.all(decoded[:, 1:] == (hidden == 1), axis=1).sum())
+
+
+def _describe_unlock(n: int, known_k1: int, closed_form: float) -> dict | str:
+    """The report's account of the unlock: one line for n >= 3; for two
+    bits, the bases and decode table that ``_chain_walk`` yields for the
+    four outcome pairs."""
+    if n > 2:
+        return f"sequential unlock over {n - 1} hidden bits"
+    took = ens._bit_rows(2) == 0  # first state taken on both qubits, qubit 1 only, 2 only, neither
+    outcomes, _ = _chain_walk(np.full(4, known_k1), 2, lambda j, _: took[:, j])
+    pairs = outcomes.tolist()
+    (f1, s1), (_, s2), (f3, s3), (_, s4) = pairs
+    return {
+        "known_first_bit": known_k1,
+        "first_qubit_basis": [f1, f3],
+        "second_qubit_basis_by_first_outcome": {str(f1): [s1, s2], str(f3): [s3, s4]},
+        "decode_table": {f"{f},{s}": int(t) for (f, s), t in zip(pairs, took[:, 1])},
+        "closed_form_success": closed_form,
+    }
 
 
 def _chain_terms(le, known_k1) -> np.ndarray:
     """The terms of the keys with a known first bit, shape (hidden, coin, n)."""
     return np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
-
-
-def _kpa_chain(le, known_k1, trials, seed) -> KPAResult:
-    """Sequential unlock of a chained ensemble, steering each basis by the
-    previous outcome; all trials are sampled together."""
-    n = le.n_bits
-    rng = np.random.default_rng([seed, known_k1])
-    hidden = rng.integers(0, 2, size=(trials, n - 1))
-    coin = rng.integers(0, 2, size=trials)
-    prepared = _chain_terms(le, known_k1)[hidden @ (1 << np.arange(n - 2, -1, -1)), coin]
-    _, decoded = _chain_walk(
-        np.full(trials, known_k1), n,
-        lambda j, first: rng.random(trials) < OVERLAP2[first - 1, prepared[:, j] - 1],
-    )
-    correct = np.all(decoded[:, 1:] == (hidden == 1), axis=1)
-    return KPAResult(
-        success_rate=float(correct.mean()),
-        closed_form_success=_chain_closed_form(le, known_k1),
-        trials=trials,
-        seed=seed,
-        strategy=None,
-        description=f"sequential unlock over {n - 1} hidden bits",
-    )
 
 
 def _chain_closed_form(le, known_k1) -> float:

@@ -1,7 +1,7 @@
 """Tests for the basis-locking counterexample and its attack simulation."""
 
-import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from qseclab import ensembles as ens, locking
 from qseclab.errors import ValidationError
 
 SQRT2 = np.sqrt(2.0)
+CONJUGATE = {1: 2, 2: 1, 3: 4, 4: 3}  # each basis state to one of the other basis
 
 
 def independent_first_qubit_marginal(state):
@@ -52,20 +53,32 @@ def sequential_unlock_oracle(le, known_k1):
     return total / 2 ** (n - 1)
 
 
-def conjugate_strategy(le, known_k1):
-    """The derived unlock with qubit 2 measured in the other basis: a control
-    arm whose decoding degrades to coin flipping on the deterministic paths."""
-    strategy = locking.unlocking_strategy(le, known_k1)
-    second_basis, decode, closed_form = {}, {}, 0.0
-    for f, basis in strategy.second_basis.items():
-        flipped = locking.BASIS_24 if basis == locking.BASIS_13 else locking.BASIS_13
-        contribution, table = locking._decode_second(le, known_k1, f, flipped)
-        second_basis[f] = flipped
-        decode.update(table)
-        closed_form += contribution
-    return dataclasses.replace(
-        strategy, second_basis=second_basis, decode=decode, closed_form_success=closed_form
-    )
+# the two-bit report's strategy block per known first bit, written out so that
+# a drift in its rendering fails here (closed_form_success varies by variant)
+PINNED_STRATEGY = {
+    0: {
+        "known_first_bit": 0,
+        "first_qubit_basis": [2, 4],
+        "second_qubit_basis_by_first_outcome": {"2": [1, 3], "4": [2, 4]},
+        "decode_table": {"2,1": 1, "2,3": 0, "4,2": 1, "4,4": 0},
+    },
+    1: {
+        "known_first_bit": 1,
+        "first_qubit_basis": [1, 3],
+        "second_qubit_basis_by_first_outcome": {"1": [1, 3], "3": [2, 4]},
+        "decode_table": {"1,1": 1, "1,3": 0, "3,2": 1, "3,4": 0},
+    },
+}
+
+
+@pytest.fixture
+def conjugate_control():
+    """symmetric_corrected with every qubit-2 slot moved into the conjugate
+    basis: a control arm on which the unlock's second outcome is a fair coin,
+    so its decoding degrades to coin flipping."""
+    terms = {bits: tuple((first, CONJUGATE[second]) for first, second in pair)
+             for bits, pair in locking.TERM_TABLES["symmetric_corrected"].items()}
+    return locking.build_term_ensemble(terms, "conjugate_second_qubit")
 
 
 class TestBasis:
@@ -168,23 +181,34 @@ class TestUnlockingStrategy:
     def test_symmetric_deterministic_decode(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
         for k1 in (0, 1):
-            strategy = locking.unlocking_strategy(le, k1)
-            assert strategy.closed_form_success == 1.0
-            assert set(strategy.first_basis) == ({1, 3} if k1 == 1 else {2, 4})
+            result = locking.kpa_simulate(le, k1, trials=10, seed=0)
+            assert result.closed_form_success == 1.0
+            assert result.strategy["first_qubit_basis"] == ([1, 3] if k1 == 1 else [2, 4])
 
     def test_as_printed_known_one_still_deterministic(self):
         le = locking.build_locking_ensemble("as_printed")
-        assert locking.unlocking_strategy(le, 1).closed_form_success == 1.0
+        assert locking.kpa_simulate(le, 1, trials=10, seed=0).closed_form_success == 1.0
 
     def test_as_printed_known_zero_degrades(self):
         # hand enumeration of the asymmetric branch gives exactly 7/8
         le = locking.build_locking_ensemble("as_printed")
-        assert locking.unlocking_strategy(le, 0).closed_form_success == pytest.approx(7 / 8)
+        assert locking.kpa_simulate(le, 0, trials=10, seed=0).closed_form_success == 7 / 8
 
-    def test_conjugate_strategy_is_coin_flip(self):
-        le = locking.build_locking_ensemble("symmetric_corrected")
-        strategy = conjugate_strategy(le, 1)
-        assert strategy.closed_form_success == pytest.approx(0.5)
+    def test_conjugate_strategy_is_coin_flip(self, conjugate_control):
+        for k1 in (0, 1):
+            assert locking._chain_closed_form(conjugate_control, k1) == 0.5
+            assert sequential_unlock_oracle(conjugate_control, k1) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("variant, known_k1, closed_form", [
+        ("symmetric_corrected", 0, 1.0),
+        ("symmetric_corrected", 1, 1.0),
+        ("as_printed", 0, 0.875),
+        ("as_printed", 1, 1.0),
+    ])
+    def test_rendered_strategy_pinned(self, variant, known_k1, closed_form):
+        le = locking.build_locking_ensemble(variant)
+        rendered = locking.kpa_simulate(le, known_k1, trials=10, seed=0).to_dict()["strategy"]
+        assert rendered == {**PINNED_STRATEGY[known_k1], "closed_form_success": closed_form}
 
 
 class TestKPASimulate:
@@ -195,11 +219,10 @@ class TestKPASimulate:
             assert result.closed_form_success == 1.0
             assert result.success_rate == 1.0
 
-    def test_wrong_basis_control_near_half(self):
-        le = locking.build_locking_ensemble("symmetric_corrected")
+    def test_wrong_basis_control_near_half(self, conjugate_control):
         trials = 40_000
-        result = locking._kpa_two_bit(le, conjugate_strategy(le, 1), trials=trials, seed=11)
-        assert result.closed_form_success == pytest.approx(0.5)
+        result = locking.kpa_simulate(conjugate_control, 1, trials=trials, seed=11)
+        assert result.closed_form_success == 0.5
         sigma = np.sqrt(0.25 / trials)
         assert abs(result.success_rate - 0.5) <= 3 * sigma + 1e-9
 
@@ -230,8 +253,7 @@ class TestKPASimulate:
         # unlock succeeds with probability 7/8 * 1 + 1/8 * 1/2 = 15/16.
         terms = dict(locking.build_chained_locking_ensemble(3).terms)
         first, second = terms[(1, 0, 1)]
-        conjugate = {1: 2, 2: 1, 3: 4, 4: 3}
-        terms[(1, 0, 1)] = (first[:2] + (conjugate[first[2]],), second)
+        terms[(1, 0, 1)] = (first[:2] + (CONJUGATE[first[2]],), second)
         le = locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
         trials = 40_000
         result = locking.kpa_simulate(le, 1, trials=trials, seed=29)
@@ -241,23 +263,54 @@ class TestKPASimulate:
         assert abs(result.success_rate - 15 / 16) <= 5 * sigma
         assert result.success_rate < 1.0
 
-    @pytest.mark.parametrize("n_bits, known_k1", [(3, 0), (3, 1), (4, 0), (4, 1)])
-    def test_chain_closed_form_matches_born_oracle(self, n_bits, known_k1):
-        le = locking.build_chained_locking_ensemble(n_bits)
+    @pytest.mark.parametrize("known_k1", [0, 1])
+    @pytest.mark.parametrize("source", [2, 3, 4, 5, *locking.VARIANTS])
+    def test_chain_closed_form_matches_born_oracle(self, source, known_k1):
+        # source: a chained key length, or a two-bit variant
+        if isinstance(source, int):
+            le = locking.build_chained_locking_ensemble(source)
+        else:
+            le = locking.build_locking_ensemble(source)
         oracle = sequential_unlock_oracle(le, known_k1)
-        assert locking._chain_closed_form(le, known_k1) == pytest.approx(oracle, abs=1e-12)
+        closed_form = locking._chain_closed_form(le, known_k1)
+        assert closed_form == pytest.approx(oracle, abs=1e-12)
+        anchor = 7 / 8 if (source, known_k1) == ("as_printed", 0) else 1.0
+        assert closed_form == anchor
+
+    def test_blocks_deterministic_and_near_closed_form(self):
+        le = locking.build_locking_ensemble("as_printed")
+        trials = 3 * locking.BLOCK_TRIALS + 17
+        a = locking.kpa_simulate(le, 0, trials=trials, seed=23)
+        b = locking.kpa_simulate(le, 0, trials=trials, seed=23)
+        assert a.success_rate == b.success_rate
+        assert a.trials == trials
+        sigma = np.sqrt(7 / 8 * (1 / 8) / trials)
+        assert abs(a.success_rate - 7 / 8) <= 5 * sigma
+
+    def test_peak_memory_flat_in_trials(self):
+        le = locking.build_locking_ensemble("as_printed")
+        locking.kpa_simulate(le, 0, trials=10, seed=0)  # one-off first-call allocations
+        peaks = {}
+        for trials in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                locking.kpa_simulate(le, 0, trials=trials, seed=0)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**6] <= 1.2 * peaks[10**5]
 
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
     @pytest.mark.parametrize("known_k1", [2, -1])
     def test_known_bit_outside_zero_one_rejected(self, n_bits, known_k1):
-        # n = 2 takes the two-bit sampler, n >= 3 the chained one
         le = locking.build_chained_locking_ensemble(n_bits)
         with pytest.raises(ValidationError, match="known first bit must be 0 or 1"):
             locking.kpa_simulate(le, known_k1, trials=10, seed=0)
 
     def test_all_equal_control_is_blind(self, all_equal_control):
         result = locking.kpa_simulate(all_equal_control, 1, trials=20_000, seed=17)
-        assert result.closed_form_success == pytest.approx(0.5)
+        assert result.closed_form_success == 0.5
+        assert sequential_unlock_oracle(all_equal_control, 1) == pytest.approx(0.5, abs=1e-12)
         assert abs(result.success_rate - 0.5) <= 3 * np.sqrt(0.25 / 20_000)
 
 

@@ -66,12 +66,6 @@ def random_mixed_state(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(rho / float(np.trace(rho).real))
 
 
-def random_joint(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """A random joint distribution over a rows-by-cols grid."""
-    j = rng.exponential(size=(rows, cols))
-    return j / j.sum()
-
-
 def _random_prior(n_keys: int, rng: np.random.Generator) -> np.ndarray:
     if rng.random() < 0.5:
         return np.full(n_keys, 1.0 / n_keys)

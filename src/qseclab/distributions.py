@@ -21,7 +21,6 @@ from .errors import (
     EmptySubsetError,
     InfeasibleError,
     InfiniteDivergenceError,
-    RootSearchError,
     SizeMismatchError,
     ValidationError,
 )
@@ -163,7 +162,9 @@ class SpikeConstruction:
     ``reference_p1`` is the closed-form companion value (a first-order
     approximation for the entropy-deficit kind, a differing published-style
     formula for the distance kind, flagged via ``discrepancy``).  The tail
-    is materialized only for N <= 2^16.
+    is materialized only for N <= 2^16.  ``residual`` is the constraint
+    value at ``resulting_p1`` minus the target 2^-exponent; a construction
+    whose residual exceeds min(1e-9, 1e-6 * 2^-exponent) is infeasible.
     """
 
     n: int
@@ -185,47 +186,64 @@ class SpikeConstruction:
             if tail.size and (np.abs(tail - tail[0]).max() > 1e-12
                               or dist.max() < tail[0] - 1e-12):
                 raise ValueError("distribution is not spike-plus-uniform-tail shaped")
-        if abs(self.residual) > 1e-9:
-            raise RootSearchError(f"constraint residual {self.residual:.3e} exceeds 1e-9")
-
-
-def _spike_tail_mass(p1: float, n_bits: int) -> float:
-    return (1.0 - p1) / (2.0**n_bits - 1.0)
+        bound = min(1e-9, 1e-6 * 2.0**-self.constraint_exponent)
+        if not abs(self.residual) <= bound:
+            raise InfeasibleError(
+                f"{self.constraint_kind} 2^-{self.constraint_exponent} cannot be met within "
+                f"{bound:.1e} in double precision at n = {self.n} (residual {self.residual:.1e})"
+            )
 
 
 def _materialize_spike(p1: float, n_bits: int) -> np.ndarray | None:
     size = 2**n_bits
     if size > MAX_MATERIALIZE:
         return None
-    out = np.full(size, _spike_tail_mass(p1, n_bits))
+    out = np.full(size, (1.0 - p1) / (size - 1))
     out[0] = p1
     # absorb rounding into the last tail entry so the mass is exactly one
     out[-1] += 1.0 - out.sum()
     return out
 
 
-def _spike_deficit_terms(p1: float, n_bits: int) -> tuple[float, float, float]:
-    """The terms ``p1 (n + c)``, ``-h`` and ``-c`` whose sum, left to right,
-    is the entropy deficit of the spike."""
-    # log2(2^n - 1) = n + c with c = log2(1 - 2^-n) <= 0
-    c = math.log1p(-(2.0**-n_bits)) / _LN2
-    if p1 <= 0.0 or p1 >= 1.0:
-        h = 0.0
-    else:
-        h = -p1 * math.log2(p1) - (1.0 - p1) * math.log1p(-p1) / _LN2
-    return p1 * (n_bits + c), -h, -c
+# g(t) = t^2 * sum_j (-t)^j / ((j + 1)(j + 2)) for |t| < 0.1, coefficients
+# highest first; 15 terms leave a relative truncation error below 1e-16
+_G_SERIES = tuple(1.0 / ((j + 1) * (j + 2)) for j in reversed(range(15)))
+
+
+def _weighted_g(weight: float, t: float) -> float:
+    """``weight * g(t)`` with ``g(t) = (1 + t) ln(1 + t) - t >= 0``, from
+    its Taylor series for small |t| and without overflow for large t."""
+    if abs(t) < 0.1:
+        series = 0.0
+        for c in _G_SERIES:
+            series = c - t * series
+        return weight * t * t * series
+    if t <= -1.0:
+        return weight  # g(-1) = 1
+    return weight * (1.0 + t) * math.log1p(t) - weight * t
 
 
 def spike_entropy_deficit(p1: float, n_bits: int) -> float:
-    """``n - H(spike)`` for the spike with top mass ``p1`` over 2^n outcomes.
+    """``n - H(spike)`` for the spike with top mass ``p1`` over N = 2^n outcomes.
 
-    Evaluated in closed form, arranged to avoid cancellation so it stays
-    accurate for key lengths in the thousands of bits.  Near the uniform
-    spike the terms still cancel: their sum is known only to a few ulps of
-    the largest term.
+    This is the divergence from uniform, evaluated at the excess
+    x = p1 - 1/N of the float p1 (exact near uniform):
+    ``D ln 2 = g(Nx)/N + (1 - 1/N) g(-Nx/(N - 1))``.  Both terms are
+    non-negative, so nothing cancels however close the spike is to
+    uniform.  From n = 1024 on N overflows a float; there Nx >> 1 at every
+    deficit a float can hold, and the divergence is summed directly as
+    ``p1 ln(N p1) + (1 - p1) ln((1 - p1) N / (N - 1))``.
     """
-    head, entropy, offset = _spike_deficit_terms(p1, n_bits)
-    return head + entropy + offset
+    if n_bits < sys.float_info.max_exp:
+        size = 2.0**n_bits
+        x = p1 - 1.0 / size
+        nats = (_weighted_g(1.0 / size, size * x)
+                + _weighted_g(1.0 - 1.0 / size, -size * x / (size - 1.0)))
+    else:
+        # ln(N / (N - 1)) is 2^-n to within 2^-2n; from n = 1075 on 2^-n is 0.0
+        nats = (p1 * (n_bits * _LN2 + math.log(p1))
+                + (1.0 - p1) * (math.log1p(-p1) + 2.0**-n_bits))
+    return nats / _LN2
 
 
 def _power_of_half(exponent: float, what: str) -> float:
@@ -244,11 +262,11 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
 
     Found by bisection on the spike mass (the deficit is monotone along
     the spike family) to a residual within 1e-12 of the target, or until
-    the bracket holds no float between its ends; a residual above 1e-6 of the target is
-    an error.  A deficit below what double precision resolves at the
-    solution is infeasible.  The companion value ``2^-(l' + log2 n)`` is
-    the usual approximation for the same extremal mass; it is reported, not
-    substituted.
+    the bracket holds no float between its ends.  The deficit does not
+    cancel (``spike_entropy_deficit``), so only the float grid of spike
+    masses limits the result: a miss by more than min(1e-9, 1e-6 * 2^-l')
+    is infeasible.  The companion value ``2^-(l' + log2 n)`` is the usual approximation for the
+    same extremal mass; it is reported, not substituted.
     """
     if n_bits < 1:
         raise InfeasibleError("key length must be at least one bit")
@@ -260,8 +278,8 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
     if not target < n_bits:
         raise InfeasibleError(f"deficit 2^-{l_prime} is not below {n_bits} bits")
     lo, hi = 2.0**-n_bits, 1.0
-    mid = lo
-    for _ in range(200):
+    # halving [2^-n, 1] brings its ends to adjacent floats within 1100 steps
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         residual = spike_entropy_deficit(mid, n_bits) - target
         if abs(residual) <= 1e-12 * target or mid in (lo, hi):
@@ -271,16 +289,6 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
         else:
             hi = mid
     p1 = mid
-    terms = _spike_deficit_terms(p1, n_bits)
-    resolution = 8.0 * sys.float_info.epsilon * max(abs(t) for t in terms)
-    if resolution > 1e-6 * target:
-        raise InfeasibleError(
-            f"deficit 2^-{l_prime} cannot be met within 1e-6 of itself: double "
-            f"precision resolves the {n_bits}-bit spike's deficit only to {resolution:.1e}"
-        )
-    residual = spike_entropy_deficit(p1, n_bits) - target
-    if abs(residual) > 1e-6 * target:
-        raise RootSearchError(f"bisection stalled with residual {residual:.3e}")
     return SpikeConstruction(
         n=n_bits,
         constraint_kind="mutual_information",
@@ -305,7 +313,10 @@ def spike_for_variational_distance(n_bits: int, l: float) -> SpikeConstruction:
     Direct optimization gives ``p1 = 1/N + 2^-l`` (move mass epsilon onto
     one point, deplete the tail evenly).  The differing formula
     ``2^-l - 1/N`` circulating for the same quantity is recorded alongside
-    with a discrepancy flag instead of being silently chosen.
+    with a discrepancy flag instead of being silently chosen.  The excess
+    2^-l must survive rounding onto the float grid of ``p1``: where the
+    excess the float carries misses it by more than min(1e-9, 1e-6 * 2^-l),
+    the distance is infeasible.
     """
     if n_bits < 1:
         raise InfeasibleError("key length must be at least one bit")
@@ -323,22 +334,15 @@ def spike_for_variational_distance(n_bits: int, l: float) -> SpikeConstruction:
         )
     p1 = 1.0 / size + epsilon
     reference_p1 = epsilon - 1.0 / size
-    dist = _materialize_spike(p1, n_bits)
-    if dist is not None:
-        uniform = np.full(size, 1.0 / size)
-        residual = variational_distance(dist, uniform) - epsilon
-    else:
-        # closed form: spike surplus epsilon, tail deficit epsilon in total
-        residual = 0.0
     return SpikeConstruction(
         n=n_bits,
         constraint_kind="variational_distance",
         constraint_exponent=float(l),
         resulting_p1=float(p1),
-        resulting_distribution=dist,
+        resulting_distribution=_materialize_spike(p1, n_bits),
         reference_p1=float(reference_p1),
         reference_exponent=float(l),
-        residual=float(residual),
+        residual=float((p1 - 1.0 / size) - epsilon),
         discrepancy=True,
         note=(
             f"optimized spike mass 1/N + 2^-l = {p1:.6e} disagrees with the "

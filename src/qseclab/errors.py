@@ -49,10 +49,6 @@ class InfeasibleError(Error):
     """The requested extremal construction has no feasible solution."""
 
 
-class RootSearchError(Error):
-    """Root search terminated without meeting its residual tolerance."""
-
-
 class ZeroMassError(Error):
     """Conditioning event has zero prior probability."""
 

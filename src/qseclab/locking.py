@@ -120,7 +120,8 @@ def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
     """Assemble a locking ensemble from an explicit term table.
 
     Keys are indexed with the first bit most significant; the prior is
-    uniform.  Term orthogonality is verified numerically per key: where
+    uniform.  Every term must hold one basis state (an int 1..4) per key
+    bit.  Term orthogonality is verified numerically per key: where
     the two product terms are orthogonal the state must come out with
     eigenvalues (1/2, 1/2) within 1e-10; non-orthogonal term pairs (the
     as_printed key 00) are permitted and recorded.
@@ -130,6 +131,9 @@ def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
     orthogonality = {}
     for bits in map(tuple, ens._bit_rows(n_bits).tolist()):
         first, second = terms[bits]
+        if any(len(t) != n_bits or not all(type(s) is int and 1 <= s <= 4 for s in t)
+               for t in (first, second)):
+            raise ValidationError(f"key {bits}: each term must hold {n_bits} basis states 1..4")
         matrix = _HALF * (_state_from_term(first) + _state_from_term(second))
         state = DensityOperator(matrix)
         orthogonality[bits] = any(OVERLAP2[a - 1, b - 1] == 0.0 for a, b in zip(first, second))

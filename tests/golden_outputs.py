@@ -73,6 +73,10 @@ def golden_runs() -> list[tuple[str, list[str]]]:
           "--format", "text"]),
         ("extremal_vd_10.json",
          ["extremal", "--kind", "variational_distance", "--n", "10", "--l", "3.5"]),
+        ("extremal_mi_3.json",
+         ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "50"]),
+        ("extremal_vd_4.json",
+         ["extremal", "--kind", "variational_distance", "--n", "4", "--l", "40"]),
     ]
     return runs
 
@@ -148,7 +152,8 @@ def _leaves(path: str) -> dict:
         for number, line in enumerate(text.splitlines(), 1):
             _flatten(json.loads(line), "", number, out)
     elif path.endswith(".json"):
-        _flatten(json.loads(text), "", None, out)
+        if text:  # a run that failed wrote nothing
+            _flatten(json.loads(text), "", None, out)
     elif path.endswith(".csv"):
         for number, row in enumerate(csv.DictReader(io.StringIO(text)), 2):
             for key, value in row.items():

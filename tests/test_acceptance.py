@@ -18,6 +18,8 @@ import pytest
 from qseclab import bounds, cli, detection, distributions as dist, ensembles as ens
 from qseclab import locking, operators as ops
 
+from random_joint import random_joint
+
 
 def _report(number, name, elapsed, limit=None):
     budget = "" if limit is None else f" [limit {limit:.0f} s]"
@@ -96,7 +98,7 @@ def test_criterion_05_theorem_suite_zero_failures():
     for _ in range(10_000):
         rows = int(rng.integers(2, 17))
         cols = int(rng.integers(2, 17))
-        result = bounds.check_pinsker(bounds.random_joint(rows, cols, rng))
+        result = bounds.check_pinsker(random_joint(rows, cols, rng))
         assert result.verdict == "pass", f"classical quadratic bound failed: {result}"
     recipes = bounds.default_recipes(1_000, seed=505, max_n=3, max_dim=8)
     campaign = bounds.run_campaign(recipes, checks=("quantum_pinsker", "chi_two_sided"), seed=505)

@@ -8,6 +8,8 @@ import pytest
 from qseclab import bounds, detection as det, ensembles as ens, locking, operators as ops
 from qseclab.errors import OutOfScopeError, ValidationError
 
+from random_joint import random_joint
+
 
 def orthogonal_ensemble(n_bits):
     n_keys = 2**n_bits
@@ -46,7 +48,7 @@ class TestPinskerCheck:
         for _ in range(2_000):
             rows = int(rng.integers(2, 17))
             cols = int(rng.integers(2, 17))
-            result = bounds.check_pinsker(bounds.random_joint(rows, cols, rng))
+            result = bounds.check_pinsker(random_joint(rows, cols, rng))
             assert result.verdict == "pass"
             assert result.extras["tight_margin"] >= -1e-10
 

@@ -165,9 +165,10 @@ class TestCriteria:
         ["criteria", "{tmp}/n_string.json"],
         ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "1100"],
         ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "inf"],
-        ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "50"],
+        ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "100"],
         ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "1100"],
         ["extremal", "--kind", "variational_distance", "--n", "3", "--l", "inf"],
+        ["extremal", "--kind", "variational_distance", "--n", "4", "--l", "60"],
         ["locking-demo", "--trials", "10", "--out", "{tmp}/missing_dir/x.json"],
         ["locking-demo", "--trials", "10", "--emit-ensemble", "{tmp}/missing_dir/x.json"],
         ["locking-demo", "--trials", "10000001"],
@@ -176,7 +177,7 @@ class TestCriteria:
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
          "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
          "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf",
-         "l-prime-50-unresolvable", "l-1100", "l-inf",
+         "l-prime-100-unresolvable", "l-1100", "l-inf", "l-60-unresolvable",
          "out-in-missing-dir", "emit-ensemble-in-missing-dir", "trials-above-cap",
          "key-length-above-cap"],
 )
@@ -368,6 +369,15 @@ class TestExtremal:
         assert report["reference_p1"] == pytest.approx(0.25)
         assert report["discrepancy"] is True
 
+    def test_small_deficit_is_a_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "50"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["residual"]) <= 1e-6 * 2.0**-50
+        assert report["resulting_p1"] > 1 / 8
+
     def test_infeasible_is_clean_error(self, capsys):
         code, _, err = run_cli(
             capsys, ["extremal", "--kind", "variational_distance", "--n", "1", "--l", "0.5"]
@@ -475,10 +485,10 @@ class TestGoldenCompare:
     }
 
     @staticmethod
-    def compare(tmp_path, capsys, new):
+    def compare(tmp_path, capsys, new, old=BASE):
         import golden_outputs
 
-        for side, files in (("old", TestGoldenCompare.BASE), ("new", new)):
+        for side, files in (("old", old), ("new", new)):
             (tmp_path / side).mkdir()
             for name, text in files.items():
                 (tmp_path / side / name).write_text(text)
@@ -505,6 +515,13 @@ class TestGoldenCompare:
     def test_changed_non_float_fails(self, tmp_path, capsys, name, text):
         code, out = self.compare(tmp_path, capsys, dict(self.BASE, **{name: text}))
         assert code == 1 and "->" in out
+
+    def test_report_of_a_failed_run_is_compared(self, tmp_path, capsys):
+        # a run that failed on one side left an empty report there
+        old = dict(self.BASE, **{"extremal.json": ""})
+        new = dict(self.BASE, **{"extremal.json": '{"residual": 0.5}\n'})
+        code, out = self.compare(tmp_path, capsys, new, old)
+        assert code == 1 and "residual: (absent) -> 0.5" in out
 
     def test_file_on_one_side_fails(self, tmp_path, capsys):
         new = dict(self.BASE)

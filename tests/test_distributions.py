@@ -201,40 +201,59 @@ class TestKLDivergence:
         assert 2.0 * v * v <= dist.kl_divergence(p, q) + 1e-10
 
 
+def _rule(exponent):
+    """The residual every spike construction must meet."""
+    return min(1e-9, 1e-6 * 2.0**-exponent)
+
+
+def _oracle_deficit(p1, n, digits):
+    """The spike's divergence from uniform in bits, in ``digits``-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        p1 = decimal.Decimal(p1)
+        size = decimal.Decimal(2) ** n
+        tail = (1 - p1) / (size - 1)
+        nats = p1 * (p1 * size).ln() + (1 - p1) * (tail * size).ln()
+        return nats / decimal.Decimal(2).ln()
+
+
+SPIKE_ORACLE_BITS = [1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 4000]
+SPIKE_ORACLE_EXPONENTS = (0.25, 1.0, 5.0, 10.0, 20.0, 25.0, 28.0, 30.0, 35.0, 37.5, 40.0,
+                          50.0, 60.0, 65.0, 70.0, 80.0, 90.0, 100.0)
+
+
 class TestSpikeForMutualInformation:
     def test_tiny_deficit_recovers_uniform(self):
         # near the uniform spike the deficit is N^2 eps^2 / (2 ln 2 (N - 1))
-        # for spike mass 1/N + eps; 2^-28 is about the smallest deficit
-        # double precision resolves at n = 4
-        target = 2.0**-28
-        spike = dist.spike_for_mutual_information(4, l_prime=28.0)
+        # to leading order for spike mass 1/N + eps
+        target = 2.0**-60
+        spike = dist.spike_for_mutual_information(4, l_prime=60.0)
         eps = math.sqrt(2.0 * math.log(2.0) * 15 * target) / 16
         assert spike.resulting_p1 == pytest.approx(1 / 16 + eps, rel=1e-6)
 
-    @pytest.mark.parametrize("n, l_prime", [(3, 50.0), (3, 100.0), (4, 50.0), (64, 100.0)])
+    @pytest.mark.parametrize("n, l_prime", [(3, 100.0)])
     def test_unresolvable_deficit_is_infeasible(self, n, l_prime):
+        # the float grid near 1/8 holds no spike mass within 1e-6 of 2^-100
         with pytest.raises(InfeasibleError, match="double precision"):
             dist.spike_for_mutual_information(n, l_prime)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize("n", SPIKE_ORACLE_BITS)
     def test_constraint_met_relative_to_the_target(self, n):
-        # oracle: the deficit of the returned mass in 60-digit decimals
-        met = 0
-        for l_prime in (0.25, 1.0, 5.0, 10.0, 20.0, 25.0, 28.0, 30.0, 35.0, 40.0, 60.0):
+        # oracle: the deficit of the returned mass in decimals whose
+        # precision grows with l', since the oracle's own terms cancel
+        for l_prime in SPIKE_ORACLE_EXPONENTS:
             target = 2.0**-l_prime
             try:
                 spike = dist.spike_for_mutual_information(n, l_prime)
             except InfeasibleError:
+                assert l_prime > 60.0 and n < 64, f"n={n} refused l'={l_prime}"
                 continue
-            assert abs(spike.residual) <= 1e-6 * target
-            with decimal.localcontext() as ctx:
-                ctx.prec = 60
-                p1 = decimal.Decimal(spike.resulting_p1)
-                tail = (1 - p1) / (2**n - 1)
-                exact = n + (p1 * p1.ln() + (1 - p1) * tail.ln()) / decimal.Decimal(2).ln()
-            assert abs(float(exact) - target) <= 1e-6 * target
-            met += 1
-        assert met >= 7
+            assert abs(spike.residual) <= _rule(l_prime)
+            exact = _oracle_deficit(spike.resulting_p1, n, 40 + int(l_prime))
+            exact_residual = float(exact - decimal.Decimal(target))
+            assert abs(exact_residual) <= _rule(l_prime)
+            # the deficit itself is evaluated to a few ulps, not to the rule
+            assert abs(spike.residual - exact_residual) <= 1e-12 * target
 
     def test_against_grid_search_oracle(self):
         # oracle: coarse grid over the spike mass with entropy computed on
@@ -283,9 +302,26 @@ class TestSpikeForMutualInformation:
 
 
 class TestSpikeForVariationalDistance:
-    def test_tiny_distance_recovers_uniform(self):
-        spike = dist.spike_for_variational_distance(4, l=60.0)
-        assert spike.resulting_p1 == pytest.approx(1 / 16, abs=1e-12)
+    def test_distance_below_the_float_grid_is_infeasible(self):
+        # 1/16 + 2^-60 rounds to 1/16, the uniform distribution
+        with pytest.raises(InfeasibleError, match="double precision"):
+            dist.spike_for_variational_distance(4, l=60.0)
+
+    @pytest.mark.parametrize("n", SPIKE_ORACLE_BITS)
+    def test_excess_met_against_decimal(self, n):
+        # oracle: the excess p1 - 2^-n of the returned mass, exact in decimals
+        for l in SPIKE_ORACLE_EXPONENTS:
+            try:
+                spike = dist.spike_for_variational_distance(n, l)
+            except InfeasibleError:
+                continue
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40 + int(l) + n
+                excess = decimal.Decimal(spike.resulting_p1) - decimal.Decimal(2) ** -n
+                exact_residual = float(excess - decimal.Decimal(2) ** decimal.Decimal(-l))
+            assert abs(exact_residual) <= _rule(l)
+            # the float residual rounds 2^-l and the excess, a few ulps each
+            assert abs(spike.residual - exact_residual) <= 1e-15 * 2.0**-l
 
     def test_optimum_at_half_distance(self):
         # oracle: exhaustive grid over spike masses at N = 4

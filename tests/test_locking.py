@@ -137,6 +137,16 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             locking.build_locking_ensemble("fixed")
 
+    @pytest.mark.parametrize("pair", [
+        ((0, 1), (3, 2)),  # slot 0 would index the last basis state
+        ((5, 1), (3, 2)),  # slot 5 is past the end of the basis
+        ((1,), (3,)),  # one slot per term for two-bit keys
+    ], ids=["slot-0", "slot-5", "one-slot-terms"])
+    def test_malformed_term_rejected(self, pair):
+        terms = {bits: pair for bits in itertools.product((0, 1), repeat=2)}
+        with pytest.raises(ValidationError, match="basis states"):
+            locking.build_term_ensemble(terms, "malformed")
+
     @pytest.mark.parametrize("variant", locking.VARIANTS)
     def test_one_shared_read_only_object_per_variant(self, variant):
         le = locking.build_locking_ensemble(variant)

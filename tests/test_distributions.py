@@ -217,6 +217,18 @@ def _oracle_deficit(p1, n, digits):
         return nats / decimal.Decimal(2).ln()
 
 
+def _assert_deficit_met(spike, n, l_prime):
+    """Check a mutual-information spike against the decimal oracle."""
+    target = 2.0**-l_prime
+    assert abs(spike.residual) <= _rule(l_prime)
+    # the oracle's own terms cancel, so its precision grows with l'
+    exact = _oracle_deficit(spike.resulting_p1, n, 40 + int(l_prime))
+    exact_residual = float(exact - decimal.Decimal(target))
+    assert abs(exact_residual) <= _rule(l_prime)
+    # the deficit itself is evaluated to a few ulps, not to the rule
+    assert abs(spike.residual - exact_residual) <= 1e-12 * target
+
+
 SPIKE_ORACLE_BITS = [1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 4000]
 SPIKE_ORACLE_EXPONENTS = (0.25, 1.0, 5.0, 10.0, 20.0, 25.0, 28.0, 30.0, 35.0, 37.5, 40.0,
                           50.0, 60.0, 65.0, 70.0, 80.0, 90.0, 100.0)
@@ -239,21 +251,19 @@ class TestSpikeForMutualInformation:
 
     @pytest.mark.parametrize("n", SPIKE_ORACLE_BITS)
     def test_constraint_met_relative_to_the_target(self, n):
-        # oracle: the deficit of the returned mass in decimals whose
-        # precision grows with l', since the oracle's own terms cancel
+        # oracle: the deficit of the returned mass in decimals
         for l_prime in SPIKE_ORACLE_EXPONENTS:
-            target = 2.0**-l_prime
             try:
                 spike = dist.spike_for_mutual_information(n, l_prime)
             except InfeasibleError:
                 assert l_prime > 60.0 and n < 64, f"n={n} refused l'={l_prime}"
                 continue
-            assert abs(spike.residual) <= _rule(l_prime)
-            exact = _oracle_deficit(spike.resulting_p1, n, 40 + int(l_prime))
-            exact_residual = float(exact - decimal.Decimal(target))
-            assert abs(exact_residual) <= _rule(l_prime)
-            # the deficit itself is evaluated to a few ulps, not to the rule
-            assert abs(spike.residual - exact_residual) <= 1e-12 * target
+            _assert_deficit_met(spike, n, l_prime)
+
+    @pytest.mark.parametrize("n, l_prime", [(3, 50.0), (4, 50.0), (64, 100.0)])
+    def test_deficit_near_uniform_is_met(self, n, l_prime):
+        # deficits far below what n - H(p) resolves in double precision
+        _assert_deficit_met(dist.spike_for_mutual_information(n, l_prime), n, l_prime)
 
     def test_against_grid_search_oracle(self):
         # oracle: coarse grid over the spike mass with entropy computed on

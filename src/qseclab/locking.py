@@ -20,9 +20,10 @@ are first-class and every report labels the one in use.
 each qubit encoding its bit in the basis selected by the previous
 qubit's state; at n = 2 it reproduces ``symmetric_corrected``.  Every
 locking ensemble, two-bit or chained, is attacked by one sequential
-unlock rule (``_chain_walk``): qubit 1 is measured in the known bit's
-basis, each later qubit in the basis the previous outcome selects, and
-each outcome decodes its qubit's bit.
+unlock rule (``_chain_walk``), which tracks per qubit whether it lies in
+basis 1-3: qubit 1 is measured in the known bit's basis, each later qubit
+in 1-3 after a first-state outcome (1 or 2), else in 2-4, and a
+first-state outcome decodes its qubit's bit as 1.
 
 Basis realization is fixed for bit-reproducibility: state 1 = (1, 0),
 state 3 = (0, 1), state 2 = (1, 1)/sqrt2, state 4 = (1, -1)/sqrt2, so
@@ -62,9 +63,9 @@ OVERLAP2.setflags(write=False)
 # half of the 2-term mixture; exact in binary floating point
 _HALF = 0.5
 # the KPA sampler draws BLOCK_TRIALS trials at a time, so its memory does
-# not grow with the count (tracemalloc peak 6.4 MB at n = 2, 13 MB at n = 6);
-# MAX_TRIALS caps the run time instead: 10^7 trials took 2.0 s at n = 2 and
-# 5.6 s at n = 6 on a 2-core x86-64 VM
+# not grow with the count (tracemalloc peak 2.9 MB at n = 2, 5.3 MB at n = 6);
+# MAX_TRIALS caps the run time instead: 10^7 trials took 0.5-0.6 s of CPU at
+# n = 2 and 1.5-1.7 s at n = 6 on a 2-core x86-64 VM
 BLOCK_TRIALS = 2**16
 MAX_TRIALS = 10**7
 
@@ -162,23 +163,30 @@ def build_locking_ensemble(variant: str = "symmetric_corrected") -> LockingEnsem
     return _BUILT[variant]
 
 
-def _chain_walk(known: np.ndarray, n: int, takes_first) -> tuple[np.ndarray, np.ndarray]:
-    """The chained steering rule, one row of n qubits per entry of ``known``.
+def _chain_walk(known: np.ndarray, n: int, takes_first) -> np.ndarray:
+    """The chained steering rule, one walk over n qubits per entry of ``known``.
 
     Qubit 1 lies in basis 1-3 for known first bit 1, else 2-4; each later
-    qubit lies in 1-3 after a first basis state, else 2-4.  Per row,
-    ``takes_first(j, first)`` picks the first state ``first`` of qubit j's
-    basis or the second, ``first + 2``: the coin or encoded bit when
-    building, the outcome (the decoded bit) when attacking.
+    qubit lies in 1-3 after a first basis state, else 2-4.  Per walk,
+    ``takes_first(j, in13)`` picks the first state of qubit j's basis (1 or
+    2) or the second (3 or 4), given whether that basis is 1-3: the coin or
+    encoded bit when building, the outcome (the decoded bit) when
+    attacking.  Returns these choices, shape (n, walks).
     """
-    states = np.empty((len(known), n), dtype=np.int64)
-    took = np.empty((len(known), n), dtype=bool)
-    first = np.where(known == 1, BASIS_13[0], BASIS_24[0])
+    took = np.empty((n, len(known)), dtype=bool)
+    in13 = known == 1
     for j in range(n):
-        took[:, j] = takes_first(j, first)
-        states[:, j] = np.where(took[:, j], first, first + 2)
-        first = np.where(took[:, j], BASIS_13[0], BASIS_24[0])
-    return states, took
+        took[j] = takes_first(j, in13)
+        in13 = took[j]
+    return took
+
+
+def _walk_states(known: np.ndarray, took: np.ndarray) -> np.ndarray:
+    """The basis states 1..4 that ``_chain_walk`` visits when it takes the
+    fixed choices ``took`` (n, walks); shape (walks, n)."""
+    in13 = []  # each qubit's basis, recorded as the walk takes the fixed choice
+    _chain_walk(known, len(took), lambda j, basis: in13.append(basis) or took[j])
+    return (np.where(in13, BASIS_13[0], BASIS_24[0]) + np.where(took, 0, 2)).T
 
 
 def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
@@ -194,9 +202,8 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
     if 2**n_bits > ops.MAX_DIM:
         raise ValidationError(f"probe dimension 2^{n_bits} exceeds cap {ops.MAX_DIM}")
     keys = ens._bit_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
-    takes_first = np.column_stack([np.tile([True, False], 2**n_bits), keys[:, 1:] == 1])
-    slots, _ = _chain_walk(keys[:, 0], n_bits, lambda j, _: takes_first[:, j])
-    slots = [tuple(row) for row in slots.tolist()]
+    took = np.vstack([np.tile([True, False], 2**n_bits), keys[:, 1:].T == 1])
+    slots = [tuple(row) for row in _walk_states(keys[:, 0], took).tolist()]
     terms = {tuple(key): tuple(slots[2 * k:2 * k + 2])
              for k, key in enumerate(ens._bit_rows(n_bits).tolist())}
     return build_term_ensemble(terms, f"chained_{n_bits}")
@@ -259,15 +266,23 @@ def kpa_simulate(
     ``BLOCK_TRIALS``, so memory does not grow with ``trials``.  Returns
     the empirical rate next to the closed-form rate.
     """
+    for name, value in (("trials", trials), ("seed", seed), ("known first bit", known_k1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     if trials > MAX_TRIALS:
         raise ValidationError(f"{trials} trials exceed cap {MAX_TRIALS}")
     if known_k1 not in (0, 1):
         raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
+    trials, seed, known_k1 = int(trials), int(seed), int(known_k1)
     rng = np.random.default_rng([seed, known_k1])
-    terms = _chain_terms(le, known_k1)
-    correct = sum(_unlock_block(rng, terms, known_k1, min(BLOCK_TRIALS, trials - start))
+    terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)  # row 2 * hidden + coin
+    # Born weight of the first state of basis 2-4 ([0]) or 1-3 ([1]): (2, n, terms)
+    weights = OVERLAP2[[BASIS_24[0] - 1, BASIS_13[0] - 1]][:, terms.T - 1]
+    correct = sum(_unlock_block(rng, weights, known_k1, min(BLOCK_TRIALS, trials - start))
                   for start in range(0, trials, BLOCK_TRIALS))
     closed_form = _chain_closed_form(le, known_k1)
     return KPAResult(
@@ -279,17 +294,17 @@ def kpa_simulate(
     )
 
 
-def _unlock_block(rng, terms, known_k1, size) -> int:
-    """Successes among ``size`` sampled trials; ``terms`` as ``_chain_terms``."""
-    n = terms.shape[-1]
+def _unlock_block(rng, weights, known_k1, size) -> int:
+    """Successes among ``size`` sampled trials; ``weights`` as in ``kpa_simulate``."""
+    _, n, terms = weights.shape
     hidden = rng.integers(0, 2, size=(size, n - 1))
-    coin = rng.integers(0, 2, size=size)
-    prepared = terms[hidden @ (1 << np.arange(n - 2, -1, -1)), coin]
-    _, decoded = _chain_walk(
-        np.full(size, known_k1), n,
-        lambda j, first: rng.random(size) < OVERLAP2[first - 1, prepared[:, j] - 1],
+    row = hidden @ (2 << np.arange(n - 2, -1, -1))  # each trial's term: hidden bits, then coin
+    row += rng.integers(0, 2, size=size)
+    decoded = _chain_walk(
+        np.full(size, known_k1, dtype=np.int8), n,
+        lambda j, in13: rng.random(size) < weights[:, j].take(row + terms * in13),
     )
-    return int(np.all(decoded[:, 1:] == (hidden == 1), axis=1).sum())
+    return int(np.count_nonzero(np.all(decoded[1:] == (hidden.T == 1), axis=0)))
 
 
 def _describe_unlock(n: int, known_k1: int, closed_form: float) -> dict | str:
@@ -298,15 +313,15 @@ def _describe_unlock(n: int, known_k1: int, closed_form: float) -> dict | str:
     four outcome pairs."""
     if n > 2:
         return f"sequential unlock over {n - 1} hidden bits"
-    took = ens._bit_rows(2) == 0  # first state taken on both qubits, qubit 1 only, 2 only, neither
-    outcomes, _ = _chain_walk(np.full(4, known_k1), 2, lambda j, _: took[:, j])
-    pairs = outcomes.tolist()
+    # first state taken on both qubits, on qubit 1 only, on qubit 2 only, on neither
+    took = (ens._bit_rows(2) == 0).T
+    pairs = _walk_states(np.full(4, known_k1), took).tolist()
     (f1, s1), (_, s2), (f3, s3), (_, s4) = pairs
     return {
         "known_first_bit": known_k1,
         "first_qubit_basis": [f1, f3],
         "second_qubit_basis_by_first_outcome": {str(f1): [s1, s2], str(f3): [s3, s4]},
-        "decode_table": {f"{f},{s}": int(t) for (f, s), t in zip(pairs, took[:, 1])},
+        "decode_table": {f"{f},{s}": int(t) for (f, s), t in zip(pairs, took[1])},
         "closed_form_success": closed_form,
     }
 
@@ -323,9 +338,8 @@ def _chain_closed_form(le, known_k1) -> float:
     terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)
     hidden = ens._bit_rows(le.n_bits - 1).repeat(2, axis=0) == 1
     prepared = np.tile(terms, (2, 1))
-    takes_first = np.column_stack([np.repeat([True, False], len(terms)), np.tile(hidden, (2, 1))])
-    outcomes, _ = _chain_walk(np.full(len(prepared), known_k1), le.n_bits,
-                              lambda j, _: takes_first[:, j])
+    took = np.vstack([np.repeat([True, False], len(terms)), np.tile(hidden, (2, 1)).T])
+    outcomes = _walk_states(np.full(len(prepared), known_k1), took)
     born = OVERLAP2[outcomes - 1, prepared - 1].prod(axis=1)
     return float(born.sum()) / len(terms)
 

@@ -53,6 +53,58 @@ def sequential_unlock_oracle(le, known_k1):
     return total / 2 ** (n - 1)
 
 
+REFERENCE_BLOCK = 2**16  # the block size the reference sampler draws in
+
+
+def reference_chain_walk(known, n, takes_first):
+    """The steering walk written over basis states: per row, qubit j lies in
+    the basis whose first state is ``first`` (1 or 2), ``takes_first(j,
+    first)`` picks ``first`` or ``first + 2``, and the next qubit's basis
+    follows the state taken.  Returns the states and the choices, (rows, n)."""
+    states = np.empty((len(known), n), dtype=np.int64)
+    took = np.empty((len(known), n), dtype=bool)
+    first = np.where(known == 1, 1, 2)
+    for j in range(n):
+        took[:, j] = takes_first(j, first)
+        states[:, j] = np.where(took[:, j], first, first + 2)
+        first = np.where(took[:, j], 1, 2)
+    return states, took
+
+
+def reference_chained_terms(n_bits):
+    """The chained term table built by ``reference_chain_walk``."""
+    keys = ens._bit_rows(n_bits).repeat(2, axis=0)
+    takes_first = np.column_stack([np.tile([True, False], 2**n_bits), keys[:, 1:] == 1])
+    slots, _ = reference_chain_walk(keys[:, 0], n_bits, lambda j, _: takes_first[:, j])
+    slots = [tuple(row) for row in slots.tolist()]
+    return {tuple(key): tuple(slots[2 * k:2 * k + 2])
+            for k, key in enumerate(ens._bit_rows(n_bits).tolist())}
+
+
+def reference_unlock_block(rng, terms, known_k1, size):
+    """One block of the sampler with 2-D gathers: the hidden bits as int64,
+    then the coins, then one uniform row per qubit compared with the Born
+    weight of the state the walk measures on the prepared one."""
+    n = terms.shape[-1]
+    hidden = rng.integers(0, 2, size=(size, n - 1))
+    coin = rng.integers(0, 2, size=size)
+    prepared = terms[hidden @ (1 << np.arange(n - 2, -1, -1)), coin]
+    _, decoded = reference_chain_walk(
+        np.full(size, known_k1), n,
+        lambda j, first: rng.random(size) < locking.OVERLAP2[first - 1, prepared[:, j] - 1],
+    )
+    return int(np.all(decoded[:, 1:] == (hidden == 1), axis=1).sum())
+
+
+def reference_success_count(le, known_k1, trials, seed):
+    """Successes of ``kpa_simulate`` by the reference sampler: the same
+    generator, drawn in blocks of ``REFERENCE_BLOCK`` trials."""
+    rng = np.random.default_rng([seed, known_k1])
+    terms = np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
+    return sum(reference_unlock_block(rng, terms, known_k1, min(REFERENCE_BLOCK, trials - start))
+               for start in range(0, trials, REFERENCE_BLOCK))
+
+
 # the two-bit report's strategy block per known first bit, written out so that
 # a drift in its rendering fails here (closed_form_success varies by variant)
 PINNED_STRATEGY = {
@@ -221,6 +273,20 @@ class TestUnlockingStrategy:
         assert rendered == {**PINNED_STRATEGY[known_k1], "closed_form_success": closed_form}
 
 
+def assert_peak_memory_flat_in_trials(le):
+    """The sampler's tracemalloc peak at 10^6 trials is within 1.2x of 10^5."""
+    locking.kpa_simulate(le, 0, trials=10, seed=0)  # one-off first-call allocations
+    peaks = {}
+    for trials in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            locking.kpa_simulate(le, 0, trials=trials, seed=0)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**6] <= 1.2 * peaks[10**5]
+
+
 class TestKPASimulate:
     def test_symmetric_both_known_bits_certain(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
@@ -298,17 +364,11 @@ class TestKPASimulate:
         assert abs(a.success_rate - 7 / 8) <= 5 * sigma
 
     def test_peak_memory_flat_in_trials(self):
-        le = locking.build_locking_ensemble("as_printed")
-        locking.kpa_simulate(le, 0, trials=10, seed=0)  # one-off first-call allocations
-        peaks = {}
-        for trials in (10**5, 10**6):
-            tracemalloc.start()
-            try:
-                locking.kpa_simulate(le, 0, trials=trials, seed=0)
-                peaks[trials] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[10**6] <= 1.2 * peaks[10**5]
+        assert_peak_memory_flat_in_trials(locking.build_locking_ensemble("as_printed"))
+
+    def test_peak_memory_flat_in_trials_at_six_bits(self):
+        # the per-block Born weight arrays grow with n, and are largest here
+        assert_peak_memory_flat_in_trials(locking.build_chained_locking_ensemble(6))
 
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
     @pytest.mark.parametrize("known_k1", [2, -1])
@@ -322,6 +382,63 @@ class TestKPASimulate:
         assert result.closed_form_success == 0.5
         assert sequential_unlock_oracle(all_equal_control, 1) == pytest.approx(0.5, abs=1e-12)
         assert abs(result.success_rate - 0.5) <= 3 * np.sqrt(0.25 / 20_000)
+
+
+class TestReferenceSampler:
+    @pytest.mark.parametrize("n_bits", [2, 3, 4, 5, 6])
+    def test_chained_table_matches_the_reference_walk(self, n_bits):
+        chain = locking.build_chained_locking_ensemble(n_bits)
+        assert dict(chain.terms) == reference_chained_terms(n_bits)
+
+    @pytest.mark.parametrize("known_k1", [0, 1])
+    @pytest.mark.parametrize("source", [
+        *locking.VARIANTS, 2, 3, 4, 5, 6, "conjugate_2", "conjugate_6",
+    ])
+    def test_success_counts_equal_the_reference(self, source, known_k1):
+        # source: a two-bit variant, a chained key length, or a chained table
+        # whose last slot is moved into the conjugate basis in every term, so
+        # that each trial's last outcome is a fair coin: only there and on
+        # as_printed does the success count depend on the uniform draws
+        if isinstance(source, int):
+            le = locking.build_chained_locking_ensemble(source)
+        elif source.startswith("conjugate_"):
+            chain = locking.build_chained_locking_ensemble(int(source[-1]))
+            terms = {bits: tuple(t[:-1] + (CONJUGATE[t[-1]],) for t in pair)
+                     for bits, pair in chain.terms.items()}
+            le = locking.build_term_ensemble(terms, source)
+        else:
+            le = locking.build_locking_ensemble(source)
+        for trials in (1, 17, 2**16, 2**16 + 1, 10**5, 3 * 2**16 + 17):
+            for seed in (0, 7, 2**31 + 5):
+                result = locking.kpa_simulate(le, known_k1, trials, seed)
+                expected = reference_success_count(le, known_k1, trials, seed)
+                assert result.success_rate == expected / trials, (trials, seed)
+
+
+class TestKPAArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 1000.0},
+        {"trials": True},
+        {"seed": -1},
+        {"known_k1": 1.0},
+    ], ids=["float-trials", "bool-trials", "negative-seed", "float-known-bit"])
+    def test_invalid_argument_rejected(self, kwargs):
+        le = locking.build_locking_ensemble("symmetric_corrected")
+        with pytest.raises(ValidationError):
+            locking.kpa_simulate(le, **{"known_k1": 1, "trials": 10, "seed": 0, **kwargs})
+
+    def test_report_with_bool_trials_rejected(self):
+        le = locking.build_locking_ensemble("symmetric_corrected")
+        with pytest.raises(ValidationError):
+            locking.locking_report(le, trials=True)
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        le = locking.build_locking_ensemble("as_printed")
+        result = locking.kpa_simulate(le, np.int64(0), np.int32(500), np.uint8(3))
+        expected = locking.kpa_simulate(le, 0, 500, 3)
+        assert result.to_dict() == expected.to_dict()
+        assert type(result.trials) is int and type(result.seed) is int
+        assert type(result.strategy["known_first_bit"]) is int
 
 
 class TestLockingReport:

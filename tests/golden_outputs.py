@@ -8,7 +8,9 @@ to ``OUTDIR/exit_codes.json``.  Ensemble files for ``criteria`` are written
 under ``OUTDIR/ensembles`` and passed by a path relative to OUTDIR, so the
 argument vectors embedded in the reports are the same wherever OUTDIR is.
 Running it on two checkouts and comparing the directories with ``diff -r``
-shows every byte a change altered.  pytest does not collect this file.
+shows every byte a change altered.  pytest does not collect this file;
+``tests/test_golden.py`` runs the same set and checks it against the
+committed manifest.
 
     python tests/golden_outputs.py --compare OLDDIR NEWDIR
 
@@ -21,19 +23,37 @@ file, the rows of a ``.csv`` file and the ``key=value`` rows of a text
 report.  It exits 1 when any such non-float value changed or a file exists
 on one side only, and 0 otherwise, so it can gate a change whose floats
 are allowed to move.
+
+    PYTHONPATH=src python tests/golden_outputs.py --write-manifest
+
+regenerates the set in a temporary directory and rewrites the two committed
+records of it: ``tests/golden.sha256``, one digest per output file under a
+header naming the numpy version, the BLAS library and the platform the
+digests were taken on, and ``tests/golden_verdicts.json``, the portable
+part (every verdict, summary count and exit code).  A change that moves
+numbers on purpose rewrites them in the same commit.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
+import tempfile
+
+import numpy as np
 
 from qseclab import bounds, cli, ensembles, locking
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+MANIFEST = os.path.join(HERE, "golden.sha256")
+VERDICTS = os.path.join(HERE, "golden_verdicts.json")
 
 
 def golden_runs() -> list[tuple[str, list[str]]]:
@@ -216,27 +236,110 @@ def compare(old_dir: str, new_dir: str) -> int:
     return status
 
 
+def write_outputs(outdir: str) -> None:
+    """Write the golden set into ``outdir``; the working directory is restored."""
+    os.makedirs(outdir, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        write_ensembles("ensembles")
+        codes = {}
+        for name, run_argv in golden_runs():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes[name] = cli.main(run_argv)
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        with open("exit_codes.json", "w", encoding="utf-8") as fh:
+            json.dump(codes, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    finally:
+        os.chdir(cwd)
+
+
+def environment() -> list[str]:
+    """What the digests depend on besides the code: numpy, its BLAS and the
+    platform, with the SIMD extensions the CPU offers to both."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    simd = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return [
+        f"numpy {np.__version__}",
+        f"blas {blas.get('name')} {blas.get('version')}",
+        f"platform {platform.system()} {platform.machine()} {' '.join(simd)}".rstrip(),
+    ]
+
+
+def digests(directory: str) -> dict[str, str]:
+    """The sha256 of every file of a golden directory, by relative path."""
+    out = {}
+    for name in sorted(_files(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def read_manifest(path: str = MANIFEST) -> tuple[list[str], dict[str, str]]:
+    """The environment header and the digests of a manifest file."""
+    header, recorded = [], {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("# "):
+                header.append(line[2:].rstrip("\n"))
+            elif line.strip():
+                digest, name = line.rstrip("\n").split("  ", 1)
+                recorded[name] = digest
+    return header, recorded
+
+
+def portable_fields(directory: str) -> dict[str, dict]:
+    """What may not move on any platform, per output file: each verdict
+    field as one letter per record (the initial of pass, fail, inconclusive
+    or not_applicable), each summary count and every exit code."""
+    out = {}
+    for name in sorted(_files(directory)):
+        if name.startswith("ensembles"):
+            continue
+        fields: dict = {}
+        for (_, field), value in _leaves(os.path.join(directory, name)).items():
+            if field.endswith("_verdict"):
+                fields[field] = fields.get(field, "") + value[0]
+            elif (name == "exit_codes.json" or field == "hard_failures"
+                  or field.startswith("summary.") and type(value) is int):
+                fields[field] = value
+        if fields:
+            out[name] = fields
+    return out
+
+
+def write_manifest() -> None:
+    """Regenerate the golden set and rewrite the committed manifest and
+    portable fields from it."""
+    with tempfile.TemporaryDirectory() as outdir:
+        write_outputs(outdir)
+        recorded, portable = digests(outdir), portable_fields(outdir)
+    with open(MANIFEST, "w", encoding="utf-8") as fh:
+        fh.write("# sha256 of each output of tests/golden_outputs.py, taken on:\n")
+        fh.writelines(f"# {line}\n" for line in environment())
+        fh.writelines(f"{digest}  {name}\n" for name, digest in recorded.items())
+    with open(VERDICTS, "w", encoding="utf-8") as fh:
+        json.dump(portable, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(argv[1], argv[2])
+    if argv == ["--write-manifest"]:
+        write_manifest()
+        return 0
     if len(argv) != 1:
-        print("usage: golden_outputs.py OUTDIR | --compare OLDDIR NEWDIR", file=sys.stderr)
+        print("usage: golden_outputs.py OUTDIR | --compare OLDDIR NEWDIR | --write-manifest",
+              file=sys.stderr)
         return 2
-    outdir = os.path.abspath(argv[0])
-    os.makedirs(outdir, exist_ok=True)
-    os.chdir(outdir)
-    write_ensembles("ensembles")
-    codes = {}
-    for name, run_argv in golden_runs():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            codes[name] = cli.main(run_argv)
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(out.getvalue())
-    with open("exit_codes.json", "w", encoding="utf-8") as fh:
-        json.dump(codes, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_outputs(os.path.abspath(argv[0]))
     return 0
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import detection, distributions as dist, ensembles as ens, locking
 from .errors import OutOfScopeError, ValidationError
-from .operators import MAX_DIM, DensityOperator
+from .operators import MAX_DIM, DensityOperator, _rank_one
 
 CLASSICAL_TOL = 1e-10
 OPERATOR_TOL = 1e-9
@@ -56,7 +56,7 @@ VERDICTS = ("pass", "fail", "inconclusive", "not_applicable")
 def random_pure_state(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Projector onto a spherically symmetric random complex vector."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return DensityOperator(np.outer(v, v.conj()) / float(np.vdot(v, v).real))
+    return DensityOperator(_rank_one(v[None])[0] / float(np.vdot(v, v).real))
 
 
 def random_mixed_state(dim: int, rng: np.random.Generator) -> DensityOperator:

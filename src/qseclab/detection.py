@@ -23,7 +23,7 @@ import numpy as np
 from . import distributions as dist
 from . import ensembles as ens
 from .errors import DimensionMismatchError, ValidationError, ZeroMassError
-from .operators import DensityOperator, HermitianOperator, _as_hermitian, eig_hermitian
+from .operators import DensityOperator, HermitianOperator, _as_hermitian, _rank_one, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -71,11 +71,6 @@ class POVM:
     @property
     def num_outcomes(self) -> int:
         return self.stack.shape[0]
-
-
-def _rank_one(kets: np.ndarray) -> np.ndarray:
-    """The projectors |v_y><v_y| of the rows v_y, bit-equal to ``np.outer``."""
-    return kets[:, :, None] * kets.conj()[:, None, :]
 
 
 def projective_povm(vectors: np.ndarray) -> POVM:
@@ -262,13 +257,7 @@ def minimum_error_iterate(
     certificate.  Non-convergence within ``max_iters`` is flagged, not
     raised.
     """
-    return _refine_min_error(e, square_root_measurement(e), max_iters, tol)
-
-
-def _refine_min_error(
-    e: ens.CQEnsemble, srm: DiscriminationResult, max_iters: int, tol: float = 1e-9
-) -> DiscriminationResult:
-    """:func:`minimum_error_iterate` from an already computed square-root measurement."""
+    srm = square_root_measurement(e)
     d = e.state_dim
     weighted = e.prior[:, None, None] * e.stack
     elements = srm.povm.stack[: e.num_keys]
@@ -439,9 +428,11 @@ def _best_candidate(e: ens.CQEnsemble) -> tuple[float, POVM]:
     """The most informative of the search's deterministic candidates: the
     square-root measurement, the average-state eigenbasis and 60
     minimum-error refinement steps, with its information in bits."""
-    srm = square_root_measurement(e)
-    min_error = _refine_min_error(e, srm, max_iters=60)
-    candidates = [srm.povm, eigenbasis_povm(ens.average_state(e)), min_error.povm]
+    candidates = [
+        square_root_measurement(e).povm,
+        eigenbasis_povm(ens.average_state(e)),
+        minimum_error_iterate(e, max_iters=60).povm,
+    ]
     best_bits = -1.0
     best_povm = candidates[0]
     for povm in candidates:

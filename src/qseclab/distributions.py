@@ -103,7 +103,11 @@ def max_event_gap(p, q, mode: str = "greedy") -> tuple[float, tuple[int, ...]]:
 
 def shannon_entropy(p) -> float:
     """Entropy in bits, with 0 log 0 := 0; lies in [0, log2 N]."""
-    p = validate_distribution(p)
+    return _entropy_bits(validate_distribution(p))
+
+
+def _entropy_bits(p: np.ndarray) -> float:
+    """Entropy in bits of nonnegative weights (unvalidated), with 0 log 0 := 0."""
     positive = p[p > 0.0]
     return max(0.0, float(-(positive * np.log2(positive)).sum()))
 

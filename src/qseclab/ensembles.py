@@ -160,7 +160,7 @@ def conditional_distances(e: CQEnsemble, reference: DensityOperator | None = Non
     ref = average_state(e) if reference is None else reference
     if ref.dim != e.state_dim:
         raise DimensionMismatchError(f"reference dim {ref.dim} != {e.state_dim}")
-    return np.array([ops.trace_distance(s, ref) for s in e.states])
+    return ops._half_trace_norms(e.stack - ref.matrix)
 
 
 @_once_per_ensemble
@@ -181,10 +181,9 @@ def weighted_conditional_distance(e: CQEnsemble) -> float:
     norm.
     """
     avg = average_state(e).matrix / e.num_keys
-    total = 0.0
-    for w, s in zip(e.prior, e.states):
-        total += float(np.abs(np.linalg.eigvalsh(w * s.matrix - avg)).sum())
-    return 0.5 * total
+    norms = ops._half_trace_norms(e.prior[:, None, None] * e.stack - avg)
+    # a running sum in key order: numpy's pairwise sum rounds differently from 8 keys on
+    return float(np.cumsum(norms)[-1])
 
 
 @_once_per_ensemble

@@ -48,7 +48,7 @@ BASIS_24 = (2, 4)
 _S = 1.0 / np.sqrt(2.0)
 KETS = np.array([[1.0, 0.0], [_S, _S], [0.0, 1.0], [_S, -_S]], dtype=np.complex128)  # states 1..4
 KETS.setflags(write=False)
-_PROJECTORS = KETS[:, :, None] * KETS.conj()[:, None, :]
+_PROJECTORS = ops._rank_one(KETS)
 # Born weights |<i|j>|^2 at [i - 1, j - 1]: exactly 0, 1/2 or 1 for two
 # mutually unbiased bases, where computing them from KETS would carry the
 # round-off of 1/sqrt2 into the deterministic attack paths

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import _entropy_bits
 from .errors import (
     ConvergenceError,
     DimensionCapError,
@@ -110,6 +111,11 @@ def pure_state(amplitudes) -> DensityOperator:
     return DensityOperator(np.outer(ket, ket.conj()))
 
 
+def _rank_one(kets: np.ndarray) -> np.ndarray:
+    """The projectors |v_y><v_y| of the rows v_y, bit-equal to ``np.outer``."""
+    return kets[:, :, None] * kets.conj()[:, None, :]
+
+
 def maximally_mixed(dim: int) -> DensityOperator:
     """The state I/dim."""
     return DensityOperator(np.eye(dim) / dim)
@@ -139,9 +145,12 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    eigenvalues = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    value = 0.5 * float(np.abs(eigenvalues).sum())
-    return min(max(value, 0.0), 1.0)
+    return float(_half_trace_norms(rho.matrix - sigma.matrix))
+
+
+def _half_trace_norms(matrices: np.ndarray) -> np.ndarray:
+    """Half the trace norm of a Hermitian matrix, or of each of a stack, clamped to [0, 1]."""
+    return np.clip(0.5 * np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1), 0.0, 1.0)
 
 
 def tensor(a: Operator, b: Operator):
@@ -181,9 +190,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     Eigenvalues are clamped to [0, 1] after validation so round-off just
     below zero cannot poison the logarithm; 0 log 0 is taken as 0.
     """
-    eigenvalues = np.clip(rho.eigenvalues, 0.0, 1.0)
-    positive = eigenvalues[eigenvalues > 0.0]
-    return max(0.0, float(-(positive * np.log2(positive)).sum()))
+    return _entropy_bits(np.clip(rho.eigenvalues, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

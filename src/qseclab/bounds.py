@@ -369,10 +369,9 @@ def run_campaign(
         results: dict = {}
         if "pinsker" in checks:
             srm = detection.square_root_measurement(e)
-            measured = ens.measured_criteria(e, srm.povm)
-            result = check_pinsker(measured.joint)
+            result = check_pinsker(e.prior[:, None] * ens.measurement_table(e, srm.povm))
             results["pinsker"] = result
-            quantities["delta"] = measured.delta_e
+            quantities["delta"] = result.extras["delta"]
             quantities["mutual_information"] = result.extras["mutual_information"]
             quantities["pinsker_tight_margin"] = result.extras["tight_margin"]
         if "quantum_pinsker" in checks:

@@ -134,11 +134,22 @@ def mutual_information(joint) -> float:
 
 
 def _information(j: np.ndarray) -> tuple[float, np.ndarray]:
-    """Bits of a nonnegative 2-D joint (unvalidated) and log2(j / pk py), zero off its support."""
+    """Bits of a nonnegative 2-D joint (unvalidated) and log2(j / pk py), zero off its support.
+
+    Where ``pk * py`` is not a normal float it has lost bits or underflowed
+    to 0, so its log is taken as ``log2(pk) + log2(py)`` there.
+    """
     mask = j > 0.0
     positive = j[mask]
+    pk, py = j.sum(axis=1), j.sum(axis=0)
+    product = np.outer(pk, py)[mask]
+    low = product < sys.float_info.min
+    log2_product = np.log2(product, out=np.zeros_like(product), where=~low)
+    if low.any():
+        rows, cols = np.nonzero(mask)
+        log2_product[low] = np.log2(pk[rows[low]]) + np.log2(py[cols[low]])
     log2_ratio = np.zeros_like(j)
-    log2_ratio[mask] = np.log2(positive) - np.log2(np.outer(j.sum(axis=1), j.sum(axis=0))[mask])
+    log2_ratio[mask] = np.log2(positive) - log2_product
     return max(0.0, float((positive * log2_ratio[mask]).sum())), log2_ratio
 
 

@@ -179,6 +179,27 @@ class TestMutualInformation:
             assert np.all(log2_ratio[joint == 0.0] == 0.0)
             assert (joint * log2_ratio).sum() == pytest.approx(bits, abs=1e-12)
 
+    def test_finite_where_the_marginal_product_underflows(self):
+        # pk * py = 1e-400 is 0.0 in floats; the term is 1e-200 log2(1e200)
+        bits = dist.mutual_information([[1e-200, 0.0], [0.0, 1.0]])
+        assert bits == pytest.approx(1e-200 * 200 * math.log2(10), rel=1e-12)
+
+    @given(
+        st.integers(1, 4),
+        st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-300, 1e-200),
+                           st.floats(1e-6, 1.0)), min_size=1, max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_by_both_entropies_down_to_subnormals(self, cols, entries):
+        raw = np.zeros(-(-len(entries) // cols) * cols)
+        raw[:len(entries)] = entries
+        raw[0] += 1e-3  # at least one normal entry
+        joint = (raw / raw.sum()).reshape(-1, cols)
+        bits = dist.mutual_information(joint)
+        h_k = dist.shannon_entropy(joint.sum(axis=1))
+        h_y = dist.shannon_entropy(joint.sum(axis=0))
+        assert 0.0 <= bits <= min(h_k, h_y) + 1e-12
+
 
 class TestKLDivergence:
     def test_identical_is_zero(self):

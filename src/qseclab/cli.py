@@ -36,14 +36,26 @@ def _envelope(command: str, argv: list[str], seed: int) -> dict:
 
 
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    byte for byte; a NaN or infinity, which JSON cannot hold, is an ``Error``.
 
     json's C encoder ignores ``indent``, so that call encodes element by
     element in Python.  Here only the layout of str-keyed dicts and of
     lists is written in Python; scalars go through the C encoder, and a
     list of floats is encoded once per distinct bit pattern.
     """
-    return _json_text(obj, "") + "\n"
+    try:
+        return _json_text(obj, "") + "\n"
+    except ValueError as exc:
+        raise Error(f"report not written: {exc}") from exc
+
+
+def _json_line(obj) -> str:
+    """One compact JSON line, refusing NaN and infinities like :func:`_dump_json`."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise Error(f"report not written: {exc}") from exc
 
 
 def _json_text(obj, pad: str) -> str:
@@ -63,11 +75,11 @@ def _json_text(obj, pad: str) -> str:
             items = [_json_text(item, inner) for item in obj]
         brackets = "[]"
     elif obj is None or type(obj) in (str, int, float, bool):
-        return json.dumps(obj)
+        return json.dumps(obj, allow_nan=False)
     else:
         # non-str keys, tuples, subclasses: json's own layout, moved to this depth
         # (a JSON string never holds a raw newline)
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
     separator = ",\n" + inner
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{pad}{brackets[1]}"
 
@@ -75,7 +87,7 @@ def _json_text(obj, pad: str) -> str:
 def _float_texts(values: list) -> list[str]:
     """The JSON text of each float, encoding each distinct bit pattern once."""
     bits, index = np.unique(np.array(values).view(np.uint64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    texts = json.dumps(bits.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
     return np.array(texts, dtype=object)[index].tolist()
 
 
@@ -194,8 +206,7 @@ def cmd_bounds_sweep(args, argv) -> int:
         **_envelope("bounds-sweep", argv, args.seed),
     }
     if args.format == "json":
-        lines = [json.dumps(row, sort_keys=True) for row in rows]
-        lines.append(json.dumps(summary, sort_keys=True))
+        lines = [_json_line(row) for row in rows + [summary]]
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "csv":
         columns: list[str] = []

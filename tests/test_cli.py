@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qseclab import cli, ensembles, locking, operators as ops
+from qseclab import cli, distributions, ensembles, locking, operators as ops
+from qseclab.errors import Error
 
 
 def run_cli(capsys, argv):
@@ -336,6 +337,24 @@ class TestBoundsSweep:
         assert "instance_id" in header
         assert "quantum_pinsker_verdict" in header
 
+    def test_information_stays_finite_at_the_float_floor(self, capsys):
+        # instance 242 has a min-error candidate element of trace 3.9e-321,
+        # where log2(pk * py) underflowed and the information read +inf
+        code, out, err = run_cli(
+            capsys,
+            ["bounds-sweep", "--count", "300", "--seed", "11", "--kinds", "random_pure",
+             "--checks", "accessible_info,holevo_consistency"],
+        )
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out and "NaN" not in out
+        assert json.loads(out.splitlines()[-1])["hard_failures"] == 0
+
+    def test_non_finite_float_is_a_clean_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(distributions, "mutual_information", lambda joint: float("inf"))
+        code, out, err = run_cli(capsys, ["bounds-sweep", "--count", "2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("qseclab: error: report not written: ")
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.jsonl"
         code, out, _ = run_cli(
@@ -400,7 +419,18 @@ class TestExtremal:
 
 
 def _indented(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_dumps_as_json(obj):
+    """``_dump_json`` writes what json writes, and refuses NaN and infinities."""
+    try:
+        expected = _indented(obj)
+    except ValueError:
+        with pytest.raises(Error, match="report not written"):
+            cli._dump_json(obj)
+    else:
+        assert cli._dump_json(obj) == expected
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -428,7 +458,7 @@ _NAN, _INF = float("nan"), float("inf")
         "tuples", "tuple-and-int-keys-nested", "int-keys", "mixed-list",
         "float", "str", "none", "bool", "int"])
 def test_dump_json_equals_indented_json_dumps(obj):
-    assert cli._dump_json(obj) == _indented(obj)
+    _assert_dumps_as_json(obj)
 
 
 _json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF, 5e-324]))
@@ -451,7 +481,7 @@ def _json_children(inner):
 @settings(max_examples=200, deadline=None)
 @given(obj=st.recursive(_json_leaves, _json_children, max_leaves=30))
 def test_dump_json_equals_indented_json_dumps_on_any_payload(obj):
-    assert cli._dump_json(obj) == _indented(obj)
+    _assert_dumps_as_json(obj)
 
 
 def test_json_reports_survive_a_json_round_trip(tmp_path, monkeypatch):

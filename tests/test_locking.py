@@ -199,6 +199,12 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="basis states"):
             locking.build_term_ensemble(terms, "malformed")
 
+    def test_one_bit_table_rejected(self):
+        # no hidden bit to unlock: the attack would describe a second qubit
+        terms = {(0,): ((2,), (4,)), (1,): ((1,), (3,))}
+        with pytest.raises(ValidationError, match="at least two key bits"):
+            locking.build_term_ensemble(terms, "one")
+
     @pytest.mark.parametrize("variant", locking.VARIANTS)
     def test_one_shared_read_only_object_per_variant(self, variant):
         le = locking.build_locking_ensemble(variant)

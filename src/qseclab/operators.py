@@ -98,19 +98,6 @@ class DensityOperator:
 Operator = HermitianOperator | DensityOperator
 
 
-def pure_state(amplitudes) -> DensityOperator:
-    """Density operator of the pure state with the given amplitudes.
-
-    The amplitude vector is normalized before the projector is formed.
-    """
-    ket = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    norm = np.linalg.norm(ket)
-    if norm == 0:
-        raise NotPositiveError(0.0, "zero amplitude vector")
-    ket = ket / norm
-    return DensityOperator(np.outer(ket, ket.conj()))
-
-
 def _rank_one(kets: np.ndarray) -> np.ndarray:
     """The projectors |v_y><v_y| of the rows v_y, bit-equal to ``np.outer``."""
     return kets[:, :, None] * kets.conj()[:, None, :]

@@ -18,6 +18,8 @@ import pytest
 from qseclab import bounds, cli, detection, distributions as dist, ensembles as ens
 from qseclab import locking, operators as ops
 
+from pure_state import pure_state
+from qubit_oracle import brute_force_binary_qubit
 from random_joint import random_joint
 
 
@@ -79,7 +81,7 @@ def test_criterion_04_binary_optimum_closed_form():
         rho = bounds.random_mixed_state(2, rng)
         sigma = bounds.random_mixed_state(2, rng)
         closed = detection.helstrom_binary(rho, sigma, 0.5).success_probability
-        brute = detection.brute_force_binary_qubit(rho, sigma, 0.5).success_probability
+        brute = brute_force_binary_qubit(rho, sigma, 0.5).success_probability
         worst = max(worst, abs(closed - brute))
         assert abs(closed - brute) < 1e-6
         assert closed == pytest.approx(
@@ -181,7 +183,7 @@ def test_criterion_09_holevo_consistency():
     assert acc["fail"] == 0
     for n_bits in (1, 2, 3):
         n_keys = 2**n_bits
-        states = tuple(ops.pure_state(np.eye(n_keys)[k]) for k in range(n_keys))
+        states = tuple(pure_state(np.eye(n_keys)[k]) for k in range(n_keys))
         e = ens.CQEnsemble(n_bits, np.full(n_keys, 1 / n_keys), states)
         info = detection.accessible_info_lower_bound(e, restarts=0)
         chi = ens.holevo_information(e)

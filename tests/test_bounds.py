@@ -8,12 +8,13 @@ import pytest
 from qseclab import bounds, detection as det, ensembles as ens, locking, operators as ops
 from qseclab.errors import OutOfScopeError, ValidationError
 
+from pure_state import pure_state
 from random_joint import random_joint
 
 
 def orthogonal_ensemble(n_bits):
     n_keys = 2**n_bits
-    states = tuple(ops.pure_state(np.eye(n_keys)[k]) for k in range(n_keys))
+    states = tuple(pure_state(np.eye(n_keys)[k]) for k in range(n_keys))
     return ens.CQEnsemble(n_bits, np.full(n_keys, 1 / n_keys), states)
 
 

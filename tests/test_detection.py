@@ -20,6 +20,8 @@ from qseclab.errors import (
 )
 
 from born_rule import outcome_distribution
+from pure_state import pure_state
+from qubit_oracle import brute_force_binary_qubit
 
 
 def uniform_ensemble(states):
@@ -30,7 +32,7 @@ def uniform_ensemble(states):
 
 def orthogonal_ensemble(n_bits):
     n_keys = 2**n_bits
-    return uniform_ensemble([ops.pure_state(np.eye(n_keys)[k]) for k in range(n_keys)])
+    return uniform_ensemble([pure_state(np.eye(n_keys)[k]) for k in range(n_keys)])
 
 
 def two_basis_ensemble(n):
@@ -40,7 +42,7 @@ def two_basis_ensemble(n):
     for _ in range(n):
         rotated = np.kron(rotated, hadamard)
     kets = np.concatenate([np.eye(2**n), rotated.T])
-    return uniform_ensemble([ops.pure_state(k) for k in kets])
+    return uniform_ensemble([pure_state(k) for k in kets])
 
 
 class TestPOVMValidation:
@@ -127,7 +129,7 @@ class TestHelstromBinary:
         assert det.helstrom_binary(rho, rho, 0.5).success_probability == pytest.approx(0.5)
 
     def test_orthogonal_states_perfect(self):
-        result = det.helstrom_binary(ops.pure_state([1, 0]), ops.pure_state([0, 1]), 0.5)
+        result = det.helstrom_binary(pure_state([1, 0]), pure_state([0, 1]), 0.5)
         assert result.success_probability == pytest.approx(1.0)
 
     def test_closed_form_equals_half_plus_half_distance(self):
@@ -144,7 +146,7 @@ class TestHelstromBinary:
             a = bounds.random_mixed_state(2, rng)
             b = bounds.random_mixed_state(2, rng)
             closed = det.helstrom_binary(a, b, 0.5).success_probability
-            brute = det.brute_force_binary_qubit(a, b, 0.5).success_probability
+            brute = brute_force_binary_qubit(a, b, 0.5).success_probability
             assert closed == pytest.approx(brute, abs=1e-6)
 
     def test_never_below_best_prior(self):
@@ -206,7 +208,7 @@ class TestSquareRootMeasurement:
 
     def test_kernel_completion_on_rank_deficient_average(self):
         # two pure states in a 4-dim space leave a kernel remainder outcome
-        states = [ops.pure_state(np.eye(4)[0]), ops.pure_state(np.eye(4)[1])]
+        states = [pure_state(np.eye(4)[0]), pure_state(np.eye(4)[1])]
         e = uniform_ensemble(states)
         result = det.square_root_measurement(e)
         assert result.povm.num_outcomes == 3

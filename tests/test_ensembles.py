@@ -15,6 +15,8 @@ from qseclab.errors import (
     ValidationError,
 )
 
+from pure_state import pure_state
+
 
 def random_ensemble(n_bits, dim, rng, uniform=True):
     n_keys = 2**n_bits
@@ -29,7 +31,7 @@ def random_ensemble(n_bits, dim, rng, uniform=True):
 
 def orthogonal_ensemble(n_bits):
     n_keys = 2**n_bits
-    states = tuple(ops.pure_state(np.eye(n_keys)[k]) for k in range(n_keys))
+    states = tuple(pure_state(np.eye(n_keys)[k]) for k in range(n_keys))
     return ens.CQEnsemble(n_bits, np.full(n_keys, 1 / n_keys), states)
 
 
@@ -143,7 +145,7 @@ class TestWeightedConditionalDistance:
 
     def test_point_mass_prior_positive(self):
         # oracle: direct evaluation of each trace norm with numpy
-        states = (ops.pure_state([1, 0]), ops.pure_state([0, 1]))
+        states = (pure_state([1, 0]), pure_state([0, 1]))
         e = ens.CQEnsemble(1, [1.0, 0.0], states)
         avg = states[0].matrix
         expected = 0.0

@@ -13,6 +13,7 @@ from qseclab.errors import (
 )
 
 from born_rule import outcome_distribution
+from pure_state import pure_state
 
 # the fixed conjugate-basis realization used throughout the locking work
 KET = {
@@ -97,11 +98,11 @@ class TestEigHermitian:
 
 class TestTraceDistance:
     def test_state_to_itself_is_zero(self):
-        rho = ops.pure_state([1, 1j])
+        rho = pure_state([1, 1j])
         assert ops.trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states_at_one(self):
-        assert ops.trace_distance(ops.pure_state([1, 0]), ops.pure_state([0, 1])) == pytest.approx(1.0)
+        assert ops.trace_distance(pure_state([1, 0]), pure_state([0, 1])) == pytest.approx(1.0)
 
     def test_locking_states_against_maximally_mixed(self):
         # each two-term mixture sits at exactly 1/2 from I/4
@@ -174,7 +175,7 @@ class TestPartialTrace:
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
-        assert ops.von_neumann_entropy(ops.pure_state([1, 1])) == pytest.approx(0.0, abs=1e-12)
+        assert ops.von_neumann_entropy(pure_state([1, 1])) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_maximally_mixed(self, dim):

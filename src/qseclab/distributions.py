@@ -143,9 +143,11 @@ def _information(j: np.ndarray) -> tuple[float, np.ndarray]:
     positive = j[mask]
     pk, py = j.sum(axis=1), j.sum(axis=0)
     product = np.outer(pk, py)[mask]
-    low = product < sys.float_info.min
-    log2_product = np.log2(product, out=np.zeros_like(product), where=~low)
-    if low.any():
+    if product.min() >= sys.float_info.min:  # one reduction on the ascent's hot path
+        log2_product = np.log2(product)
+    else:
+        low = product < sys.float_info.min
+        log2_product = np.log2(product, out=np.zeros_like(product), where=~low)
         rows, cols = np.nonzero(mask)
         log2_product[low] = np.log2(pk[rows[low]]) + np.log2(py[cols[low]])
     log2_ratio = np.zeros_like(j)

@@ -123,10 +123,11 @@ def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
     Keys are indexed with the first bit most significant; the prior is
     uniform.  A table needs at least two key bits: the first selects a
     basis that later bits are read in.  Every term must hold one basis
-    state (an int 1..4) per key bit.  Term orthogonality is verified numerically per key: where
-    the two product terms are orthogonal the state must come out with
-    eigenvalues (1/2, 1/2) within 1e-10; non-orthogonal term pairs (the
-    as_printed key 00) are permitted and recorded.
+    state (an int 1..4) per key bit.  Term orthogonality is verified
+    numerically per key: where the two product terms are orthogonal the
+    state must come out with eigenvalues (1/2, 1/2) within 1e-10;
+    non-orthogonal term pairs (the as_printed key 00) are permitted and
+    recorded.
     """
     n_bits = len(next(iter(terms)))
     if n_bits < 2:

@@ -150,9 +150,10 @@ def _information(j: np.ndarray) -> tuple[float, np.ndarray]:
         log2_product = np.log2(product, out=np.zeros_like(product), where=~low)
         rows, cols = np.nonzero(mask)
         log2_product[low] = np.log2(pk[rows[low]]) + np.log2(py[cols[low]])
+    on_support = np.log2(positive) - log2_product
     log2_ratio = np.zeros_like(j)
-    log2_ratio[mask] = np.log2(positive) - log2_product
-    return max(0.0, float((positive * log2_ratio[mask]).sum())), log2_ratio
+    log2_ratio[mask] = on_support
+    return max(0.0, float((positive * on_support).sum())), log2_ratio
 
 
 def kl_divergence(p, q) -> float:

@@ -280,17 +280,18 @@ def digests(directory: str) -> dict[str, str]:
     return out
 
 
-def read_manifest(path: str = MANIFEST) -> tuple[list[str], dict[str, str]]:
-    """The environment header and the digests of a manifest file."""
+def read_manifest() -> tuple[list[str], dict[str, str]]:
+    """The environment named in the manifest's header (the lines after its
+    title) and the digests it records."""
     header, recorded = [], {}
-    with open(path, encoding="utf-8") as fh:
+    with open(MANIFEST, encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("# "):
                 header.append(line[2:].rstrip("\n"))
             elif line.strip():
                 digest, name = line.rstrip("\n").split("  ", 1)
                 recorded[name] = digest
-    return header, recorded
+    return header[1:], recorded
 
 
 def portable_fields(directory: str) -> dict[str, dict]:

@@ -30,6 +30,7 @@ COMPLETENESS_TOL = 1e-9
 MAX_OUTCOMES = 256
 ASCENT_STEPS = 200  # cap on attempts per restart; a stalled ascent stops sooner
 ASCENT_MOMENTUM = 0.9  # share of the last kept move carried into the next step
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +289,14 @@ def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarra
     return q[:, :d]
 
 
+def _ascent_slope(kets: np.ndarray, gradient: np.ndarray) -> float:
+    """Bits gained per unit step along ``gradient`` from the frame ``kets``,
+    to first order: (2 / ln 2) ||G - V herm(V^dag G)||_F^2, the squared
+    norm of the gradient's part tangent to the isometries at V."""
+    tangent = gradient - kets @ _hermitian_part(kets.conj().T @ gradient)
+    return 2.0 / np.log(2.0) * float(np.vdot(tangent, tangent).real)
+
+
 def _frame_ascent(
     prior: np.ndarray, states: np.ndarray, kets: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -306,11 +315,13 @@ def _frame_ascent(
     unvalidated information call; the final joint is validated.
 
     The gradient is computed once per kept frame.  The ascent stops early
-    once it has stalled: a rejected attempt without momentum whose step
+    once it has stalled: at a rejected attempt without momentum whose
+    first-order gain ``step * _ascent_slope(kets, gradient)`` is at most
+    one rounding unit of the value, eps * max(1, I), or whose step
     ``kets + step * gradient`` rounds to ``kets`` itself.  Every later
-    step is half as long, so by monotone rounding it gives the same
-    trial, the same value and the same rejection; the result is the one
-    the full budget returns, bit for bit.
+    step is half as long, so to first order they could not gain more than
+    that unit together: the result is a frame the full budget keeps on its
+    way, below the full budget's result by round-off only.
     """
     weight = np.log(2.0) * prior[:, None]
 
@@ -330,7 +341,10 @@ def _frame_ascent(
         trial = u @ vh
         value, trial_ratio, trial_joint, trial_rho_v = evaluate(trial)
         if not value >= current:
-            if np.ndim(move) == 0 and np.array_equal(target, kets):
+            if np.ndim(move) == 0 and (
+                step * _ascent_slope(kets, gradient) <= _EPS * max(1.0, current)
+                or np.array_equal(target, kets)
+            ):
                 break
             step /= 2.0
             move = 0.0

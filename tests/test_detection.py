@@ -494,35 +494,64 @@ def _ascent_instances():
         yield e, det._haar_isometry(d * d, d, rng).conj()
 
 
-def full_budget_frame_ascent(prior, states, kets):
-    """The production ascent without its stall exit: all ``ASCENT_STEPS``
-    attempts, with the gradient recomputed on every attempt."""
+def stall_exit_frame_ascent(prior, states, kets):
+    """The production ascent with its former stop: only once a rejected
+    attempt without momentum has ``kets + step * gradient`` round to
+    ``kets`` itself.  Returns every kept (value, frame), the start first,
+    and the number of attempts (one factorisation each)."""
     weight = np.log(2.0) * prior[:, None]
 
     def evaluate(v):
         rho_v = states @ v.T
         table = np.clip(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0, None)
         joint = prior[:, None] * table
-        return (*dist._information(joint), joint, rho_v)
+        return (*dist._information(joint), rho_v)
 
-    current, log2_ratio, joint, rho_v = evaluate(kets)
+    current, log2_ratio, rho_v = evaluate(kets)
+    kept = [(current, kets)]
     step = 1.0
     move = 0.0
-    for _ in range(det.ASCENT_STEPS):
+    for attempts in range(1, det.ASCENT_STEPS + 1):
         gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
-        trial = kets + step * gradient + det.ASCENT_MOMENTUM * move
-        u, _, vh = np.linalg.svd(trial, full_matrices=False)
+        target = kets + step * gradient + det.ASCENT_MOMENTUM * move
+        u, _, vh = np.linalg.svd(target, full_matrices=False)
         trial = u @ vh
-        value, trial_ratio, trial_joint, trial_rho_v = evaluate(trial)
+        value, trial_ratio, trial_rho_v = evaluate(trial)
         if not value >= current:
+            if np.ndim(move) == 0 and np.array_equal(target, kets):
+                break
             step /= 2.0
             move = 0.0
             continue
         move, kets = trial - kets, trial
-        current, log2_ratio, joint, rho_v = value, trial_ratio, trial_joint, trial_rho_v
+        current, log2_ratio, rho_v = value, trial_ratio, trial_rho_v
+        kept.append((current, kets))
         step *= 1.25
-    dist.validate_distribution(joint)
-    return current, kets
+    return kept, attempts
+
+
+def counted_frame_ascent(monkeypatch, prior, states, kets):
+    """``det._frame_ascent`` with the number of its SVD calls, one per attempt."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        bits, found = det._frame_ascent(prior, states, kets)
+    return bits, found, len(calls)
+
+
+def information_gradient(prior, states, kets):
+    """R_y v_y with R_y = sum_k p_k ln(t_ky / q_y) rho_k, as rows."""
+    rho_v = np.einsum("kab,yb->kya", states, kets)
+    table = np.einsum("ya,kya->ky", kets.conj(), rho_v).real
+    joint = prior[:, None] * table
+    ratio = joint / np.outer(prior, joint.sum(axis=0))
+    return np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
 
 
 @pytest.fixture(scope="module")
@@ -540,32 +569,45 @@ class TestFrameAscent:
         for _, (expected, _), (bits, _) in ascents:
             assert abs(bits - expected) <= 1e-12
 
-    def test_stall_exit_returns_the_full_budget_result_exactly(self):
+    def test_stops_at_a_kept_state_of_the_stall_exit_loop(self, monkeypatch):
+        # the slope rule only ends the loop sooner: every attempt before it
+        # is the former loop's, so the result is one of that loop's kept
+        # states, and the value it leaves behind is round-off
         for e, kets in _ascent_instances():
-            expected_bits, expected_kets = full_budget_frame_ascent(e.prior, e.stack, kets)
-            bits, found = det._frame_ascent(e.prior, e.stack, kets)
-            assert bits == expected_bits
-            assert np.array_equal(found, expected_kets)
+            kept, attempts = stall_exit_frame_ascent(e.prior, e.stack, kets)
+            bits, found, calls = counted_frame_ascent(monkeypatch, e.prior, e.stack, kets)
+            assert any(bits == value and np.array_equal(found, frame) for value, frame in kept)
+            assert calls <= attempts
+            assert kept[-1][0] - bits <= 1e-14
 
-    def test_stalled_ascent_stops_before_the_cap(self, monkeypatch):
+    def test_stalled_ascent_stops_before_its_step_rounds_away(self, monkeypatch):
         # from this start the ascent reaches I_acc = 1/2 and stalls there;
-        # from others it is still climbing when the cap ends it
+        # the former loop ran on until its step rounded to the frame itself
         e = two_basis_ensemble(1)
         kets = det._haar_isometry(4, 2, np.random.default_rng(7)).conj()
-        expected = full_budget_frame_ascent(e.prior, e.stack, kets)
-        calls = []
-        svd = np.linalg.svd
+        kept, attempts = stall_exit_frame_ascent(e.prior, e.stack, kets)
+        bits, _, calls = counted_frame_ascent(monkeypatch, e.prior, e.stack, kets)
+        assert attempts < det.ASCENT_STEPS
+        assert 0 < calls < attempts
+        assert bits == pytest.approx(0.5, abs=1e-6)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return svd(*args, **kwargs)
+    @pytest.mark.parametrize("kind,n_bits,dim,seed", [
+        ("random_mixed", 1, 2, 0), ("random_pure", 2, 3, 1), ("random_mixed", 2, 4, 5),
+    ])
+    def test_slope_is_the_first_order_gain_along_the_polar_path(self, kind, n_bits, dim, seed):
+        e = bounds.build_instance(bounds.EnsembleRecipe(kind, n_bits, dim, seed))
+        kets = det._haar_isometry(dim * dim, dim, np.random.default_rng(seed)).conj()
+        gradient = information_gradient(e.prior, e.stack, kets)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        bits, found = det._frame_ascent(e.prior, e.stack, kets)
-        # one factorisation per attempt
-        assert 0 < len(calls) < det.ASCENT_STEPS
-        assert bits == expected[0]
-        assert np.array_equal(found, expected[1])
+        def information(s):
+            u, _, vh = np.linalg.svd(kets + s * gradient, full_matrices=False)
+            frame = u @ vh
+            table = np.einsum("ya,kab,yb->ky", frame.conj(), e.stack, frame).real
+            return dist.mutual_information(e.prior[:, None] * table)
+
+        h = 1e-5
+        difference = (information(h) - information(-h)) / (2.0 * h)
+        assert det._ascent_slope(kets, gradient) == pytest.approx(difference, rel=1e-5)
 
     def test_returned_frame_is_a_povm(self, ascents):
         for e, _, (_, kets) in ascents:

@@ -28,7 +28,7 @@ deterministic functions of their recipes and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -354,7 +354,9 @@ def run_campaign(
     Deterministic given (recipes, checks, seed): instance randomness comes
     from each recipe's own seed, search randomness from the campaign seed
     and the instance id.  Aggregation is a commutative merge of counts and
-    minima, so report order is by instance id.
+    minima, so report order is by instance id.  A NaN or infinite margin
+    decides nothing: it is a fail for a proven check and inconclusive for
+    any other, noted ``non-finite margin``.
     """
     checks = tuple(checks)
     unknown = set(checks) - set(ALL_CHECKS)
@@ -394,6 +396,10 @@ def run_campaign(
                 results["exponent_relation"] = CheckResult(
                     "exponent_relation", "not_applicable", None, note=str(exc)
                 )
+        for name, result in results.items():
+            if result.margin is not None and not math.isfinite(result.margin):
+                verdict = "fail" if name in PROVEN_CHECKS else "inconclusive"
+                results[name] = replace(result, verdict=verdict, note="non-finite margin")
         reports.append(
             BoundsReport(
                 instance_id=instance_id,

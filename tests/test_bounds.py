@@ -210,6 +210,20 @@ class TestRecipesAndCampaigns:
         assert result.summary["quantum_pinsker"]["fail"] == 0
         assert result.summary["chi_two_sided"]["fail"] == 0
 
+    @pytest.mark.parametrize("bits", [float("inf"), float("nan")])
+    def test_non_finite_margin_decides_nothing(self, monkeypatch, bits):
+        # a proven check fails on it; the a-fortiori check stays inconclusive
+        monkeypatch.setattr(det, "accessible_info_lower_bound",
+                            lambda e, restarts, seed: det.AccessibleInfo(bits, None))
+        recipes = bounds.default_recipes(2, seed=3)
+        result = bounds.run_campaign(recipes, checks=("accessible_info", "holevo_consistency"))
+        for report in result.reports:
+            main, companion = (report.checks[name]
+                               for name in ("accessible_info", "holevo_consistency"))
+            assert (main.verdict, main.note) == ("inconclusive", "non-finite margin")
+            assert (companion.verdict, companion.note) == ("fail", "non-finite margin")
+        assert result.hard_failures == 2
+
     def test_worst_margins_monotone_under_prefix_growth(self):
         small = bounds.run_campaign(bounds.default_recipes(40, seed=9), seed=9)
         large = bounds.run_campaign(bounds.default_recipes(120, seed=9), seed=9)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import csv
 import io
 import json
 
@@ -354,6 +355,32 @@ class TestBoundsSweep:
         code, out, err = run_cli(capsys, ["bounds-sweep", "--count", "2"])
         assert (code, out) == (1, "")
         assert err.startswith("qseclab: error: report not written: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    def test_non_finite_margin_of_a_proven_check_is_a_fail(self, capsys, monkeypatch, fmt):
+        # an infinite information gives the pinsker check an infinite margin,
+        # which proves nothing: a fail in every format.  JSON cannot hold the
+        # infinity, so that report ends in a clean error instead.
+        monkeypatch.setattr(distributions, "mutual_information", lambda joint: float("inf"))
+        code, out, err = run_cli(
+            capsys, ["bounds-sweep", "--count", "2", "--checks", "pinsker", "--format", fmt]
+        )
+        assert code == 1
+        if fmt == "json":
+            assert out == ""
+            assert err.startswith("qseclab: error: report not written: ")
+            return
+        assert err == ""
+        if fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(out)))
+        else:
+            rows = [dict(cell.split("=", 1) for cell in line.split("  "))
+                    for line in out.splitlines() if "pinsker_verdict=" in line]
+            assert out.endswith("hard_failures: 2\n")
+        assert len(rows) == 2
+        for row in rows:
+            assert (row["pinsker_verdict"], row["pinsker_note"]) == ("fail", "non-finite margin")
+            assert row["pinsker_margin"] == "inf"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.jsonl"

@@ -28,7 +28,7 @@ deterministic functions of their recipes and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class EnsembleRecipe:
             raise ValidationError(f"dimension {self.dim} outside [1, {MAX_DIM}]")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_bits": self.n_bits, "dim": self.dim, "seed": self.seed}
+        return asdict(self)
 
 
 def build_instance(recipe: EnsembleRecipe) -> ens.CQEnsemble:
@@ -174,10 +174,7 @@ def check_pinsker(joint) -> CheckResult:
     """
     j = np.asarray(joint, dtype=np.float64)
     info = dist.mutual_information(j)
-    pk = j.sum(axis=1)
-    py = j.sum(axis=0)
-    product = np.outer(pk, py)
-    delta = 0.5 * float(np.abs(j - product).sum())
+    delta = dist._variational(j, np.outer(j.sum(axis=1), j.sum(axis=0)))
     margin = info - 2.0 * delta * delta
     tight_margin = info - (2.0 / math.log(2.0)) * delta * delta
     return CheckResult(

@@ -241,6 +241,7 @@ def cmd_extremal(args, argv) -> int:
         if args.l is None:
             raise Error("--l is required for the variational_distance kind")
         construction = distributions.spike_for_variational_distance(args.n, args.l)
+    spike = construction.resulting_distribution
     payload = _envelope("extremal", argv, args.seed)
     payload.update(
         {
@@ -256,12 +257,8 @@ def cmd_extremal(args, argv) -> int:
             "residual": construction.residual,
             "discrepancy": construction.discrepancy,
             "note": construction.note,
-            "materialized": construction.resulting_distribution is not None,
-            "resulting_distribution": (
-                None
-                if construction.resulting_distribution is None
-                else construction.resulting_distribution.tolist()
-            ),
+            "materialized": spike is not None,
+            "resulting_distribution": None if spike is None else spike.tolist(),
         }
     )
     _emit_report(payload, args)

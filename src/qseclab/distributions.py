@@ -69,7 +69,11 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 
 def variational_distance(p, q) -> float:
     """Half the L1 distance between two probability vectors; in [0, 1]."""
-    p, q = _pair(p, q)
+    return _variational(*_pair(p, q))
+
+
+def _variational(p: np.ndarray, q: np.ndarray) -> float:
+    """Half the L1 distance of two same-shape weight arrays (unvalidated); in [0, 1]."""
     return min(max(0.5 * float(np.abs(p - q).sum()), 0.0), 1.0)
 
 
@@ -179,17 +183,17 @@ class SpikeConstruction:
     ``resulting_p1`` is the spike mass found by the module;
     ``reference_p1`` is the closed-form companion value (a first-order
     approximation for the entropy-deficit kind, a differing published-style
-    formula for the distance kind, flagged via ``discrepancy``).  The tail
-    is materialized only for N <= 2^16.  ``residual`` is the constraint
-    value at ``resulting_p1`` minus the target 2^-exponent; a construction
-    whose residual exceeds min(1e-9, 1e-6 * 2^-exponent) is infeasible.
+    formula for the distance kind, flagged via ``discrepancy``).
+    ``resulting_distribution`` is derived from ``resulting_p1`` on each
+    read, for N <= 2^16 only.  ``residual`` is the constraint value at
+    ``resulting_p1`` minus the target 2^-exponent; a construction whose
+    residual exceeds min(1e-9, 1e-6 * 2^-exponent) is infeasible.
     """
 
     n: int
     constraint_kind: str
     constraint_exponent: float
     resulting_p1: float
-    resulting_distribution: np.ndarray | None
     reference_p1: float
     reference_exponent: float
     residual: float
@@ -197,19 +201,17 @@ class SpikeConstruction:
     note: str
 
     def __post_init__(self):
-        if self.resulting_distribution is not None:
-            dist = validate_distribution(self.resulting_distribution)
-            object.__setattr__(self, "resulting_distribution", dist)
-            tail = np.delete(dist, int(np.argmax(dist)))
-            if tail.size and (np.abs(tail - tail[0]).max() > 1e-12
-                              or dist.max() < tail[0] - 1e-12):
-                raise ValueError("distribution is not spike-plus-uniform-tail shaped")
         bound = min(1e-9, 1e-6 * 2.0**-self.constraint_exponent)
         if not abs(self.residual) <= bound:
             raise InfeasibleError(
                 f"{self.constraint_kind} 2^-{self.constraint_exponent} cannot be met within "
                 f"{bound:.1e} in double precision at n = {self.n} (residual {self.residual:.1e})"
             )
+
+    @property
+    def resulting_distribution(self) -> np.ndarray | None:
+        """The spike followed by its uniform tail; None for N > 2^16."""
+        return _materialize_spike(self.resulting_p1, self.n)
 
 
 def _materialize_spike(p1: float, n_bits: int) -> np.ndarray | None:
@@ -218,9 +220,11 @@ def _materialize_spike(p1: float, n_bits: int) -> np.ndarray | None:
         return None
     out = np.full(size, (1.0 - p1) / (size - 1))
     out[0] = p1
-    # absorb rounding into the last tail entry so the mass is exactly one
+    # absorb rounding into the last tail entry so the mass is exactly one;
+    # with p1 near 1 that can push the entry below zero, which the
+    # validation clips (renormalizing the rest)
     out[-1] += 1.0 - out.sum()
-    return out
+    return validate_distribution(out)
 
 
 # g(t) = t^2 * sum_j (-t)^j / ((j + 1)(j + 2)) for |t| < 0.1, coefficients
@@ -312,7 +316,6 @@ def spike_for_mutual_information(n_bits: int, l_prime: float) -> SpikeConstructi
         constraint_kind="mutual_information",
         constraint_exponent=float(l_prime),
         resulting_p1=float(p1),
-        resulting_distribution=_materialize_spike(p1, n_bits),
         reference_p1=float(reference_p1),
         reference_exponent=float(reference_exponent),
         residual=float(residual),
@@ -357,7 +360,6 @@ def spike_for_variational_distance(n_bits: int, l: float) -> SpikeConstruction:
         constraint_kind="variational_distance",
         constraint_exponent=float(l),
         resulting_p1=float(p1),
-        resulting_distribution=_materialize_spike(p1, n_bits),
         reference_p1=float(reference_p1),
         reference_exponent=float(l),
         residual=float((p1 - 1.0 / size) - epsilon),

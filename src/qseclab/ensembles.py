@@ -16,9 +16,9 @@ is the most significant bit, so for n = 2 the keys order as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import wraps
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 JOINT_DIM_CAP = 64
 MAX_KEY_BITS = dist.MAX_DENSE_SIZE.bit_length() - 1  # 2^n keys stay a dense vector
-FORM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,16 +199,12 @@ def holevo_information(e: CQEnsemble) -> float:
     return max(0.0, value)
 
 
-@dataclass(frozen=True)
-class MeasuredCriteria:
+class MeasuredCriteria(NamedTuple):
     """Classical quantities induced by measuring an ensemble with a POVM."""
 
     delta_e: float
     i_e_deficit: float
-    joint: np.ndarray            # key-major: entry (k, y) is p(k) p(y | k)
     cpd_table: np.ndarray        # outcome-major: row y holds p(k | y)
-    outcome_probs: np.ndarray
-    per_outcome_deficit: np.ndarray
 
 
 def measurement_table(e: CQEnsemble, povm: "POVM") -> np.ndarray:
@@ -227,31 +222,18 @@ def measured_criteria(e: CQEnsemble, povm: "POVM") -> MeasuredCriteria:
     The classical distance is ``v(p(y|k) p0(k), p(y) p0(k))`` with no
     extra prefactor, so it contracts exactly from the operator criterion;
     a circulating variant carries an additional 1/2, which reports note
-    rather than adopt.  The information deficit is the outcome-averaged
-    gap between full key entropy and posterior entropy.
+    rather than adopt.  Row y of the posterior table is p(k | y); an
+    unreachable outcome (p(y) = 0) keeps the prior as its row.  The
+    information deficit is the outcome-averaged gap between full key
+    entropy and posterior entropy, ``sum_y p(y) (n - H(K | y))``.
     """
-    table = measurement_table(e, povm)
-    joint = e.prior[:, None] * table
-    outcome_probs = joint.sum(axis=0)
-    product = e.prior[:, None] * outcome_probs[None, :]
-    delta = 0.5 * float(np.abs(joint - product).sum())
-    cpds = np.empty((povm.num_outcomes, e.num_keys))
-    deficits = np.empty(povm.num_outcomes)
-    for y in range(povm.num_outcomes):
-        if outcome_probs[y] > 0.0:
-            cpds[y] = joint[:, y] / outcome_probs[y]
-        else:
-            cpds[y] = e.prior  # unreachable outcome: posterior stays at the prior
-        deficits[y] = e.n_bits - dist.shannon_entropy(cpds[y])
-    deficit = float(outcome_probs @ deficits)
-    return MeasuredCriteria(
-        delta_e=min(max(delta, 0.0), 1.0),
-        i_e_deficit=max(0.0, deficit),
-        joint=joint,
-        cpd_table=cpds,
-        outcome_probs=outcome_probs,
-        per_outcome_deficit=deficits,
-    )
+    joint = e.prior[:, None] * measurement_table(e, povm)
+    py = joint.sum(axis=0)
+    delta = dist._variational(joint, np.outer(e.prior, py))
+    cpds = np.divide(joint.T, py[:, None], out=np.tile(e.prior, (py.size, 1)),
+                     where=py[:, None] > 0.0)
+    deficit = float(py @ (e.n_bits - np.array([dist.shannon_entropy(row) for row in cpds])))
+    return MeasuredCriteria(delta_e=delta, i_e_deficit=max(0.0, deficit), cpd_table=cpds)
 
 
 def semantic_security_gap(cpd, subset_positions) -> tuple[float, float]:
@@ -311,15 +293,7 @@ class CriteriaRecord:
             raise ValidationError(f"chi = {self.chi!r} negative")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "d_joint": self.d_joint,
-            "d_prime": self.d_prime,
-            "chi": self.chi,
-            "delta_e": self.delta_e,
-            "i_e_deficit": self.i_e_deficit,
-            "p1_bound_notes": self.p1_bound_notes,
-        }
+        return asdict(self)
 
 
 def criteria_record(e: CQEnsemble) -> CriteriaRecord:

@@ -388,6 +388,20 @@ class TestSpikeForVariationalDistance:
             dist.spike_for_variational_distance(1, l=0.5)  # 2^-0.5 > 1 - 1/2
 
 
+class TestMaterializedSpike:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_unit_mass_uniform_tail_and_spike_on_top(self, n):
+        # at 1 - 2874 * 2^-53 the rounding absorbed into the last tail entry
+        # exceeds the entry itself for n = 9, 10 and 12
+        for p1 in (2.0**-n, 2.0**-n + 2.0**-30, 0.75, 1.0 - 2874 * 2.0**-53, 1.0):
+            spike = dist._materialize_spike(p1, n)
+            tail = spike[1:]
+            assert spike.min() >= 0.0
+            assert abs(spike.sum() - 1.0) <= 1e-12
+            assert np.abs(tail - tail[0]).max() <= 1e-12
+            assert spike.max() == spike[0] == pytest.approx(p1, abs=1e-15)
+
+
 class TestMarkovBound:
     def test_threshold_arithmetic(self):
         threshold, bound = dist.markov_individual_bound(2.0**-20, 2.0**10)

@@ -1,5 +1,6 @@
 """Tests for classical-quantum ensembles and the secrecy criteria."""
 
+import decimal
 import tracemalloc
 
 import numpy as np
@@ -194,7 +195,66 @@ class TestHolevoInformation:
             assert -1e-12 <= chi <= 2.0 + 1e-9
 
 
+def plane_ensemble():
+    """Two pure states spanning a plane of C^3 under a skewed prior: the
+    square-root measurement's kernel outcome (the third) never fires."""
+    second = pure_state([np.cos(0.6), np.sin(0.6), 0.0])
+    return ens.CQEnsemble(1, [0.8, 0.2], (pure_state([1.0, 0.0, 0.0]), second))
+
+
+def decimal_measured_oracle(n_bits, prior, table):
+    """``(v(joint, prior x p_Y), sum_y p(y) (n - H(K | y)))`` of the joint
+    ``prior(k) table(k, y)``, summed in 50-digit decimals."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        weights = [D(float(w)) for w in prior]
+        joint = [[w * D(float(t)) for t in row] for w, row in zip(weights, table)]
+        py = [sum(column) for column in zip(*joint)]
+        delta = sum(abs(j - w * q) for w, row in zip(weights, joint) for j, q in zip(row, py)) / 2
+        ln2 = D(2).ln()
+        deficit = D(0)
+        for y, q in enumerate(py):
+            if q == 0:
+                continue  # an unreachable outcome carries no weight
+            posterior = [row[y] / q for row in joint]
+            entropy = -sum(c * c.ln() for c in posterior if c > 0) / ln2
+            deficit += q * (n_bits - entropy)
+        return float(delta), float(deficit)
+
+
 class TestMeasuredCriteria:
+    def test_unreachable_outcome_keeps_the_prior(self):
+        e = plane_ensemble()
+        povm = detection.square_root_measurement(e).povm
+        assert povm.num_outcomes == 3
+        assert (ens.measurement_table(e, povm)[:, 2] == 0.0).all()
+        measured = ens.measured_criteria(e, povm)
+        assert measured.cpd_table[2].tolist() == e.prior.tolist()
+
+    def test_delta_and_deficit_against_decimal(self):
+        e = plane_ensemble()
+        povm = detection.square_root_measurement(e).povm
+        table = ens.measurement_table(e, povm)
+        delta, deficit = decimal_measured_oracle(e.n_bits, e.prior, table)
+        measured = ens.measured_criteria(e, povm)
+        assert abs(measured.delta_e - delta) <= 1e-14
+        assert abs(measured.i_e_deficit - deficit) <= 1e-14
+        assert 0.05 < delta < 0.2 and 0.1 < deficit < 0.6  # neither side is trivial
+
+    def test_delta_equals_the_pinsker_checks(self):
+        e = plane_ensemble()
+        povm = detection.square_root_measurement(e).povm
+        pinsker = bounds.check_pinsker(e.prior[:, None] * ens.measurement_table(e, povm))
+        assert abs(ens.measured_criteria(e, povm).delta_e - pinsker.extras["delta"]) <= 1e-15
+
+    def test_prior_at_the_edge_of_its_tolerance(self):
+        # the prior is accepted 9e-11 short of one; its product with p_Y is
+        # then 1.8e-10 short, which a validated distance would refuse
+        e = ens.CQEnsemble(1, [0.5, 0.5 - 9e-11], (ops.maximally_mixed(2),) * 2)
+        measured = ens.measured_criteria(e, detection.eigenbasis_povm(ens.average_state(e)))
+        assert measured.delta_e <= 1e-10  # the product misses the joint by the prior's shortfall
+
     def test_trivial_povm(self):
         e = constant_ensemble(2)
         povm = detection.POVM((np.eye(4),))

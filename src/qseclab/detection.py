@@ -31,6 +31,7 @@ MAX_OUTCOMES = 256
 ASCENT_STEPS = 200  # cap on attempts per restart; a stalled ascent stops sooner
 ASCENT_MOMENTUM = 0.9  # share of the last kept move carried into the next step
 _EPS = float(np.finfo(np.float64).eps)
+_TWO_OVER_LN2 = 2.0 / np.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +157,8 @@ def _psd_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which is 0 off the support (eigenvalues up to 1e-12 of the largest)."""
     vals, vecs = np.linalg.eigh(matrix)
     cutoff = max(float(vals.max()), 0.0) * 1e-12
+    if vals[0] > cutoff:  # eigh sorts ascending: full rank
+        return vecs, 1.0 / np.sqrt(vals)
     support = vals > cutoff
     inv_sqrt = np.zeros_like(vals)
     inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
@@ -215,7 +218,7 @@ def minimum_error_iterate(
 
     floor = srm
     best_value = srm.success_probability
-    best_elements = elements.copy()
+    best_elements = elements
     # measuring nothing and guessing the likeliest key is a valid baseline
     guess = int(np.argmax(e.prior))
     trivial = np.zeros_like(elements)
@@ -233,9 +236,9 @@ def minimum_error_iterate(
         a_pinv = _psd_pinv_sqrt(g.sum(axis=0))
         elements = _hermitian_part(a_pinv @ g @ a_pinv)
         value = _success(weighted, elements)
-        if value > best_value:
+        if value > best_value:  # each iterate is a fresh array, never written
             best_value = value
-            best_elements = elements.copy()
+            best_elements = elements
         if abs(value - previous) < tol * max(1.0, abs(previous)):
             converged = True
             break
@@ -294,7 +297,7 @@ def _ascent_slope(kets: np.ndarray, gradient: np.ndarray) -> float:
     to first order: (2 / ln 2) ||G - V herm(V^dag G)||_F^2, the squared
     norm of the gradient's part tangent to the isometries at V."""
     tangent = gradient - kets @ _hermitian_part(kets.conj().T @ gradient)
-    return 2.0 / np.log(2.0) * float(np.vdot(tangent, tangent).real)
+    return _TWO_OVER_LN2 * float(np.vdot(tangent, tangent).real)
 
 
 def _frame_ascent(
@@ -323,12 +326,13 @@ def _frame_ascent(
     that unit together: the result is a frame the full budget keeps on its
     way, below the full budget's result by round-off only.
     """
-    weight = np.log(2.0) * prior[:, None]
+    column = prior[:, None]
+    weight = np.log(2.0) * column
 
     def evaluate(v):
         rho_v = states @ v.T  # rho_v[k, :, y] = rho_k v_y
-        table = np.clip(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0, None)
-        joint = prior[:, None] * table
+        table = np.maximum(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0)
+        joint = column * table
         return (*dist._information(joint), joint, rho_v)
 
     current, log2_ratio, joint, rho_v = evaluate(kets)

@@ -140,14 +140,23 @@ def mutual_information(joint) -> float:
 def _information(j: np.ndarray) -> tuple[float, np.ndarray]:
     """Bits of a nonnegative 2-D joint (unvalidated) and log2(j / pk py), zero off its support.
 
-    Where ``pk * py`` is not a normal float it has lost bits or underflowed
-    to 0, so its log is taken as ``log2(pk) + log2(py)`` there.
+    A C-ordered joint with no zero entry whose marginal products ``pk * py``
+    are all normal floats (the ascent's tables) is the dense case: its logs
+    and the weighted sum run over the whole array, with the same operands
+    in the same order as over a full support.  Otherwise the logs run over
+    the support only, and where ``pk * py`` is not a normal float it has
+    lost bits or underflowed to 0, so its log is taken as
+    ``log2(pk) + log2(py)`` there.
     """
+    pk, py = j.sum(axis=1), j.sum(axis=0)
+    product = pk[:, None] * py
+    if j.flags.c_contiguous and j.min() > 0.0 and product.min() >= sys.float_info.min:
+        log2_ratio = np.log2(j) - np.log2(product)
+        return max(0.0, float((j * log2_ratio).sum())), log2_ratio
     mask = j > 0.0
     positive = j[mask]
-    pk, py = j.sum(axis=1), j.sum(axis=0)
-    product = np.outer(pk, py)[mask]
-    if product.min() >= sys.float_info.min:  # one reduction on the ascent's hot path
+    product = product[mask]
+    if product.min() >= sys.float_info.min:
         log2_product = np.log2(product)
     else:
         low = product < sys.float_info.min

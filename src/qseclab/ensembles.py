@@ -212,7 +212,7 @@ def measurement_table(e: CQEnsemble, povm: "POVM") -> np.ndarray:
     if povm.dim != e.state_dim:
         raise DimensionMismatchError(f"POVM dim {povm.dim} != state dim {e.state_dim}")
     table = np.einsum("yij,kji->ky", povm.stack, e.stack).real
-    table = np.clip(table, 0.0, None)
+    table = np.maximum(table, 0.0)
     return table / table.sum(axis=1, keepdims=True)
 
 
@@ -229,7 +229,7 @@ def measured_criteria(e: CQEnsemble, povm: "POVM") -> MeasuredCriteria:
     """
     joint = e.prior[:, None] * measurement_table(e, povm)
     py = joint.sum(axis=0)
-    delta = dist._variational(joint, np.outer(e.prior, py))
+    delta = dist._variational(joint, e.prior[:, None] * py)
     cpds = np.divide(joint.T, py[:, None], out=np.tile(e.prior, (py.size, 1)),
                      where=py[:, None] > 0.0)
     deficit = float(py @ (e.n_bits - np.array([dist.shannon_entropy(row) for row in cpds])))

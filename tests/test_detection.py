@@ -24,6 +24,71 @@ from pure_state import pure_state
 from qubit_oracle import brute_force_binary_qubit
 
 
+def spectral_pinv_sqrt(matrix):
+    """Inverse square root on the support through the masked spectrum, the
+    form that also built the kernel projector on every call."""
+    vals, vecs = np.linalg.eigh(matrix)
+    support = vals > max(float(vals.max()), 0.0) * 1e-12
+    inv_sqrt = np.zeros_like(vals)
+    inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
+    return (vecs * inv_sqrt) @ vecs.conj().T
+
+
+def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
+    """``det.minimum_error_iterate`` as it was when it copied the elements
+    on every improvement and took every inverse square root through the
+    masked spectrum."""
+    srm = det.square_root_measurement(e)
+    d = e.state_dim
+    weighted = e.prior[:, None, None] * e.stack
+    elements = srm.povm.stack[: e.num_keys]
+    floor = srm
+    best_value = srm.success_probability
+    best_elements = elements.copy()
+    guess = int(np.argmax(e.prior))
+    trivial = np.zeros_like(elements)
+    trivial[guess] = np.eye(d)
+    if float(e.prior[guess]) > best_value:
+        best_value = float(e.prior[guess])
+        best_elements = trivial
+        floor = det.DiscriminationResult(best_value, det.POVM(trivial), "trivial_guess", True, 0)
+    converged = False
+    iterations = 0
+    previous = det._success(weighted, elements)
+    for iterations in range(1, max_iters + 1):
+        g = det._hermitian_part(weighted @ elements @ weighted)
+        a_pinv = spectral_pinv_sqrt(g.sum(axis=0))
+        elements = det._hermitian_part(a_pinv @ g @ a_pinv)
+        value = det._success(weighted, elements)
+        if value > best_value:
+            best_value = value
+            best_elements = elements.copy()
+        if abs(value - previous) < tol * max(1.0, abs(previous)):
+            converged = True
+            break
+        previous = value
+    final = best_elements.copy()
+    final[guess] += det._hermitian_part(np.eye(d) - best_elements.sum(axis=0))
+    final = det._hermitian_part(final)
+    vals, vecs = np.linalg.eigh(final)
+    if vals[:, 0].min() < -det.ELEMENT_PSD_TOL:
+        clipped = vecs * np.clip(vals, 0.0, None)[:, None, :]
+        final = clipped @ np.conj(np.transpose(vecs, (0, 2, 1)))
+        s = spectral_pinv_sqrt(final.sum(axis=0))
+        final = det._hermitian_part(s @ final @ s)
+        if det._success(weighted, final) < floor.success_probability:
+            gap = det._duality_gap(weighted, floor.povm.stack[: e.num_keys])
+            return det.replace(floor, converged=converged, iterations=iterations, gap=gap)
+    return det.DiscriminationResult(
+        success_probability=min(det._success(weighted, final), 1.0),
+        povm=det.POVM(final),
+        method="iterative",
+        converged=converged,
+        iterations=iterations,
+        gap=det._duality_gap(weighted, final),
+    )
+
+
 def uniform_ensemble(states):
     n_keys = len(states)
     n_bits = n_keys.bit_length() - 1
@@ -193,18 +258,13 @@ class TestSquareRootMeasurement:
         assert srm.success_probability >= 0.25 - 1e-12
         assert srm.success_probability <= refined.success_probability + 1e-9
 
-    @pytest.mark.parametrize("rank", [1, 3, 6])
-    def test_inverse_square_root_is_bit_equal_to_the_spectral_form(self, rank):
-        # the form that also built the kernel projector on every call
+    @pytest.mark.parametrize("dim, rank", [(6, 1), (6, 3), (6, 6), (1, 1), (64, 64)],
+                             ids=["1", "3", "6", "full-d1", "full-d64"])
+    def test_inverse_square_root_is_bit_equal_to_the_spectral_form(self, dim, rank):
         rng = np.random.default_rng(rank)
-        z = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+        z = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         matrix = z @ z.conj().T
-        vals, vecs = np.linalg.eigh(matrix)
-        support = vals > max(float(vals.max()), 0.0) * 1e-12
-        inv_sqrt = np.zeros_like(vals)
-        inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
-        expected = (vecs * inv_sqrt) @ vecs.conj().T
-        assert np.array_equal(det._psd_pinv_sqrt(matrix), expected)
+        assert np.array_equal(det._psd_pinv_sqrt(matrix), spectral_pinv_sqrt(matrix))
 
     def test_kernel_completion_on_rank_deficient_average(self):
         # two pure states in a 4-dim space leave a kernel remainder outcome
@@ -302,6 +362,24 @@ class TestMinimumErrorIterate:
             assert short.gap >= 0.0 and longer.gap >= 0.0
             # no measurement beats the short run's certified ceiling
             assert longer.success_probability <= short.success_probability + short.gap + 1e-12
+
+    @pytest.mark.parametrize("max_iters", [60, 500])
+    def test_bit_equal_to_the_copying_loop(self, max_iters):
+        # the campaign recipes, the instances whose completion needs the
+        # repair, and one whose best start is the trivial guess
+        recipes = bounds.default_recipes(120, seed=3) + tuple(
+            bounds.EnsembleRecipe("random_pure", n_bits, dim, seed)
+            for n_bits, dim, seed in [(1, 2, 685), (2, 4, 224), (3, 8, 13), (3, 8, 101)])
+        instances = [bounds.build_instance(recipe) for recipe in recipes]
+        instances.append(ens.CQEnsemble(1, [0.9, 0.1], (ops.maximally_mixed(2),) * 2))
+        for e in instances:
+            got = det.minimum_error_iterate(e, max_iters=max_iters)
+            expected = copying_minimum_error_iterate(e, max_iters=max_iters)
+            assert (got.method, got.converged, got.iterations) == (
+                expected.method, expected.converged, expected.iterations)
+            assert got.success_probability == expected.success_probability
+            assert got.gap == expected.gap
+            assert np.array_equal(got.povm.stack, expected.povm.stack)
 
     def test_gap_closes_on_the_trivial_guess(self):
         states = (ops.maximally_mixed(2), ops.maximally_mixed(2))

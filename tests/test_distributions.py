@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,7 +139,67 @@ class TestShannonEntropy:
         assert -1e-12 <= h <= math.log2(len(p)) + 1e-12
 
 
+def masked_information(j):
+    """``dist._information`` as it was before its dense case: the logs over
+    the support only, and the sum over the support's entries, for every
+    joint."""
+    mask = j > 0.0
+    positive = j[mask]
+    pk, py = j.sum(axis=1), j.sum(axis=0)
+    product = np.outer(pk, py)[mask]
+    if product.min() >= sys.float_info.min:
+        log2_product = np.log2(product)
+    else:
+        low = product < sys.float_info.min
+        log2_product = np.log2(product, out=np.zeros_like(product), where=~low)
+        rows, cols = np.nonzero(mask)
+        log2_product[low] = np.log2(pk[rows[low]]) + np.log2(py[cols[low]])
+    on_support = np.log2(positive) - log2_product
+    log2_ratio = np.zeros_like(j)
+    log2_ratio[mask] = on_support
+    return max(0.0, float((positive * on_support).sum())), log2_ratio
+
+
+def information_joints():
+    """Joints of 8 to 16384 entries, across numpy's 8- and 128-element
+    pairwise-sum blocks: dense ones, ones with zeros, ones with rows and
+    columns scaled toward 1e-300 (products from normal to subnormal and
+    0), dense ones with rows scaled down to 1e-150, and dense ones in
+    Fortran order."""
+    rng = np.random.default_rng(131)
+    for shape in [(2, 4), (4, 4), (8, 64), (64, 256)]:
+        for _ in range(4):
+            dense = rng.exponential(size=shape)
+            yield dense / dense.sum()
+            yield np.asfortranarray(dense / dense.sum())
+            sparse = dense * (rng.random(shape) < 0.6)
+            sparse.flat[0] += 1.0
+            yield sparse / sparse.sum()
+            rows = 10.0 ** -rng.choice([0.0, 150.0, 300.0], size=(shape[0], 1))
+            cols = 10.0 ** -rng.choice([0.0, 10.0, 160.0], size=shape[1])
+            scaled = dense * rows * cols
+            scaled.flat[0] += 1.0
+            yield scaled / scaled.sum()
+            small = dense * 10.0 ** -rng.choice([0.0, 100.0, 150.0], size=(shape[0], 1))
+            small.flat[0] += 1.0
+            yield small / small.sum()  # dense, with products down to about 1e-300
+
+
 class TestMutualInformation:
+    def test_information_is_bit_equal_to_the_masked_form(self):
+        dense = total = 0
+        for joint in information_joints():
+            bits, log2_ratio = dist._information(joint)
+            expected_bits, expected_ratio = masked_information(joint)
+            assert bits == expected_bits
+            assert np.array_equal(log2_ratio, expected_ratio)
+            assert log2_ratio.flags.c_contiguous == expected_ratio.flags.c_contiguous
+            product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+            dense += joint.flags.c_contiguous and joint.min() > 0.0 and (
+                product.min() >= sys.float_info.min)
+            total += 1
+        assert 0 < dense < total  # both cases are reached
+
     def test_product_joint_is_zero(self):
         pk = normalized([1, 2, 3])
         py = normalized([4, 1])

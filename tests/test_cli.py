@@ -121,6 +121,20 @@ class TestCriteria:
         assert (code, err) == (0, "")
         assert json.loads(out)["criteria"]["chi"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_prior_short_of_one_gives_the_joint_form(self, capsys, tmp_path):
+        # the prior is accepted 9e-11 short of one; key register x average
+        # then has trace 0.99999999982, outside the state tolerance
+        half = np.full((2, 2), 0.5)
+        states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), half, half * [[1, -1], [-1, 1]]]
+        record = {"n": 2, "prior": [0.25, 0.25, 0.25, 0.25 - 9e-11],
+                  "states": [ops.matrix_to_pairs(s) for s in states]}
+        path = tmp_path / "prior_edge.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["criteria", str(path)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["criteria"]
+        assert report["d_joint"] == report["d"] == pytest.approx(0.5 - 4.5e-11, abs=1e-15)
+
     def test_skewed_prior_ensemble(self, capsys, tmp_path):
         zero = ops.matrix_to_pairs(np.diag([1.0, 0.0]))
         one = ops.matrix_to_pairs(np.diag([0.0, 1.0]))

@@ -326,13 +326,13 @@ def _frame_ascent(
     that unit together: the result is a frame the full budget keeps on its
     way, below the full budget's result by round-off only.
     """
-    column = prior[:, None]
-    weight = np.log(2.0) * column
+    prior_col = prior[:, None]
+    weight = np.log(2.0) * prior_col
 
     def evaluate(v):
         rho_v = states @ v.T  # rho_v[k, :, y] = rho_k v_y
         table = np.maximum(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0)
-        joint = column * table
+        joint = prior_col * table
         return (*dist._information(joint), joint, rho_v)
 
     current, log2_ratio, joint, rho_v = evaluate(kets)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
         final = det._hermitian_part(s @ final @ s)
         if det._success(weighted, final) < floor.success_probability:
             gap = det._duality_gap(weighted, floor.povm.stack[: e.num_keys])
-            return det.replace(floor, converged=converged, iterations=iterations, gap=gap)
+            return replace(floor, converged=converged, iterations=iterations, gap=gap)
     return det.DiscriminationResult(
         success_probability=min(det._success(weighted, final), 1.0),
         povm=det.POVM(final),

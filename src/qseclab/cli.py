@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -41,8 +43,8 @@ def _dump_json(obj) -> str:
 
     json's C encoder ignores ``indent``, so that call encodes element by
     element in Python.  Here only the layout of str-keyed dicts and of
-    lists is written in Python; scalars go through the C encoder, and a
-    list of floats is encoded once per distinct bit pattern.
+    lists is written in Python; each scalar by the function json uses for
+    it, and a float list by the C encoder, once per distinct bit pattern.
     """
     try:
         return _json_text(obj, "") + "\n"
@@ -58,13 +60,28 @@ def _json_line(obj) -> str:
         raise Error(f"report not written: {exc}") from exc
 
 
+# json's text for each exact scalar type (a subclass takes the json.dumps branch);
+# json refuses a NaN or infinity with its own ValueError
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x, allow_nan=False),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _json_text(obj, pad: str) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for a value nested at ``pad``."""
+    scalar_text = _SCALAR_TEXT.get(type(obj))
+    if scalar_text is not None:
+        return scalar_text(obj)
     inner = pad + "  "
     if type(obj) is dict and all(type(key) is str for key in obj):
         if not obj:
             return "{}"
-        items = [f"{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
+                 for key in sorted(obj)]
         brackets = "{}"
     elif type(obj) is list:
         if not obj:
@@ -74,8 +91,6 @@ def _json_text(obj, pad: str) -> str:
         else:
             items = [_json_text(item, inner) for item in obj]
         brackets = "[]"
-    elif obj is None or type(obj) in (str, int, float, bool):
-        return json.dumps(obj, allow_nan=False)
     else:
         # non-str keys, tuples, subclasses: json's own layout, moved to this depth
         # (a JSON string never holds a raw newline)
@@ -234,10 +249,14 @@ def cmd_bounds_sweep(args, argv) -> int:
 
 def cmd_extremal(args, argv) -> int:
     if args.kind == "mutual_information":
+        if args.l is not None:
+            raise Error("--l belongs to the variational_distance kind")
         if args.l_prime is None:
             raise Error("--l-prime is required for the mutual_information kind")
         construction = distributions.spike_for_mutual_information(args.n, args.l_prime)
     else:
+        if args.l_prime is not None:
+            raise Error("--l-prime belongs to the mutual_information kind")
         if args.l is None:
             raise Error("--l is required for the variational_distance kind")
         construction = distributions.spike_for_variational_distance(args.n, args.l)
@@ -265,6 +284,7 @@ def cmd_extremal(args, argv) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so in-process callers share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qseclab",

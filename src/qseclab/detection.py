@@ -266,7 +266,7 @@ def minimum_error_iterate(
     return DiscriminationResult(
         success_probability=min(_success(weighted, final), 1.0),
         povm=POVM(final),
-        method="iterative",
+        method="trivial_guess" if best_elements is trivial else "iterative",
         converged=converged,
         iterations=iterations,
         gap=_duality_gap(weighted, final),

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import enum
 import io
 import json
 
@@ -238,6 +239,63 @@ def test_negative_seed_or_restarts_is_usage_error(capsys, argv):
     assert "must be at least 0" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; reusing it changes no output."""
+
+    SUCCESSES = [
+        ["locking-demo", "--trials", "50", "--format", "text"],
+        ["extremal", "--kind", "variational_distance", "--n", "2", "--l", "1"],
+        ["bounds-sweep", "--count", "1", "--checks", "pinsker", "--format", "csv"],
+    ]
+
+    def test_parser_is_built_at_most_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in self.SUCCESSES:
+            assert run_cli(capsys, argv)[0] == 0
+        with pytest.raises(SystemExit):
+            cli.main(["locking-demo", "--trials", "0"])
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", [
+        [], ["locking-demo", "--trials", "0"], ["criteria"], ["extremal", "--kind", "spike"],
+        ["bounds-sweep", "--unknown"], ["nonsense"],
+    ], ids=["no-command", "zero-trials", "missing-file-arg", "bad-choice", "unknown-flag",
+            "unknown-command"])
+    def test_usage_error_after_runs_matches_a_fresh_parser(self, capsys, argv):
+        for success in self.SUCCESSES:
+            assert run_cli(capsys, success)[0] == 0
+        with pytest.raises(SystemExit) as reused:
+            cli.main(argv)
+        reused_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert reused.value.code == fresh.value.code == 2
+        assert reused_err == capsys.readouterr().err
+        assert reused_err.startswith("usage: qseclab")
+
+    def test_version_after_runs(self, capsys):
+        for success in self.SUCCESSES:
+            assert run_cli(capsys, success)[0] == 0
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"qseclab {cli.__version__}\n"
+
+    def test_same_argv_same_bytes_around_other_commands(self, capsys, tmp_path):
+        cli.build_parser.cache_clear()
+        argv = ["extremal", "--kind", "mutual_information", "--n", "3", "--l-prime", "2"]
+        first = run_cli(capsys, argv)
+        path = tmp_path / "locking.json"
+        assert run_cli(capsys, ["locking-demo", "--trials", "50", "--emit-ensemble",
+                                str(path)])[0] == 0
+        assert run_cli(capsys, ["criteria", str(path), "--format", "text"])[0] == 0
+        with pytest.raises(SystemExit):
+            cli.main(["extremal", "--kind", "mutual_information"])
+        assert run_cli(capsys, argv[:-1] + ["0.5"])[0] == 0
+        assert run_cli(capsys, argv) == first
+        assert first[0] == 0 and first[2] == ""
+
+
 # Scalars of every JSON kind, including the NaN and Infinity tokens json writes.
 _scalars = st.one_of(
     st.floats(), st.integers(), st.text(max_size=3), st.none(), st.booleans()
@@ -452,11 +510,35 @@ class TestExtremal:
         assert code == 1
         assert "l-prime" in err
 
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["--kind", "mutual_information", "--l-prime", "2", "--l", "1"], "--l",
+         "variational_distance"),
+        (["--kind", "mutual_information", "--l", "1"], "--l", "variational_distance"),
+        (["--kind", "variational_distance", "--l", "1", "--l-prime", "2"], "--l-prime",
+         "mutual_information"),
+        (["--kind", "variational_distance", "--l-prime", "2"], "--l-prime",
+         "mutual_information"),
+    ], ids=["mi-with-l", "mi-with-only-l", "vd-with-l-prime", "vd-with-only-l-prime"])
+    def test_exponent_flag_of_the_other_kind_is_refused(self, capsys, argv, flag, kind):
+        code, out, err = run_cli(capsys, ["extremal", "--n", "2"] + argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"qseclab: error: {flag} belongs to the {kind} kind\n"
+
     def test_deterministic(self, capsys):
         argv = ["extremal", "--kind", "mutual_information", "--n", "8", "--l-prime", "0.25"]
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Text(str):
+    pass
 
 
 def _indented(obj) -> str:
@@ -494,12 +576,33 @@ _NAN, _INF = float("nan"), float("inf")
     {1: "one", 2: {"a": [1.0]}},
     {"mixed": [1, 2.0, None, "a", [], {}, True]},
     1.5, "s", None, False, 7,
+    {"k\u00e9y\x00\x1f": "v\u00e0l\x01\x7f\u2028", "\ud83d\u2603": ["\x08\x0c\r", "\ud800"]},
+    {"neg-zero": -0.0, "tiny": 5e-324, "e16": 1e16, "e22": 1e22},
+    [-0.0, 5e-324, 1e16, 1e22, 0],
+    {"true": True, "false": False, "none": None, "list": [True, None, False]},
+    {"np": np.float64(0.1), "enum": _Level.HIGH, "str": _Text("v\u00e9"), "list": [_Level.LOW]},
+    {_Text("k\u00e9y"): 1, "float": [np.float64(-0.0), 1.5]},
+    np.float64(1e22), _Level.HIGH, _Text("\x00"),
 ], ids=["signed-zeros", "nan-inf", "subnormals", "repr-forms", "bool-and-float",
         "big-ints", "float-lists", "empty-dict", "empty-list", "empty-children", "strings",
         "tuples", "tuple-and-int-keys-nested", "int-keys", "mixed-list",
-        "float", "str", "none", "bool", "int"])
+        "float", "str", "none", "bool", "int", "non-ascii-and-control", "float-values",
+        "float-mixed-list", "constants-as-values", "subclass-values", "subclass-key",
+        "np-float64", "int-enum", "str-subclass"])
 def test_dump_json_equals_indented_json_dumps(obj):
     _assert_dumps_as_json(obj)
+
+
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_error_text_is_jsons(value):
+    # json's own text, which names the value on some Python versions only
+    with pytest.raises(ValueError) as refused:
+        json.dumps(value, allow_nan=False)
+    assert str(refused.value).startswith("Out of range float values are not JSON compliant")
+    for obj in (value, {"a": value}, [1, value], [0.5, value], {"a": {"b": [None, value]}}):
+        with pytest.raises(Error) as info:
+            cli._dump_json(obj)
+        assert str(info.value) == f"report not written: {refused.value}"
 
 
 _json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF, 5e-324]))

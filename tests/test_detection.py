@@ -83,7 +83,7 @@ def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
     return det.DiscriminationResult(
         success_probability=min(det._success(weighted, final), 1.0),
         povm=det.POVM(final),
-        method="iterative",
+        method="trivial_guess" if best_elements is trivial else "iterative",
         converged=converged,
         iterations=iterations,
         gap=det._duality_gap(weighted, final),
@@ -386,6 +386,18 @@ class TestMinimumErrorIterate:
         states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
         result = det.minimum_error_iterate(ens.CQEnsemble(1, [0.9, 0.1], states))
         assert result.gap == pytest.approx(0.0, abs=1e-12)
+
+    def test_unbeaten_trivial_guess_is_labelled_as_such(self):
+        states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
+        result = det.minimum_error_iterate(ens.CQEnsemble(1, [0.9, 0.1], states))
+        assert result.method == "trivial_guess"
+        assert result.success_probability == pytest.approx(0.9, abs=1e-15)
+        assert np.array_equal(result.povm.stack, np.array([np.eye(2), np.zeros((2, 2))]))
+        # a result that beats the guess keeps the iterative label
+        distinct = (ops.DensityOperator(np.diag([0.9, 0.1]).astype(complex)),
+                    ops.DensityOperator(np.diag([0.2, 0.8]).astype(complex)))
+        assert det.minimum_error_iterate(
+            ens.CQEnsemble(1, [0.6, 0.4], distinct)).method == "iterative"
 
 
 def diagonal_ensembles():

@@ -1,9 +1,13 @@
 """Measurement optimization: POVMs, binary and M-ary discrimination,
 and lower bounds on the information a measurement can extract.
 
-The binary optimum has a closed form; the M-ary problem is attacked with
-the square-root (pretty good) measurement followed by fixed-point
-refinement of the optimality conditions.  The extractable-information
+The binary optimum has a closed form (Helstrom), which
+``minimum_error_iterate`` returns for two keys.  For more keys it starts
+from the square-root (pretty good) measurement and refines it by the
+fixed-point map of the optimality conditions, iterated on factors of the
+elements and extrapolated wherever that does not lower the success; a
+result is labelled converged only when its duality gap certifies it.
+The extractable-information
 search is exact when every state is diagonal: the computational basis then
 attains the Holevo information.  Otherwise it evaluates a few
 deterministic candidate measurements, then runs seeded fixed-point
@@ -93,7 +97,12 @@ class DiscriminationResult:
     square-root measurement can dip below it for skewed priors, so the
     bound is asserted by tests only where it is a theorem.  ``gap``, where
     set, certifies the result: the optimum lies in
-    ``[success_probability, success_probability + gap]``.
+    ``[success_probability, success_probability + gap]``.  ``method`` names
+    the measurement returned: ``helstrom`` (the binary optimum, gap 0),
+    ``square_root``, ``trivial_guess`` (measure nothing, name the likeliest
+    key) or ``iterative`` (a refinement that beat both).  For
+    ``minimum_error_iterate``, ``converged`` means certified: the iteration
+    stopped on its own and the gap is at most 1e-6.
     """
 
     success_probability: float
@@ -136,15 +145,21 @@ def helstrom_binary(rho: DensityOperator, sigma: DensityOperator, prior: float) 
         raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
     if not 0.0 <= prior <= 1.0:
         raise ValidationError(f"prior {prior!r} outside [0, 1]")
-    delta = prior * rho.matrix - (1.0 - prior) * sigma.matrix
-    vals, vecs = np.linalg.eigh(delta)
+    return _helstrom(np.stack([prior * rho.matrix, (1.0 - prior) * sigma.matrix]))
+
+
+def _helstrom(weighted: np.ndarray) -> DiscriminationResult:
+    """The optimal measurement of two weighted states W_0, W_1: the projector
+    onto the positive eigenspace of W_0 - W_1 and its complement.  The
+    success is the value of those elements, (sum(p) + ||W_0 - W_1||_1) / 2
+    up to round-off."""
+    vals, vecs = np.linalg.eigh(weighted[0] - weighted[1])
     positive = vecs[:, vals > 0.0]
     projector = positive @ positive.conj().T
-    povm = POVM((projector, np.eye(rho.dim) - projector))
-    success = 0.5 * (1.0 + float(np.abs(vals).sum()))
+    elements = np.stack([projector, np.eye(len(vals)) - projector])
     return DiscriminationResult(
-        success_probability=min(success, 1.0),
-        povm=povm,
+        success_probability=min(_success(weighted, elements), 1.0),
+        povm=POVM(elements),
         method="helstrom",
         converged=True,
         iterations=0,
@@ -200,59 +215,89 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
 def minimum_error_iterate(
     e: ens.CQEnsemble, max_iters: int = 500, tol: float = 1e-9
 ) -> DiscriminationResult:
-    """Fixed-point refinement of M-ary minimum-error discrimination.
+    """Minimum-error discrimination: exact for two keys, refined otherwise.
 
-    Starts from the square-root measurement and repeatedly maps the
-    elements through the optimality condition (the operator sum of
-    weighted states times elements must dominate every weighted state).
+    Two keys get the Helstrom measurement (method ``helstrom``, gap 0, no
+    iterations).  Otherwise the elements E_k = B_k B_k^dag start from the
+    square-root measurement and their factors go through the fixed-point
+    map of the optimality conditions (Jezek, Rehacek and Fiurasek, PRA 65,
+    060301(R), 2002): with C_k = W_k B_k, W_k = p_k rho_k and
+    A = sum_k C_k C_k^dag, the next factors are A^{-1/2} C_k, which keeps
+    the elements summing to the identity on their support.  Each step
+    extrapolates, C_k = 2 W_k B_k - W_k B'_k with B' the factors before;
+    a step whose success falls below the last is refused and the next
+    takes the plain map.  At the optimum W_k B_k = Lambda B_k, so the
+    extrapolation vanishes there.  Each map applied counts as one of at
+    most ``max_iters`` iterations; the loop stops once the success moves
+    by less than ``tol`` (relative).
+
     Reports the success probability of the returned elements, never below
     the square-root value or the best trivial guess, with the duality gap
     of Yuen, Kennedy and Lax (IEEE Trans. IT 21, 125, 1975) as its
-    certificate.  Non-convergence within ``max_iters`` is flagged, not
-    raised.
+    certificate.  ``converged`` is True only when the loop stopped and the
+    gap is at most 1e-6: any other result is flagged, not raised.
     """
+    weighted = e.prior[:, None, None] * e.stack
+    if e.num_keys == 2:
+        return _helstrom(weighted)
     srm = square_root_measurement(e)
     d = e.state_dim
-    weighted = e.prior[:, None, None] * e.stack
-    elements = srm.povm.stack[: e.num_keys]
+    start = srm.povm.stack[: e.num_keys]
 
     floor = srm
     best_value = srm.success_probability
-    best_elements = elements
+    best_elements = start
     # measuring nothing and guessing the likeliest key is a valid baseline
     guess = int(np.argmax(e.prior))
-    trivial = np.zeros_like(elements)
+    trivial = np.zeros_like(start)
     trivial[guess] = np.eye(d)
     if float(e.prior[guess]) > best_value:
         best_value = float(e.prior[guess])
         best_elements = trivial
         floor = DiscriminationResult(best_value, POVM(trivial), "trivial_guess", True, 0)
 
-    converged = False
+    # factors of the start, B_k = V_k sqrt(L_k) for E_k = V_k L_k V_k^dag; the
+    # map multiplies factors on the left only, so any factorisation will do
+    vals, vecs = np.linalg.eigh(start)
+    factors = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    product = weighted @ factors  # W_k B_k, kept from step to step
+    previous = float(np.vdot(factors, product).real)  # sum_k tr(B_k^dag W_k B_k)
+    best_factors = None
+    last_product = None  # W_k B_k a step back; None makes the next step plain
+    stopped = False
     iterations = 0
-    previous = _success(weighted, elements)
     for iterations in range(1, max_iters + 1):
-        g = _hermitian_part(weighted @ elements @ weighted)
-        a_pinv = _psd_pinv_sqrt(g.sum(axis=0))
-        elements = _hermitian_part(a_pinv @ g @ a_pinv)
-        value = _success(weighted, elements)
+        c = product if last_product is None else 2.0 * product - last_product
+        columns = c.transpose(1, 0, 2).reshape(d, -1)  # [C_0 C_1 ...]
+        factors = _psd_pinv_sqrt(columns @ columns.conj().T) @ c
+        trial = weighted @ factors
+        value = float(np.vdot(factors, trial).real)
+        if last_product is not None and value < previous:
+            last_product = None  # refused: the next step is the plain map
+            continue
+        last_product, product = product, trial
         if value > best_value:  # each iterate is a fresh array, never written
             best_value = value
-            best_elements = elements
+            best_factors = factors
         if abs(value - previous) < tol * max(1.0, abs(previous)):
-            converged = True
+            stopped = True
             break
         previous = value
+    method = floor.method
+    if best_factors is not None:
+        best_elements = _hermitian_part(best_factors @ np.conj(np.swapaxes(best_factors, -1, -2)))
+        method = "iterative"
 
     # complete the best refinement to a full POVM on the whole space; the
     # leftover is the complement of the refinement's support
     final = best_elements.copy()
     final[guess] += _hermitian_part(np.eye(d) - best_elements.sum(axis=0))
     final = _hermitian_part(final)
+    result = None
     vals, vecs = np.linalg.eigh(final)
     if vals[:, 0].min() < -ELEMENT_PSD_TOL:
-        # the iteration's inverse square root can amplify round-off past the
-        # element tolerance, in the completion or in an iterated element:
+        # the inverse square root can amplify round-off past the element
+        # tolerance, in the completion or in an element built from factors:
         # clip every element onto the positive cone and rescale the clipped
         # elements so that they still sum to the identity
         clipped = vecs * np.clip(vals, 0.0, None)[:, None, :]
@@ -260,17 +305,14 @@ def minimum_error_iterate(
         s = _psd_pinv_sqrt(final.sum(axis=0))
         final = _hermitian_part(s @ final @ s)
         if _success(weighted, final) < floor.success_probability:
-            # the repair cost more than the iteration gained
-            gap = _duality_gap(weighted, floor.povm.stack[: e.num_keys])
-            return replace(floor, converged=converged, iterations=iterations, gap=gap)
-    return DiscriminationResult(
-        success_probability=min(_success(weighted, final), 1.0),
-        povm=POVM(final),
-        method="trivial_guess" if best_elements is trivial else "iterative",
-        converged=converged,
-        iterations=iterations,
-        gap=_duality_gap(weighted, final),
-    )
+            result = floor  # the repair cost more than the iteration gained
+    if result is None:
+        result = DiscriminationResult(
+            min(_success(weighted, final), 1.0), POVM(final), method, False, 0
+        )
+    gap = _duality_gap(weighted, result.povm.stack[: e.num_keys])
+    # certified: the loop stopped on its own and the gap closes to 1e-6
+    return replace(result, converged=stopped and gap <= 1e-6, iterations=iterations, gap=gap)
 
 
 class AccessibleInfo(NamedTuple):

@@ -36,9 +36,11 @@ def spectral_pinv_sqrt(matrix):
 
 
 def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
-    """``det.minimum_error_iterate`` as it was when it copied the elements
-    on every improvement and took every inverse square root through the
-    masked spectrum."""
+    """The plain fixed-point loop on the elements that
+    ``det.minimum_error_iterate`` ran for every key count before the binary
+    closed form and the extrapolated factored iteration: it copied the
+    elements on every improvement and took every inverse square root
+    through the masked spectrum."""
     srm = det.square_root_measurement(e)
     d = e.state_dim
     weighted = e.prior[:, None, None] * e.stack
@@ -88,6 +90,85 @@ def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
         iterations=iterations,
         gap=det._duality_gap(weighted, final),
     )
+
+
+def factored_minimum_error_iterate(e, max_iters=500, tol=1e-9):
+    """``det.minimum_error_iterate`` for more than two keys, step by step:
+    the square-root start's eigen-factors, the map on factors with
+    extrapolation 2 W B - W B_before, a refused step replaced by the plain
+    map, every inverse square root through the masked spectrum."""
+    srm = det.square_root_measurement(e)
+    d = e.state_dim
+    weighted = e.prior[:, None, None] * e.stack
+    start = srm.povm.stack[: e.num_keys]
+    floor = srm
+    best_value = srm.success_probability
+    best_elements = start
+    guess = int(np.argmax(e.prior))
+    trivial = np.zeros_like(start)
+    trivial[guess] = np.eye(d)
+    if float(e.prior[guess]) > best_value:
+        best_value = float(e.prior[guess])
+        best_elements = trivial
+        floor = det.DiscriminationResult(best_value, det.POVM(trivial), "trivial_guess", True, 0)
+
+    def mapped(c):
+        columns = c.transpose(1, 0, 2).reshape(d, -1)
+        factors = spectral_pinv_sqrt(columns @ columns.conj().T) @ c
+        product = weighted @ factors
+        return factors, product, float(np.vdot(factors, product).real)
+
+    vals, vecs = np.linalg.eigh(start)
+    factors = vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    product = weighted @ factors
+    previous = float(np.vdot(factors, product).real)
+    before = None
+    best_factors = None
+    stopped = False
+    iterations = 0
+    while iterations < max_iters:
+        iterations += 1
+        if before is None:
+            factors, trial, value = mapped(product)
+        else:
+            factors, trial, value = mapped(2.0 * product - before)
+            if value < previous:
+                before = None
+                continue
+        before, product = product, trial
+        if value > best_value:
+            best_value, best_factors = value, factors
+        if abs(value - previous) < tol * max(1.0, abs(previous)):
+            stopped = True
+            break
+        previous = value
+    method = floor.method
+    if best_factors is not None:
+        best_elements = det._hermitian_part(
+            best_factors @ np.conj(np.swapaxes(best_factors, -1, -2)))
+        method = "iterative"
+    final = best_elements.copy()
+    final[guess] += det._hermitian_part(np.eye(d) - best_elements.sum(axis=0))
+    final = det._hermitian_part(final)
+    result = None
+    vals, vecs = np.linalg.eigh(final)
+    if vals[:, 0].min() < -det.ELEMENT_PSD_TOL:
+        clipped = vecs * np.clip(vals, 0.0, None)[:, None, :]
+        final = clipped @ np.conj(np.transpose(vecs, (0, 2, 1)))
+        s = spectral_pinv_sqrt(final.sum(axis=0))
+        final = det._hermitian_part(s @ final @ s)
+        if det._success(weighted, final) < floor.success_probability:
+            result = floor
+    if result is None:
+        result = det.DiscriminationResult(
+            min(det._success(weighted, final), 1.0), det.POVM(final), method, False, 0)
+    gap = det._duality_gap(weighted, result.povm.stack[: e.num_keys])
+    return replace(result, converged=stopped and gap <= 1e-6, iterations=iterations, gap=gap)
+
+
+def more_than_two_keys(recipes):
+    instances = (bounds.build_instance(recipe) for recipe in recipes)
+    return [e for e in instances if e.num_keys > 2]
 
 
 def uniform_ensemble(states):
@@ -365,22 +446,64 @@ class TestMinimumErrorIterate:
             assert longer.success_probability <= short.success_probability + short.gap + 1e-12
 
     @pytest.mark.parametrize("max_iters", [60, 500])
-    def test_bit_equal_to_the_copying_loop(self, max_iters):
-        # the campaign recipes, the instances whose completion needs the
+    def test_bit_equal_to_the_factored_loop(self, max_iters):
+        # the campaign recipes, the instances whose completion needed the
         # repair, and one whose best start is the trivial guess
-        recipes = bounds.default_recipes(120, seed=3) + tuple(
+        instances = more_than_two_keys(bounds.default_recipes(120, seed=3) + tuple(
             bounds.EnsembleRecipe("random_pure", n_bits, dim, seed)
-            for n_bits, dim, seed in [(1, 2, 685), (2, 4, 224), (3, 8, 13), (3, 8, 101)])
-        instances = [bounds.build_instance(recipe) for recipe in recipes]
-        instances.append(ens.CQEnsemble(1, [0.9, 0.1], (ops.maximally_mixed(2),) * 2))
+            for n_bits, dim, seed in [(2, 4, 224), (3, 8, 13), (3, 8, 101)]))
+        instances.append(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], (ops.maximally_mixed(2),) * 4))
         for e in instances:
             got = det.minimum_error_iterate(e, max_iters=max_iters)
-            expected = copying_minimum_error_iterate(e, max_iters=max_iters)
+            expected = factored_minimum_error_iterate(e, max_iters=max_iters)
             assert (got.method, got.converged, got.iterations) == (
                 expected.method, expected.converged, expected.iterations)
             assert got.success_probability == expected.success_probability
             assert got.gap == expected.gap
             assert np.array_equal(got.povm.stack, expected.povm.stack)
+
+    def test_never_below_the_plain_loop_in_fewer_iterations(self):
+        steps = plain_steps = 0
+        for e in more_than_two_keys(bounds.default_recipes(300, seed=3)):
+            got = det.minimum_error_iterate(e, max_iters=60)
+            plain = copying_minimum_error_iterate(e, max_iters=60)
+            assert got.success_probability >= plain.success_probability - 1e-8
+            steps += got.iterations
+            plain_steps += plain.iterations
+        assert steps < plain_steps
+
+    def test_converged_means_certified(self):
+        results = [det.minimum_error_iterate(e, max_iters=60)
+                   for e in more_than_two_keys(bounds.default_recipes(300, seed=3))]
+        assert all(r.gap <= 1e-6 for r in results if r.converged)
+        # the loop stopped on its own, yet the gap leaves the result uncertified
+        assert any(not r.converged and r.iterations < 60 for r in results)
+
+    def test_unbeaten_square_root_start_is_labelled_as_such(self):
+        # labelled square_root exactly when the result is the completed start,
+        # the result of zero iterations
+        labels = set()
+        for e in more_than_two_keys(bounds.default_recipes(200, seed=3)):
+            result = det.minimum_error_iterate(e, max_iters=60)
+            start = det.minimum_error_iterate(e, max_iters=0)
+            unbeaten = start.method == "square_root" and np.array_equal(
+                result.povm.stack, start.povm.stack)
+            assert (result.method == "square_root") == unbeaten
+            labels.add(result.method)
+        assert {"square_root", "iterative"} <= labels
+
+    @pytest.mark.parametrize("kets", [
+        [[1, 0], [0, 1], [1, 1], [1, -1]],
+        [[1, 0], [1, np.sqrt(2)], [1, np.sqrt(2) * np.exp(2j * np.pi / 3)],
+         [1, np.sqrt(2) * np.exp(-2j * np.pi / 3)]],
+    ], ids=["bb84", "tetrahedral"])
+    def test_four_qubit_states_are_told_apart_half_the_time(self, kets):
+        # at most d max(p) = 1/2 for any four qubit states, uniform prior;
+        # the square-root measurement of both families reaches it
+        e = uniform_ensemble([pure_state(np.asarray(k) / np.linalg.norm(k)) for k in kets])
+        result = det.minimum_error_iterate(e)
+        assert result.success_probability == pytest.approx(0.5, abs=1e-12)
+        assert result.gap <= 1e-9 and result.converged
 
     def test_gap_closes_on_the_trivial_guess(self):
         states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
@@ -388,16 +511,53 @@ class TestMinimumErrorIterate:
         assert result.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_unbeaten_trivial_guess_is_labelled_as_such(self):
-        states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
-        result = det.minimum_error_iterate(ens.CQEnsemble(1, [0.9, 0.1], states))
+        states = (ops.maximally_mixed(2),) * 4
+        result = det.minimum_error_iterate(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], states))
         assert result.method == "trivial_guess"
-        assert result.success_probability == pytest.approx(0.9, abs=1e-15)
-        assert np.array_equal(result.povm.stack, np.array([np.eye(2), np.zeros((2, 2))]))
+        assert result.success_probability == pytest.approx(0.7, abs=1e-15)
+        assert np.array_equal(result.povm.stack, np.array([np.eye(2)] + [np.zeros((2, 2))] * 3))
         # a result that beats the guess keeps the iterative label
-        distinct = (ops.DensityOperator(np.diag([0.9, 0.1]).astype(complex)),
-                    ops.DensityOperator(np.diag([0.2, 0.8]).astype(complex)))
+        distinct = tuple(ops.DensityOperator(np.diag(row).astype(complex)) for row in
+                         [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.4, 0.3, 0.3]])
         assert det.minimum_error_iterate(
-            ens.CQEnsemble(1, [0.6, 0.4], distinct)).method == "iterative"
+            ens.CQEnsemble(2, [0.4, 0.3, 0.2, 0.1], distinct)).method == "iterative"
+
+    @pytest.mark.parametrize("max_iters", [0, 60])
+    def test_binary_ensembles_get_the_helstrom_measurement(self, max_iters, monkeypatch):
+        calls = []
+        pinv_sqrt = det._psd_pinv_sqrt
+        monkeypatch.setattr(det, "_psd_pinv_sqrt", lambda m: calls.append(m) or pinv_sqrt(m))
+        rng = np.random.default_rng(101)
+        for i in range(40):
+            dim = int(rng.integers(2, 9))
+            make = bounds.random_pure_state if i % 2 else bounds.random_mixed_state
+            a, b = make(dim, rng), make(dim, rng)
+            prior = float(rng.choice([rng.uniform(0.05, 0.95), rng.uniform(0.0, 1e-3)]))
+            e = ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b))
+            result = det.minimum_error_iterate(e, max_iters=max_iters)
+            closed = det.helstrom_binary(a, b, prior)
+            assert (result.method, result.converged, result.iterations, result.gap) == (
+                "helstrom", True, 0, 0.0)
+            assert result.success_probability == closed.success_probability
+            assert np.array_equal(result.povm.stack, closed.povm.stack)
+            weighted = e.prior[:, None, None] * e.stack
+            assert det._duality_gap(weighted, result.povm.stack) <= 1e-12
+        assert calls == []
+
+    def test_valid_povm_on_campaign_instances_and_historic_faults(self):
+        # the three (seed, index) campaign instances whose completion once
+        # fell below the element tolerance, and a campaign's worth besides
+        recipes = bounds.default_recipes(400, seed=7) + tuple(
+            bounds.default_recipes(index + 1, seed=seed)[index]
+            for seed, index in [(7, 521), (7, 611), (505, 1991)])
+        for recipe in recipes:
+            e = bounds.build_instance(recipe)
+            result = det.minimum_error_iterate(e, max_iters=60)
+            stack = result.povm.stack
+            assert np.linalg.eigvalsh(stack)[:, 0].min() >= -det.ELEMENT_PSD_TOL
+            np.testing.assert_allclose(stack.sum(axis=0), np.eye(e.state_dim),
+                                       atol=det.COMPLETENESS_TOL)
+            assert result.gap >= 0.0
 
 
 def diagonal_ensembles():

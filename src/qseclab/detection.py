@@ -6,15 +6,14 @@ The binary optimum has a closed form (Helstrom), which
 from the square-root (pretty good) measurement and refines it by the
 fixed-point map of the optimality conditions, iterated on factors of the
 elements and extrapolated wherever that does not lower the success; a
-result is labelled converged only when its duality gap certifies it.
-The extractable-information
-search is exact when every state is diagonal: the computational basis then
-attains the Holevo information.  Otherwise it evaluates a few
-deterministic candidate measurements, then runs seeded fixed-point
-ascents of the mutual information over rank-1 measurement frames kept on
-the POVM set by their polar factors (Rehacek, Englert and Kaszlikowski,
-PRA 71, 054303); that result is reported strictly as a lower bound, with
-the number of restarts under caller control.
+result is labelled converged only when its duality gap certifies it.  The
+extractable-information search is exact when every state is diagonal: the
+computational basis then attains the Holevo information.  Otherwise it
+evaluates a few deterministic candidate measurements, then runs seeded
+fixed-point ascents of the mutual information over rank-1 measurement
+frames kept on the POVM set by their polar factors (Rehacek, Englert and
+Kaszlikowski, PRA 71, 054303); that result is reported strictly as a lower
+bound, with the number of restarts under caller control.
 """
 
 from __future__ import annotations

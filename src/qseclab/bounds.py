@@ -53,17 +53,30 @@ VERDICTS = ("pass", "fail", "inconclusive", "not_applicable")
 # Seeded generators
 # ---------------------------------------------------------------------------
 
+def _random_pure_stack(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Projectors onto ``count`` spherically symmetric random complex vectors."""
+    g = rng.standard_normal((count, 2, dim))
+    v = g[:, 0] + 1j * g[:, 1]
+    norms = np.array([np.vdot(x, x).real for x in v])
+    return _rank_one(v) / norms[:, None, None]
+
+
+def _random_mixed_stack(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` reduced states of random pure states on the squared dimension."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    m = g[:, 0] + 1j * g[:, 1]
+    rho = m @ np.conj(np.swapaxes(m, -1, -2))
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
 def random_pure_state(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Projector onto a spherically symmetric random complex vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return DensityOperator(_rank_one(v[None])[0] / float(np.vdot(v, v).real))
+    return DensityOperator(_random_pure_stack(1, dim, rng)[0])
 
 
 def random_mixed_state(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Reduced state of a random pure state on the squared dimension."""
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = m @ m.conj().T
-    return DensityOperator(rho / float(np.trace(rho).real))
+    return DensityOperator(_random_mixed_stack(1, dim, rng)[0])
 
 
 def _random_prior(n_keys: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,29 +114,33 @@ def build_instance(recipe: EnsembleRecipe) -> ens.CQEnsemble:
     n_keys = 2**recipe.n_bits
     if recipe.kind == "locking":
         return locking.build_locking_ensemble("symmetric_corrected").ensemble
-    if recipe.kind == "random_mixed":
-        states = tuple(random_mixed_state(recipe.dim, rng) for _ in range(n_keys))
-        return ens.CQEnsemble(recipe.n_bits, _random_prior(n_keys, rng), states)
-    if recipe.kind == "random_pure":
-        states = tuple(random_pure_state(recipe.dim, rng) for _ in range(n_keys))
-        return ens.CQEnsemble(recipe.n_bits, _random_prior(n_keys, rng), states)
+    if recipe.kind in ("random_mixed", "random_pure"):
+        draw = _random_mixed_stack if recipe.kind == "random_mixed" else _random_pure_stack
+        stack = draw(n_keys, recipe.dim, rng)
+        return ens.CQEnsemble(recipe.n_bits, _random_prior(n_keys, rng), stack)
     if recipe.kind == "commuting_classical":
         rows = rng.exponential(size=(n_keys, recipe.dim))
         rows /= rows.sum(axis=1, keepdims=True)
-        states = tuple(DensityOperator(np.diag(r.astype(np.complex128))) for r in rows)
-        return ens.CQEnsemble(recipe.n_bits, _random_prior(n_keys, rng), states)
+        return ens.CQEnsemble(recipe.n_bits, _random_prior(n_keys, rng), _diagonal_stack(rows))
     if recipe.kind == "spike_classical":
         # circulant shifts of a spike-shaped row: a classical channel whose
         # posteriors are spike distributions
         spike_mass = float(rng.uniform(1.0 / n_keys, 1.0))
         row = np.full(n_keys, (1.0 - spike_mass) / max(n_keys - 1, 1))
         row[0] = spike_mass
-        states = tuple(
-            DensityOperator(np.diag(np.roll(row, k).astype(np.complex128)))
-            for k in range(n_keys)
-        )
-        return ens.CQEnsemble(recipe.n_bits, ens.uniform_prior(recipe.n_bits), states)
+        keys = np.arange(n_keys)
+        rows = row[(keys[None, :] - keys[:, None]) % n_keys]  # row k is row shifted by k
+        prior = ens.uniform_prior(recipe.n_bits)
+        return ens.CQEnsemble(recipe.n_bits, prior, _diagonal_stack(rows))
     raise ValidationError(f"unknown recipe kind {recipe.kind!r}")
+
+
+def _diagonal_stack(rows: np.ndarray) -> np.ndarray:
+    """The diagonal matrices with the given rows as diagonals."""
+    count, dim = rows.shape
+    stack = np.zeros((count, dim, dim), dtype=np.complex128)
+    stack[:, np.arange(dim), np.arange(dim)] = rows
+    return stack
 
 
 def default_recipes(count: int, seed: int = 0, max_n: int = 3, max_dim: int = 8,

@@ -49,7 +49,7 @@ def _dump_json(obj) -> str:
     try:
         return _json_text(obj, "") + "\n"
     except ValueError as exc:
-        raise Error(f"report not written: {exc}") from exc
+        raise _refusal(obj, exc) from exc
 
 
 def _json_line(obj) -> str:
@@ -57,7 +57,32 @@ def _json_line(obj) -> str:
     try:
         return json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise Error(f"report not written: {exc}") from exc
+        raise _refusal(obj, exc) from exc
+
+
+def _refusal(obj, exc: ValueError) -> Error:
+    """json's refusal of ``obj``, with the path of its first non-finite
+    value in the order json writes it, such as ``(at criteria.d)``."""
+    path = _non_finite_path(obj, "")
+    where = "" if path is None else f" (at {path or 'the top level'})"
+    return Error(f"report not written: {exc}{where}")
+
+
+def _non_finite_path(obj, path: str) -> str | None:
+    """The path below ``path`` of the first NaN or infinity in ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        children = ((f"{path}.{key}" if path else str(key), obj[key]) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", item) for i, item in enumerate(obj))
+    else:
+        return None
+    for child_path, child in children:
+        found = _non_finite_path(child, child_path)
+        if found is not None:
+            return found
+    return None
 
 
 # json's text for each exact scalar type (a subclass takes the json.dumps branch);

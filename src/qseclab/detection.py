@@ -18,6 +18,7 @@ bound, with the number of restarts under caller control.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -79,6 +80,13 @@ class POVM:
 def projective_povm(vectors: np.ndarray) -> POVM:
     """Rank-1 projective POVM from the orthonormal columns of a matrix."""
     return POVM(_rank_one(np.asarray(vectors, dtype=np.complex128).T))
+
+
+@functools.cache
+def _computational_basis(dim: int) -> POVM:
+    """The measurement in the computational basis, built once per dimension
+    (its stack is read-only)."""
+    return projective_povm(np.eye(dim))
 
 
 def eigenbasis_povm(op: HermitianOperator | DensityOperator) -> POVM:
@@ -420,7 +428,7 @@ def accessible_info_lower_bound(
     """
     d = e.state_dim
     if np.count_nonzero(e.stack) == np.count_nonzero(np.diagonal(e.stack, axis1=1, axis2=2)):
-        povm = projective_povm(np.eye(d))
+        povm = _computational_basis(d)
         return AccessibleInfo(bits=povm_mutual_information(e, povm), povm=povm)
     best_bits, best_povm = _best_candidate(e)
     m = min(d * d, MAX_OUTCOMES)
@@ -477,5 +485,5 @@ def conditioned_ensemble(e: ens.CQEnsemble, known_bits, known_values) -> ens.CQE
     return ens.CQEnsemble(
         n_bits=e.n_bits - len(positions),
         prior=e.prior[keep] / mass,
-        states=tuple(e.states[k] for k in keep),
+        states=e.stack[keep],
     )

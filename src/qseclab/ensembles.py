@@ -16,7 +16,8 @@ is the most significant bit, so for n = 2 the keys order as
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import wraps
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -45,16 +46,22 @@ MAX_KEY_BITS = dist.MAX_DENSE_SIZE.bit_length() - 1  # 2^n keys stay a dense vec
 class CQEnsemble:
     """Prior over 2^n key values paired with per-key probe states.
 
-    ``stack`` holds the state matrices once, as a read-only (keys, d, d)
-    array.  It is immutable, so quantities derived from it are kept on it.
+    The states are held once, as one validated stack: ``stack`` is a
+    read-only (keys, d, d) array and ``spectra`` the read-only (keys, d)
+    ascending spectra its validation computed.  ``states`` may be any
+    sequence of state matrices or a 3-D array, validated with one batched
+    eigensolve (:func:`operators._as_states`); a sequence of
+    ``DensityOperator`` objects is taken as it is.  The ensemble is
+    immutable, so quantities derived from it are kept on it.
     """
 
     n_bits: int
     prior: np.ndarray
-    states: tuple[DensityOperator, ...]
+    states: InitVar[Sequence]  # read back through the property set after the class
     stack: np.ndarray = field(init=False, repr=False)
+    spectra: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, states):
         if self.n_bits < 0:
             raise ValidationError("key length must be nonnegative")
         if self.n_bits > MAX_KEY_BITS:
@@ -63,19 +70,29 @@ class CQEnsemble:
         n_keys = 2**self.n_bits
         if prior.size != n_keys:
             raise ValidationError(f"prior has {prior.size} entries, expected {n_keys}")
-        states = tuple(
-            s if isinstance(s, DensityOperator) else DensityOperator(s) for s in self.states
-        )
+        states = list(states)
+        try:
+            if all(isinstance(s, DensityOperator) for s in states):
+                stack = np.stack([s.matrix for s in states])
+                spectra = np.stack([s.eigenvalues for s in states])
+                stack.setflags(write=False)
+                spectra.setflags(write=False)
+            else:
+                stack, spectra = ops._as_states(
+                    [s.matrix if isinstance(s, DensityOperator) else s for s in states]
+                )
+        except (ValueError, TypeError):
+            # a ragged or empty sequence: each state validated alone names the first fault
+            states = [s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states]
+            stack = None
         if len(states) != n_keys:
             raise ValidationError(f"{len(states)} states supplied, expected {n_keys}")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValidationError(f"states have mixed dimensions {sorted(dims)}")
-        stack = np.stack([s.matrix for s in states])
-        stack.setflags(write=False)
+        if stack is None:
+            dims = sorted({s.dim for s in states})
+            raise ValidationError(f"states have mixed dimensions {dims}")
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def num_keys(self) -> int:
@@ -83,10 +100,20 @@ class CQEnsemble:
 
     @property
     def state_dim(self) -> int:
-        return self.states[0].dim
+        return self.stack.shape[-1]
 
     def key_label(self, k: int) -> str:
         return format(k, f"0{self.n_bits}b") if self.n_bits else ""
+
+
+def _states(e: CQEnsemble) -> tuple[DensityOperator, ...]:
+    """The per-key states, built from ``stack`` on each call; no
+    computation of the package reads them."""
+    return tuple(DensityOperator(m) for m in e.stack)
+
+
+# set after the class: a property in its body would be taken as the init field's default
+CQEnsemble.states = property(_states)
 
 
 def _once_per_ensemble(fn):
@@ -134,8 +161,8 @@ def joint_state(e: CQEnsemble) -> DensityOperator:
     if total > JOINT_DIM_CAP:
         raise DimensionCapError(f"joint dimension {total} exceeds cap {JOINT_DIM_CAP}")
     out = np.zeros((total, total), dtype=np.complex128)
-    for k, (w, s) in enumerate(zip(e.prior, e.states)):
-        out[k * d:(k + 1) * d, k * d:(k + 1) * d] = w * s.matrix
+    for k, block in enumerate(e.prior[:, None, None] * e.stack):
+        out[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
     return DensityOperator(out)
 
 
@@ -195,7 +222,9 @@ def holevo_information(e: CQEnsemble) -> float:
     the probe; clamped at zero after a -1e-10 round-off allowance.
     """
     value = ops.von_neumann_entropy(average_state(e))
-    value -= float(e.prior @ np.array([ops.von_neumann_entropy(s) for s in e.states]))
+    # one entropy per key: a masked sum over the (keys, d) array rounds differently
+    value -= float(e.prior @ np.array([dist._entropy_bits(row)
+                                       for row in np.clip(e.spectra, 0.0, 1.0)]))
     if value < -1e-10:
         raise ValidationError(f"negative Holevo information {value:.3e}")
     return max(0.0, value)
@@ -341,7 +370,7 @@ def ensemble_to_dict(e: CQEnsemble) -> dict:
     return {
         "n": e.n_bits,
         "prior": [float(w) for w in e.prior],
-        "states": [ops.matrix_to_pairs(s) for s in e.states],
+        "states": [ops.matrix_to_pairs(m) for m in e.stack],
     }
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveError,
     ParseError,
     TraceNotOneError,
+    ValidationError,
 )
 
 MAX_DIM = 64
@@ -32,23 +33,60 @@ TRACE_TOL = 1e-10
 
 def _as_hermitian(matrix, ndim: int = 2) -> np.ndarray:
     """A read-only ``complex128`` copy of one matrix (``ndim`` 2) or a stack
-    of matrices (``ndim`` 3), checked in order: square shape, the dimension
-    cap, finite entries, Hermiticity within ``HERMITIAN_TOL`` (max entry)."""
+    of matrices (``ndim`` 3), checked in order: square shape, then the
+    checks of :func:`_checked_hermitian`."""
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         kind = "a square matrix" if ndim == 2 else "a stack of square matrices"
         raise NotHermitianError(f"expected {kind}, got shape {m.shape}")
+    return _checked_hermitian(m)
+
+
+def _checked_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m``, made read-only, after checks in order: the dimension cap,
+    finite entries, Hermiticity within ``HERMITIAN_TOL`` (max entry)."""
     if m.shape[-1] < 1 or m.shape[-1] > MAX_DIM:
         raise DimensionCapError(
             f"dimension {m.shape[-1]} outside supported range [1, {MAX_DIM}]"
         )
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NotHermitianError("matrix contains non-finite entries")
     dev = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max()
     if dev > HERMITIAN_TOL:
         raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
     m.setflags(write=False)
     return m
+
+
+def _as_states(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only (K, d, d) ``complex128`` copy of K states and their
+    read-only (K, d) ascending spectra, from one batched eigensolve.
+
+    Each state is checked in order: square shape, the dimension cap, finite
+    entries, Hermiticity (1e-12, max entry), positivity (eigenvalues >=
+    -1e-10; the error reports the most negative one), unit trace (within
+    1e-10).  Where a check fails, the first failing key raises the error
+    it raises when validated alone.
+    """
+    m = np.array(matrices, dtype=np.complex128)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise NotHermitianError(f"expected a square matrix, got shape {m.shape[1:]}")
+    try:
+        _checked_hermitian(m)
+        spectra = np.linalg.eigvalsh(m)
+        low = min(spectra[:, 0].tolist())
+        if low < -POSITIVITY_TOL:
+            raise NotPositiveError(low)
+        for tr in m.trace(axis1=1, axis2=2).real.tolist():
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+    except ValidationError:
+        if len(m) > 1:
+            for state in m:
+                _as_states(state[None])
+        raise
+    spectra.setflags(write=False)
+    return m, spectra
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +107,8 @@ class HermitianOperator:
 class DensityOperator:
     """A state: Hermitian, positive semidefinite and unit trace.
 
-    Checks run in order: Hermiticity (1e-12, max entry), positivity
-    (eigenvalues >= -1e-10; the error reports the most negative one), unit
-    trace (within 1e-10).  ``eigenvalues`` keeps the ascending spectrum the
+    Validated as a one-state stack by the checks of :func:`_as_states`, in
+    their order.  ``eigenvalues`` keeps the ascending spectrum the
     positivity check computed.
     """
 
@@ -79,16 +116,9 @@ class DensityOperator:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = _as_hermitian(self.matrix)
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues[0] < -POSITIVITY_TOL:
-            raise NotPositiveError(float(eigenvalues[0]))
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-        eigenvalues.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        stack, spectra = _as_states(np.array(self.matrix, dtype=np.complex128)[None])
+        object.__setattr__(self, "matrix", stack[0])
+        object.__setattr__(self, "eigenvalues", spectra[0])
 
     @property
     def dim(self) -> int:

@@ -29,6 +29,42 @@ def d_chi(e):
     return ens.mean_conditional_distance(e), ens.holevo_information(e)
 
 
+def _former_pure_state(dim, rng):
+    """The former body of ``bounds.random_pure_state``, as a matrix."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return ops._rank_one(v[None])[0] / float(np.vdot(v, v).real)
+
+
+def _former_mixed_state(dim, rng):
+    """The former body of ``bounds.random_mixed_state``, as a matrix."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    return rho / float(np.trace(rho).real)
+
+
+def _per_state_build(recipe):
+    """The build that drew and diagonalised one state at a time, kept as the
+    reference for the batched one: (prior, states, spectra)."""
+    rng = np.random.default_rng(recipe.seed)
+    n_keys = 2**recipe.n_bits
+    if recipe.kind in ("random_mixed", "random_pure"):
+        draw = _former_mixed_state if recipe.kind == "random_mixed" else _former_pure_state
+        states = [draw(recipe.dim, rng) for _ in range(n_keys)]
+        prior = bounds._random_prior(n_keys, rng)
+    elif recipe.kind == "commuting_classical":
+        rows = rng.exponential(size=(n_keys, recipe.dim))
+        rows /= rows.sum(axis=1, keepdims=True)
+        states = [np.diag(r.astype(np.complex128)) for r in rows]
+        prior = bounds._random_prior(n_keys, rng)
+    else:
+        spike_mass = float(rng.uniform(1.0 / n_keys, 1.0))
+        row = np.full(n_keys, (1.0 - spike_mass) / max(n_keys - 1, 1))
+        row[0] = spike_mass
+        states = [np.diag(np.roll(row, k).astype(np.complex128)) for k in range(n_keys)]
+        prior = ens.uniform_prior(recipe.n_bits)
+    return prior, np.stack(states), np.stack([np.linalg.eigvalsh(m) for m in states])
+
+
 class TestPinskerCheck:
     def test_product_joint_passes_with_zero_margin(self):
         joint = np.outer([0.3, 0.7], [0.4, 0.6])
@@ -166,6 +202,47 @@ class TestRecipesAndCampaigns:
         np.testing.assert_array_equal(a.prior, b.prior)
         for s, t in zip(a.states, b.states):
             np.testing.assert_array_equal(s.matrix, t.matrix)
+
+    @pytest.mark.parametrize("kind", bounds.RECIPE_KINDS)
+    def test_batched_build_is_bit_equal_to_the_per_state_build(self, kind):
+        for n_bits in (1, 2, 3):
+            for dim in range(2, 9):
+                for seed in (0, 1, 7, 12345):
+                    recipe = bounds.EnsembleRecipe(kind, n_bits, dim, seed)
+                    e = bounds.build_instance(recipe)
+                    if kind == "locking":
+                        assert e is locking.build_locking_ensemble("symmetric_corrected").ensemble
+                        continue
+                    prior, stack, spectra = _per_state_build(recipe)
+                    assert np.array_equal(e.prior, prior)
+                    assert np.array_equal(e.stack, stack)
+                    assert np.array_equal(e.spectra, spectra)
+
+    @pytest.mark.parametrize("draw, former", [
+        (bounds.random_mixed_state, _former_mixed_state),
+        (bounds.random_pure_state, _former_pure_state),
+    ])
+    def test_random_states_are_bit_equal_to_their_former_bodies(self, draw, former):
+        for dim in (1, 2, 3, 5, 8, 16):
+            for seed in range(5):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    state, matrix = draw(dim, rng), former(dim, ref_rng)
+                    assert np.array_equal(state.matrix, matrix)
+                    assert np.array_equal(state.eigenvalues, np.linalg.eigvalsh(matrix))
+                assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("kind", ["random_mixed", "commuting_classical"])
+    def test_one_eigensolve_and_no_state_object_per_build(self, kind, monkeypatch):
+        solves, states = [], []
+        eigvalsh, post_init = np.linalg.eigvalsh, ops.DensityOperator.__post_init__
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or eigvalsh(a))
+        monkeypatch.setattr(ops.DensityOperator, "__post_init__",
+                            lambda self: states.append(self) or post_init(self))
+        e = bounds.build_instance(bounds.EnsembleRecipe(kind, 3, 8, seed=4))
+        assert e.num_keys == 8
+        assert [a.shape for a in solves] == [(8, 8, 8)]
+        assert states == []
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):

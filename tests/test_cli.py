@@ -427,6 +427,7 @@ class TestBoundsSweep:
         code, out, err = run_cli(capsys, ["bounds-sweep", "--count", "2"])
         assert (code, out) == (1, "")
         assert err.startswith("qseclab: error: report not written: ")
+        assert err.endswith(" (at mutual_information)\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
     def test_non_finite_margin_of_a_proven_check_is_a_fail(self, capsys, monkeypatch, fmt):
@@ -599,10 +600,13 @@ def test_non_finite_float_error_text_is_jsons(value):
     with pytest.raises(ValueError) as refused:
         json.dumps(value, allow_nan=False)
     assert str(refused.value).startswith("Out of range float values are not JSON compliant")
-    for obj in (value, {"a": value}, [1, value], [0.5, value], {"a": {"b": [None, value]}}):
-        with pytest.raises(Error) as info:
-            cli._dump_json(obj)
-        assert str(info.value) == f"report not written: {refused.value}"
+    for obj, path in ((value, "the top level"), ({"a": value}, "a"), ([1, value], "[1]"),
+                      ([0.5, value], "[1]"), ({"a": {"b": [None, value]}}, "a.b[1]"),
+                      ({"b": value, "a": [1.0, {"c": value}]}, "a[1].c")):
+        for write in (cli._dump_json, cli._json_line):
+            with pytest.raises(Error) as info:
+                write(obj)
+            assert str(info.value) == f"report not written: {refused.value} (at {path})"
 
 
 _json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF, 5e-324]))

@@ -192,6 +192,22 @@ def two_basis_ensemble(n):
     return uniform_ensemble([pure_state(k) for k in kets])
 
 
+def trine_ensemble():
+    """The equiprobable trine as a four-key ensemble whose last key has no mass."""
+    kets = [np.array([np.cos(t), np.sin(t)]) for t in 2 * np.pi * np.arange(3) / 3]
+    states = [pure_state(k) for k in kets] + [pure_state([1.0, 0.0])]
+    return ens.CQEnsemble(2, np.array([1 / 3, 1 / 3, 1 / 3, 0.0]), states)
+
+
+def tetrahedron_ensemble():
+    """The four equiprobable qubit states whose Bloch vectors form a regular tetrahedron."""
+    kets = [np.array([1.0, 0.0])] + [
+        np.array([1.0, np.sqrt(2.0) * np.exp(2j * np.pi * k / 3)]) / np.sqrt(3.0)
+        for k in range(3)
+    ]
+    return uniform_ensemble([pure_state(k) for k in kets])
+
+
 class TestPOVMValidation:
     def test_projective_pair_valid(self):
         povm = det.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
@@ -688,6 +704,39 @@ class TestAccessibleInfoLowerBound:
         searched = det.accessible_info_lower_bound(e, restarts=2)
         assert searched.bits >= base.bits + 0.05
         assert searched.bits <= ens.holevo_information(e) + 1e-8
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    @pytest.mark.parametrize("make, bits", [
+        (trine_ensemble, np.log2(3 / 2)),         # Sasaki et al., PRA 59, 3325 (1999)
+        (tetrahedron_ensemble, np.log2(4 / 3)),   # Davies, IEEE Trans. IT 24, 596 (1978)
+    ], ids=["trine", "tetrahedron"])
+    def test_symmetric_qubit_ensembles_reach_their_accessible_information(
+            self, make, bits, restarts):
+        info = det.accessible_info_lower_bound(make(), restarts=restarts, seed=0)
+        assert abs(info.bits - bits) <= 1e-12
+
+    def test_equiprobable_pure_pairs_reach_the_levitin_value(self):
+        # two equiprobable pure states with overlap s: the Helstrom measurement
+        # attains I_acc = 1 - h((1 - sqrt(1 - s^2)) / 2)
+        rng = np.random.default_rng(0)
+        for i in range(60):
+            dim = 2 + i % 4
+            a, b = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+            s = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+            error = (1.0 - np.sqrt(1.0 - s * s)) / 2.0
+            h = -error * np.log2(error) - (1.0 - error) * np.log2(1.0 - error)
+            info = det.accessible_info_lower_bound(uniform_ensemble([pure_state(a), pure_state(b)]),
+                                                   restarts=0)
+            assert abs(info.bits - (1.0 - h)) <= 1e-12
+
+    def test_diagonal_ensembles_share_one_computational_basis(self):
+        first = det.accessible_info_lower_bound(
+            bounds.build_instance(bounds.EnsembleRecipe("commuting_classical", 2, 4, 1)))
+        second = det.accessible_info_lower_bound(
+            bounds.build_instance(bounds.EnsembleRecipe("spike_classical", 2, 4, 2)))
+        assert first.povm is second.povm
+        assert np.array_equal(first.povm.stack, det.projective_povm(np.eye(4)).stack)
+        assert not first.povm.stack.flags.writeable
 
     def test_deterministic_given_seed(self):
         le = locking.build_locking_ensemble("symmetric_corrected")

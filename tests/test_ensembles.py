@@ -12,7 +12,10 @@ from qseclab import operators as ops
 from qseclab.errors import (
     DimensionCapError,
     EmptySubsetError,
+    NotHermitianError,
+    NotPositiveError,
     ParseError,
+    TraceNotOneError,
     ValidationError,
 )
 
@@ -64,6 +67,170 @@ class TestConstruction:
         np.testing.assert_array_equal(e.stack, np.stack([s.matrix for s in e.states]))
         with pytest.raises(ValueError):
             e.stack[0, 0, 0] = 1.0
+
+
+def _one_by_one_density(matrix):
+    """The per-state density checks the stack validator replaced, kept as the
+    reference for its errors."""
+    m = np.array(matrix, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[-1] != m.shape[-2]:
+        raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[-1] < 1 or m.shape[-1] > ops.MAX_DIM:
+        raise DimensionCapError(
+            f"dimension {m.shape[-1]} outside supported range [1, {ops.MAX_DIM}]"
+        )
+    if not np.all(np.isfinite(m)):
+        raise NotHermitianError("matrix contains non-finite entries")
+    dev = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max()
+    if dev > ops.HERMITIAN_TOL:
+        raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
+    eigenvalues = np.linalg.eigvalsh(m)
+    if eigenvalues[0] < -ops.POSITIVITY_TOL:
+        raise NotPositiveError(float(eigenvalues[0]))
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > ops.TRACE_TOL:
+        raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {ops.TRACE_TOL}")
+    return m
+
+
+def _one_by_one_ensemble(n_bits, prior, states):
+    """The ensemble construction that validated each state alone, in key order."""
+    if n_bits < 0:
+        raise ValidationError("key length must be nonnegative")
+    if n_bits > ens.MAX_KEY_BITS:
+        raise ValidationError(f"key length {n_bits} exceeds cap {ens.MAX_KEY_BITS}")
+    prior = dist.validate_distribution(prior)
+    n_keys = 2**n_bits
+    if prior.size != n_keys:
+        raise ValidationError(f"prior has {prior.size} entries, expected {n_keys}")
+    matrices = [s.matrix if isinstance(s, ops.DensityOperator) else _one_by_one_density(s)
+                for s in states]
+    if len(matrices) != n_keys:
+        raise ValidationError(f"{len(matrices)} states supplied, expected {n_keys}")
+    dims = {m.shape[0] for m in matrices}
+    if len(dims) != 1:
+        raise ValidationError(f"states have mixed dimensions {sorted(dims)}")
+
+
+def _raised(build, *args):
+    try:
+        build(*args)
+    except Exception as exc:  # noqa: BLE001 - the class and text are compared
+        return type(exc), str(exc)
+    return None
+
+
+def _good_states(count, dim=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return [bounds.random_mixed_state(dim, rng).matrix for _ in range(count)]
+
+
+def _off_hermitian(m):
+    m = m.copy()
+    m[0, 1] += 1e-9
+    return m
+
+
+def _with_entry(value):
+    def fault(m):
+        m = m.copy()
+        m[1, 1] = value
+        return m
+    return fault
+
+
+# each turns a valid 3x3 state into one that fails one check
+STATE_FAULTS = {
+    "nan": _with_entry(np.nan),
+    "inf": _with_entry(np.inf),
+    "not_hermitian": _off_hermitian,
+    "not_positive": lambda m: np.diag([1.2, -0.1, -0.1]).astype(complex),
+    "barely_negative": lambda m: np.diag([1.0 + 2e-9, -2e-9, 0.0]).astype(complex),
+    "trace": lambda m: 2.0 * m,
+}
+# these give the state another shape, so the stack is ragged
+SHAPE_FAULTS = {
+    "non_square": lambda m: np.zeros((3, 4)),
+    "vector": lambda m: np.full(3, 1 / 3),
+    "scalar": lambda m: 1.0,
+    "over_cap": lambda m: np.eye(ops.MAX_DIM + 1) / (ops.MAX_DIM + 1),
+    "empty": lambda m: np.zeros((0, 0)),
+}
+
+
+class TestStackValidation:
+    """One batched validation raises what validating each state alone raised."""
+
+    def assert_same_error(self, n_bits, prior, states):
+        expected = _raised(_one_by_one_ensemble, n_bits, prior, states)
+        assert expected is not None
+        assert _raised(ens.CQEnsemble, n_bits, prior, states) == expected
+
+    @pytest.mark.parametrize("fault", sorted({**STATE_FAULTS, **SHAPE_FAULTS}))
+    @pytest.mark.parametrize("n_bits", [1, 2, 3])
+    def test_one_fault_at_each_key(self, fault, n_bits):
+        make = {**STATE_FAULTS, **SHAPE_FAULTS}[fault]
+        n_keys = 2**n_bits
+        for k in range(n_keys):
+            states = _good_states(n_keys)
+            states[k] = make(states[k])
+            self.assert_same_error(n_bits, ens.uniform_prior(n_bits), states)
+            if fault in STATE_FAULTS:
+                self.assert_same_error(n_bits, ens.uniform_prior(n_bits), np.stack(states))
+
+    @pytest.mark.parametrize("first", sorted(STATE_FAULTS))
+    @pytest.mark.parametrize("second", sorted({**STATE_FAULTS, **SHAPE_FAULTS}))
+    def test_the_first_failing_key_names_the_fault(self, first, second):
+        states = _good_states(4)
+        states[1] = STATE_FAULTS[first](states[1])
+        states[3] = {**STATE_FAULTS, **SHAPE_FAULTS}[second](states[3])
+        self.assert_same_error(2, ens.uniform_prior(2), states)
+
+    def test_the_first_failing_key_gives_the_value(self):
+        states = _good_states(4)
+        states[1], states[3] = 3.0 * states[1], 2.0 * states[3]
+        self.assert_same_error(2, ens.uniform_prior(2), states)
+        states[1] = np.diag([1.1, -0.1, 0.0]).astype(complex)
+        states[3] = np.diag([1.5, -0.5, 0.0]).astype(complex)
+        self.assert_same_error(2, ens.uniform_prior(2), states)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 4), (4, 3), (4, 0, 0), (4, 65, 65), (4, 2, 2, 2)])
+    def test_every_state_of_one_wrong_shape(self, shape):
+        self.assert_same_error(2, ens.uniform_prior(2), np.zeros(shape))
+
+    def test_ragged_states_with_a_bad_prior_name_the_prior(self):
+        states = [np.eye(2) / 2, np.diag([2.0, 0.0, 0.0])]
+        self.assert_same_error(1, [0.5, 0.6], states)
+        self.assert_same_error(1, [0.5, 0.6], [np.eye(2) / 2, np.eye(3) / 3])
+
+    def test_ragged_states(self):
+        for states in ([np.eye(2) / 2, np.eye(3) / 3],
+                       [np.eye(2) / 2, np.diag([2.0, 0.0, 0.0])],
+                       [np.eye(2) / 2, np.eye(3) / 3, np.eye(3) / 3],
+                       [ops.maximally_mixed(2), ops.maximally_mixed(4)],
+                       []):
+            self.assert_same_error(1, [0.5, 0.5], states)
+
+    def test_validated_states_with_a_bad_raw_state(self):
+        states = [ops.maximally_mixed(3), *_good_states(2), 2.0 * np.eye(3)]
+        self.assert_same_error(2, ens.uniform_prior(2), states)
+
+    def test_spectra_are_the_per_state_eigenvalues(self):
+        states = _good_states(8, dim=5, seed=3)
+        e = ens.CQEnsemble(3, ens.uniform_prior(3), states)
+        assert np.array_equal(e.spectra, np.stack([ops.DensityOperator(m).eigenvalues
+                                                   for m in states]))
+        assert not e.spectra.flags.writeable
+        assert all(np.array_equal(s.matrix, m) for s, m in zip(e.states, states))
+
+    def test_validated_states_are_taken_as_they_are(self, monkeypatch):
+        states = [ops.DensityOperator(m) for m in _good_states(4)]
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or eigvalsh(a))
+        e = ens.CQEnsemble(2, ens.uniform_prior(2), states)
+        assert solves == []
+        assert np.array_equal(e.spectra, np.stack([s.eigenvalues for s in states]))
 
 
 class TestAverageState:

@@ -370,11 +370,19 @@ def ensemble_to_dict(e: CQEnsemble) -> dict:
     return {
         "n": e.n_bits,
         "prior": [float(w) for w in e.prior],
-        "states": [ops.matrix_to_pairs(m) for m in e.stack],
+        "states": ops.matrix_to_pairs(e.stack),
     }
 
 
 def ensemble_from_dict(obj) -> CQEnsemble:
+    """The ensemble of a parsed ensemble file.
+
+    ``states`` is read as one stack: one float64 conversion of all the
+    literals, validated by :class:`CQEnsemble` with one batched
+    eigensolve.  Only where that fails is each literal parsed and
+    validated alone, in order, so the error names the first faulty state
+    (``state k: ...``) and has the class it has for that state alone.
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"ensemble record must be an object, got {type(obj).__name__}")
     missing = {"n", "prior", "states"} - set(obj)
@@ -384,10 +392,20 @@ def ensemble_from_dict(obj) -> CQEnsemble:
         raise ParseError(f'"n" must be an integer, got {type(obj["n"]).__name__}')
     if not isinstance(obj["states"], list):
         raise ParseError(f'"states" must be a list, got {type(obj["states"]).__name__}')
+    try:
+        stack = ops.matrix_from_pairs(obj["states"])
+        if stack.ndim == 3:
+            return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=stack)
+    except (Error, ValueError, TypeError, OverflowError):
+        pass  # the literals one by one below find the fault and name it
     states = []
     for k, literal in enumerate(obj["states"]):
         try:
-            states.append(DensityOperator(ops.matrix_from_pairs(literal)))
+            matrix = ops.matrix_from_pairs(literal)
+            if matrix.ndim != 2:  # a literal holds one matrix, not a stack
+                raise ParseError("matrix literal must have shape (rows, cols, 2), "
+                                 f"got {(*matrix.shape, 2)}")
+            states.append(DensityOperator(matrix))
         except ParseError as exc:
             raise ParseError(f"state {k}: {exc}") from exc
         except ValidationError as exc:
@@ -413,7 +431,7 @@ def load_ensemble(path) -> CQEnsemble:
 def save_ensemble(e: CQEnsemble, path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(ensemble_to_dict(e), fh, sort_keys=True)
-            fh.write("\n")
+            # json.dumps encodes in C; json.dump streams through the Python encoder
+            fh.write(json.dumps(ensemble_to_dict(e), sort_keys=True) + "\n")
     except OSError as exc:
         raise Error(f"cannot write {path}: {exc.strerror}") from exc

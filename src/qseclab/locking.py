@@ -40,7 +40,6 @@ import numpy as np
 
 from . import distributions, ensembles as ens, operators as ops
 from .errors import ValidationError
-from .operators import DensityOperator
 
 BASIS_13 = (1, 3)
 BASIS_24 = (2, 4)
@@ -110,50 +109,87 @@ class LockingEnsemble:
         return self.ensemble.n_bits
 
 
-def _state_from_term(slots: tuple[int, ...]) -> np.ndarray:
-    out = _PROJECTORS[slots[0] - 1]
-    for index in slots[1:]:
-        out = np.kron(out, _PROJECTORS[index - 1])
-    return out
+def _key_rows(n_bits) -> np.ndarray:
+    """The bits of the 2^n keys of a locking ensemble on n qubits, row k for key k."""
+    if n_bits < 2:
+        raise ValidationError(f"a locking ensemble needs at least two key bits, got {n_bits}")
+    if 2**n_bits > ops.MAX_DIM:
+        raise ValidationError(f"probe dimension 2^{n_bits} exceeds cap {ops.MAX_DIM}")
+    return ens._bit_rows(n_bits)
+
+
+def _table_slots(terms: dict) -> tuple[np.ndarray, list]:
+    """The basis states of a term table, shape (keys, 2, n), in key order,
+    and its keys; the table must hold exactly the 2^n keys of n bits, each
+    with two terms of n basis states 1..4."""
+    if not terms:
+        raise ValidationError("a term table needs at least two key bits, got no keys")
+    first = next(iter(terms))
+    if not isinstance(first, tuple):
+        raise ValidationError(f"key {first!r}: a key is a tuple of bits")
+    n_bits = len(first)
+    keys = [tuple(row) for row in _key_rows(n_bits).tolist()]
+    known = set(keys)
+    for bits in terms:
+        if bits not in known:
+            raise ValidationError(f"key {bits!r}: not one of the {len(keys)} keys of {n_bits} bits")
+    for bits in keys:
+        if bits not in terms:
+            raise ValidationError(f"key {bits}: missing from the term table")
+        pair = terms[bits]
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValidationError(f"key {bits}: expected two terms, got {pair!r}")
+        if any(not isinstance(t, (tuple, list)) or len(t) != n_bits
+               or not all(type(s) is int and 1 <= s <= 4 for s in t) for t in pair):
+            raise ValidationError(f"key {bits}: each term must hold {n_bits} basis states 1..4")
+    return np.array([terms[bits] for bits in keys]), keys
+
+
+def _term_states(slots: np.ndarray) -> np.ndarray:
+    """The states 1/2 (P + Q) of the term pairs ``slots`` (keys, 2, n), as a
+    raw (keys, d, d) stack; each product term is built with one batched
+    product per qubit, every entry the same single product ``np.kron``
+    forms, in the same operand order."""
+    flat = slots.reshape(-1, slots.shape[-1]) - 1  # first and second term of each key in turn
+    out = _PROJECTORS[flat[:, 0]]
+    for index in flat[:, 1:].T:
+        dim = 2 * out.shape[-1]
+        out = (out[:, :, None, :, None] * _PROJECTORS[index][:, None, :, None, :]).reshape(-1, dim, dim)
+    states = out[0::2] + out[1::2]
+    states *= _HALF
+    return states
 
 
 def build_term_ensemble(terms: dict, variant: str) -> LockingEnsemble:
     """Assemble a locking ensemble from an explicit term table.
 
     Keys are indexed with the first bit most significant; the prior is
-    uniform.  A table needs at least two key bits: the first selects a
-    basis that later bits are read in.  Every term must hold one basis
-    state (an int 1..4) per key bit.  Term orthogonality is verified
-    numerically per key: where the two product terms are orthogonal the
-    state must come out with eigenvalues (1/2, 1/2) within 1e-10;
-    non-orthogonal term pairs (the as_printed key 00) are permitted and
-    recorded.
+    uniform.  A table must hold exactly the 2^n keys of n bits, with
+    n >= 2 (the first bit selects a basis that later bits are read in)
+    and 2^n <= 64, and each key two terms of one basis state (an int
+    1..4) per key bit; any other table is a ``ValidationError`` naming
+    the key.  All 2 * 2^n product terms are built at once, one batched
+    Kronecker product per qubit, and the states reach ``CQEnsemble`` as
+    one raw stack.  Term orthogonality is verified numerically per key:
+    where the two product terms are orthogonal the state must come out
+    with eigenvalues (1/2, 1/2) within 1e-10; non-orthogonal term pairs
+    (the as_printed key 00) are permitted and recorded.
     """
-    n_bits = len(next(iter(terms)))
-    if n_bits < 2:
-        raise ValidationError(f"a term table needs at least two key bits, got {n_bits}")
-    states = []
-    orthogonality = {}
-    for bits in map(tuple, ens._bit_rows(n_bits).tolist()):
-        first, second = terms[bits]
-        if any(len(t) != n_bits or not all(type(s) is int and 1 <= s <= 4 for s in t)
-               for t in (first, second)):
-            raise ValidationError(f"key {bits}: each term must hold {n_bits} basis states 1..4")
-        matrix = _HALF * (_state_from_term(first) + _state_from_term(second))
-        state = DensityOperator(matrix)
-        orthogonality[bits] = any(OVERLAP2[a - 1, b - 1] == 0.0 for a, b in zip(first, second))
-        top = state.eigenvalues[::-1][:2]
-        if orthogonality[bits] and np.abs(top - 0.5).max() > 1e-10:
-            raise ValidationError(f"state {bits}: orthogonal terms but eigenvalues {top}")
-        states.append(state)
+    slots, keys = _table_slots(terms)
+    n_bits = slots.shape[-1]
     ensemble = ens.CQEnsemble(
-        n_bits=n_bits, prior=ens.uniform_prior(n_bits), states=tuple(states)
+        n_bits=n_bits, prior=ens.uniform_prior(n_bits), states=_term_states(slots)
     )
+    orthogonal = (OVERLAP2[slots[:, 0] - 1, slots[:, 1] - 1] == 0.0).any(axis=1)
+    top = ensemble.spectra[:, ::-1][:, :2]
+    for bits, ok, pair in zip(keys, orthogonal.tolist(), top):
+        if ok and np.abs(pair - 0.5).max() > 1e-10:
+            raise ValidationError(f"state {bits}: orthogonal terms but eigenvalues {pair}")
     return LockingEnsemble(
         variant=variant,
-        terms=MappingProxyType(dict(terms)),
+        terms=MappingProxyType({bits: tuple(map(tuple, terms[bits])) for bits in keys}),
         ensemble=ensemble,
-        term_orthogonality=MappingProxyType(orthogonality),
+        term_orthogonality=MappingProxyType(dict(zip(keys, orthogonal.tolist()))),
     )
 
 
@@ -201,11 +237,10 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
     the basis selected by the previous qubit's state.  For n = 2 this
     reproduces the symmetric_corrected table.
     """
-    if n_bits < 2:
-        raise ValidationError("chained construction needs at least two bits")
-    if 2**n_bits > ops.MAX_DIM:
-        raise ValidationError(f"probe dimension 2^{n_bits} exceeds cap {ops.MAX_DIM}")
-    keys = ens._bit_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
+    if isinstance(n_bits, bool) or not isinstance(n_bits, (int, np.integer)):
+        raise ValidationError(f"number of bits must be an integer, got {n_bits!r}")
+    n_bits = int(n_bits)
+    keys = _key_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
     took = np.vstack([np.tile([True, False], 2**n_bits), keys[:, 1:].T == 1])
     slots = [tuple(row) for row in _walk_states(keys[:, 0], took).tolist()]
     terms = {tuple(key): tuple(slots[2 * k:2 * k + 2])

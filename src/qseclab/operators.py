@@ -211,21 +211,25 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Wire format: a complex matrix is a nested list of [re, im] pairs, row-major.
+# Wire format: a complex matrix is a nested list of [re, im] pairs, row-major;
+# a stack of matrices is a list of such literals.
 # ---------------------------------------------------------------------------
 
 def matrix_to_pairs(op) -> list:
-    """Serialize an operator (or raw 2-D array) to nested [re, im] pairs."""
-    m = op.matrix if isinstance(op, (HermitianOperator, DensityOperator)) else np.asarray(op)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """Serialize an operator, a matrix or a stack of matrices to nested
+    [re, im] pairs: (rows, cols, 2), or (matrices, rows, cols, 2) for a stack."""
+    m = op.matrix if isinstance(op, (HermitianOperator, DensityOperator)) else op
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_pairs(obj) -> np.ndarray:
-    """Parse the nested [re, im] pair format back into a complex matrix."""
+    """Parse the nested [re, im] pair format back into a complex matrix, or
+    into a stack of them from a list of literals of one shape."""
     try:
         arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ParseError(f"malformed matrix literal: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
         raise ParseError(f"matrix literal must have shape (rows, cols, 2), got {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]

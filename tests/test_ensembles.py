@@ -1,6 +1,7 @@
 """Tests for classical-quantum ensembles and the secrecy criteria."""
 
 import decimal
+import json
 import tracemalloc
 
 import numpy as np
@@ -585,3 +586,135 @@ class TestEnsembleFiles:
     def test_missing_field_rejected(self):
         with pytest.raises(ParseError):
             ens.ensemble_from_dict({"n": 1, "prior": [0.5, 0.5]})
+
+    def test_written_as_per_entry_pairs_by_json_dump(self, tmp_path):
+        # the writer before the stack: one float pair per entry, streamed by json.dump
+        sources = [locking.build_chained_locking_ensemble(3).ensemble,
+                   *(random_ensemble(2, d, np.random.default_rng(d)) for d in (2, 5))]
+        for e in sources:
+            ens.save_ensemble(e, tmp_path / "stack.json")
+            record = {"n": e.n_bits, "prior": [float(w) for w in e.prior],
+                      "states": [[[[float(z.real), float(z.imag)] for z in row] for row in m]
+                                 for m in e.stack]}
+            with open(tmp_path / "entries.json", "w", encoding="utf-8") as fh:
+                json.dump(record, fh, sort_keys=True)
+                fh.write("\n")
+            assert (tmp_path / "stack.json").read_bytes() == (tmp_path / "entries.json").read_bytes()
+
+    def test_one_eigensolve_per_load(self, tmp_path, monkeypatch):
+        e = random_ensemble(3, 5, np.random.default_rng(4))
+        ens.save_ensemble(e, tmp_path / "e.json")
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        loaded = ens.load_ensemble(tmp_path / "e.json")
+        assert solves == [(8, 5, 5)]
+        assert np.array_equal(loaded.stack, e.stack)
+        assert np.array_equal(loaded.spectra, e.spectra)
+
+
+def _literal_by_literal(obj):
+    """The file loader that parsed and validated each state literal alone, in
+    order, kept as the reference for the errors of the one-stack loader."""
+    states = []
+    for k, literal in enumerate(obj["states"]):
+        try:
+            try:
+                arr = np.asarray(literal, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"malformed matrix literal: {exc}") from exc
+            if arr.ndim != 3 or arr.shape[2] != 2:
+                raise ParseError(f"matrix literal must have shape (rows, cols, 2), got {arr.shape}")
+            states.append(ops.DensityOperator(arr[..., 0] + 1j * arr[..., 1]))
+        except ParseError as exc:
+            raise ParseError(f"state {k}: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"state {k}: {exc}") from exc
+    try:
+        return ens.CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(f"bad ensemble record: {exc}") from exc
+
+
+def _set_entry(value):
+    def fault(literal):
+        literal[1][1][0] = value
+        return literal
+    return fault
+
+
+# each turns the pair literal of a valid 3x3 state into a faulty one
+LITERAL_FAULTS = {
+    "rows_only": lambda lit: lit[0],
+    "one_more_level": lambda lit: [lit],
+    "triples": lambda lit: [[[*pair, 0.0] for pair in row] for row in lit],
+    "non_square": lambda lit: lit[:2],
+    "ragged_row": lambda lit: [lit[0][:2], *lit[1:]],
+    "text_entry": _set_entry("x"),
+    "list_entry": _set_entry([1.0, 2.0]),
+    "null_entry": _set_entry(None),
+    "nan_entry": _set_entry(float("nan")),
+    "not_hermitian": lambda lit: ops.matrix_to_pairs(_off_hermitian(ops.matrix_from_pairs(lit))),
+    "not_positive": lambda lit: ops.matrix_to_pairs(np.diag([1.2, -0.1, -0.1])),
+    "trace": lambda lit: ops.matrix_to_pairs(2.0 * ops.matrix_from_pairs(lit)),
+    "other_dimension": lambda lit: ops.matrix_to_pairs(np.eye(2) / 2),
+    "over_cap": lambda lit: ops.matrix_to_pairs(np.eye(ops.MAX_DIM + 1) / (ops.MAX_DIM + 1)),
+}
+
+
+class TestFileErrors:
+    """Reading the states as one stack raises what reading each literal alone raised."""
+
+    @staticmethod
+    def record(n_bits=2, dim=3):
+        return ens.ensemble_to_dict(ens.CQEnsemble(
+            n_bits, ens.uniform_prior(n_bits), _good_states(2**n_bits, dim=dim)))
+
+    def assert_same_error(self, record):
+        expected = _raised(_literal_by_literal, record)
+        assert expected is not None
+        assert _raised(ens.ensemble_from_dict, record) == expected
+        return expected
+
+    @pytest.mark.parametrize("fault", sorted(LITERAL_FAULTS))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_faulty_state_is_named(self, fault, k):
+        record = self.record()
+        record["states"][k] = LITERAL_FAULTS[fault](record["states"][k])
+        error_class, text = self.assert_same_error(record)
+        if fault == "over_cap":  # a DimensionCapError is not a ValidationError
+            assert error_class is DimensionCapError
+        elif fault == "other_dimension":  # each state is valid alone
+            assert text == "states have mixed dimensions [2, 3]"
+        else:
+            assert text.startswith(f"state {k}: ")
+
+    @pytest.mark.parametrize("fault", sorted(LITERAL_FAULTS))
+    def test_the_first_faulty_state_is_named(self, fault):
+        record = self.record()
+        record["states"][3] = LITERAL_FAULTS["trace"](record["states"][3])
+        record["states"][2] = LITERAL_FAULTS[fault](record["states"][2])
+        self.assert_same_error(record)
+
+    @pytest.mark.parametrize("prior", [[0.5, 0.6, 0.0, 0.0], [0.5, 0.5], "uniform", [0.25, 0.25, 0.25, None]])
+    def test_a_bad_prior_is_named_after_the_states(self, prior):
+        record = self.record()
+        record["prior"] = prior
+        assert self.assert_same_error(record)[1] != ""
+        record["states"][1] = LITERAL_FAULTS["not_positive"](record["states"][1])
+        assert self.assert_same_error(record)[1].startswith("state 1: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(n=3), lambda r: r.update(n=-1), lambda r: r.update(states=[]),
+        lambda r: r["states"].append(r["states"][0]), lambda r: r.update(states=r["states"][0]),
+    ], ids=["too-few-states", "negative-n", "no-states", "too-many-states", "one-literal"])
+    def test_a_bad_record_shape(self, edit):
+        record = self.record()
+        edit(record)
+        self.assert_same_error(record)
+
+    def test_an_integer_past_float_range_is_a_parse_error(self):
+        record = self.record()
+        record["states"][1][0][0][0] = 10**400
+        with pytest.raises(ParseError, match="^state 1: malformed matrix literal: int too large"):
+            ens.ensemble_from_dict(record)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qseclab import ensembles as ens, locking
+from qseclab import ensembles as ens, locking, operators as ops
 from qseclab.errors import ValidationError
 
 SQRT2 = np.sqrt(2.0)
@@ -51,6 +51,26 @@ def sequential_unlock_oracle(le, known_k1):
             if took_first[1:] == tuple(bit == 1 for bit in hidden):
                 total += float(np.trace(measured @ rho).real)
     return total / 2 ** (n - 1)
+
+
+def per_term_kron_build(terms):
+    """The states of a term table built one key and one term at a time, with
+    one ``np.kron`` per qubit, their spectra validated one state at a time,
+    and per key whether the two product terms are orthogonal (tr(P Q) = 0)."""
+    def product(slots):
+        out = locking._PROJECTORS[slots[0] - 1]
+        for index in slots[1:]:
+            out = np.kron(out, locking._PROJECTORS[index - 1])
+        return out
+
+    states, spectra, orthogonality = [], [], {}
+    for bits, (first, second) in terms.items():
+        p, q = product(first), product(second)
+        state = ops.DensityOperator(0.5 * (p + q))
+        states.append(state.matrix)
+        spectra.append(state.eigenvalues)
+        orthogonality[bits] = abs(np.trace(p @ q)) < 1e-12
+    return np.stack(states), np.stack(spectra), orthogonality
 
 
 REFERENCE_BLOCK = 2**16  # the block size the reference sampler draws in
@@ -205,6 +225,40 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="at least two key bits"):
             locking.build_term_ensemble(terms, "one")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: {}, "at least two key bits, got no keys"),
+        (lambda t: {k: v for k, v in t.items() if k != (0, 0)},
+         r"key \(0, 0\): missing from the term table"),
+        (lambda t: {**t, (0, 1): t[(0, 1)][:1]}, r"key \(0, 1\): expected two terms"),
+        (lambda t: {**t, (1, 0): (*t[(1, 0)], (1, 1))}, r"key \(1, 0\): expected two terms"),
+        (lambda t: {**t, (1, 1, 1): ((1, 1, 1), (3, 2, 1))},
+         r"key \(1, 1, 1\): not one of the 4 keys of 2 bits"),
+        (lambda t: {**t, (0, 2): t[(0, 1)]}, r"key \(0, 2\): not one of the 4 keys"),
+        (lambda t: {"00": t[(0, 0)]}, "key '00': a key is a tuple of bits"),
+        (lambda t: {**t, (1, 1): (1, 3)}, r"key \(1, 1\): each term must hold 2 basis states"),
+    ], ids=["empty", "missing-key", "one-term", "three-terms", "extra-key", "non-bit-key",
+            "string-key", "int-terms"])
+    def test_malformed_table_names_the_key(self, edit, message):
+        terms = edit(dict(locking.TERM_TABLES["symmetric_corrected"]))
+        with pytest.raises(ValidationError, match=message):
+            locking.build_term_ensemble(terms, "malformed")
+
+    @pytest.mark.parametrize("n_bits", [2.0, "3", True, None])
+    def test_chained_bit_count_must_be_an_integer(self, n_bits):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            locking.build_chained_locking_ensemble(n_bits)
+
+    @pytest.mark.parametrize("n_bits, message", [
+        (1, "at least two key bits, got 1"), (7, "probe dimension 2\\^7 exceeds cap 64"),
+    ])
+    def test_chained_bit_count_in_range(self, n_bits, message):
+        with pytest.raises(ValidationError, match=message):
+            locking.build_chained_locking_ensemble(n_bits)
+
+    def test_numpy_integer_bit_count_accepted(self):
+        le = locking.build_chained_locking_ensemble(np.int64(3))
+        assert le.variant == "chained_3" and le.n_bits == 3
+
     @pytest.mark.parametrize("variant", locking.VARIANTS)
     def test_one_shared_read_only_object_per_variant(self, variant):
         le = locking.build_locking_ensemble(variant)
@@ -214,6 +268,26 @@ class TestConstruction:
         with pytest.raises(TypeError):
             le.term_orthogonality[(0, 0)] = True
         assert le.terms == locking.TERM_TABLES[variant]
+
+    @pytest.mark.parametrize("source", [*locking.VARIANTS, *range(2, 7)])
+    def test_bit_equal_to_the_per_term_kron_build(self, source):
+        le = (locking.build_term_ensemble(locking.TERM_TABLES[source], source)
+              if isinstance(source, str) else locking.build_chained_locking_ensemble(source))
+        states, spectra, orthogonality = per_term_kron_build(le.terms)
+        assert np.array_equal(le.ensemble.stack, states)
+        assert np.array_equal(le.ensemble.spectra, spectra)
+        assert dict(le.term_orthogonality) == orthogonality
+        assert list(le.terms) == [tuple(row) for row in ens._bit_rows(le.n_bits).tolist()]
+
+    @pytest.mark.parametrize("n_bits", [2, 4, 6])
+    def test_no_kron_and_one_eigensolve_per_build(self, monkeypatch, n_bits):
+        krons, solves = [], []
+        kron, eigvalsh = np.kron, np.linalg.eigvalsh
+        monkeypatch.setattr(np, "kron", lambda *a: krons.append(a) or kron(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        locking.build_chained_locking_ensemble(n_bits)
+        assert krons == []
+        assert solves == [(2**n_bits, 2**n_bits, 2**n_bits)]
 
     def test_chained_reduces_to_symmetric_at_two_bits(self):
         chain = locking.build_chained_locking_ensemble(2)

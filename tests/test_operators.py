@@ -248,3 +248,20 @@ class TestWireFormat:
     def test_malformed_literal_rejected(self):
         with pytest.raises(ParseError):
             ops.matrix_from_pairs([[1, 2], [3, 4]])
+
+    def test_a_stack_is_a_list_of_matrix_literals(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_density(3, rng).matrix for _ in range(4)])
+        pairs = ops.matrix_to_pairs(stack)
+        assert pairs == [ops.matrix_to_pairs(m) for m in stack]
+        assert pairs[2] == [[[float(z.real), float(z.imag)] for z in row] for row in stack[2]]
+        assert np.array_equal(ops.matrix_from_pairs(pairs), stack)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (1, 1, 2, 2, 2), (2,)])
+    def test_neither_a_matrix_nor_a_stack_rejected(self, shape):
+        with pytest.raises(ParseError, match=r"must have shape \(rows, cols, 2\)"):
+            ops.matrix_from_pairs(np.zeros(shape).tolist())
+
+    def test_an_integer_past_float_range_rejected(self):
+        with pytest.raises(ParseError, match="malformed matrix literal"):
+            ops.matrix_from_pairs([[[10**400, 0]]])

@@ -41,10 +41,14 @@ def _dump_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
     byte for byte; a NaN or infinity, which JSON cannot hold, is an ``Error``.
 
+    ``obj`` may also hold numpy arrays; each is written as its ``tolist()``
+    would be.
+
     json's C encoder ignores ``indent``, so that call encodes element by
     element in Python.  Here only the layout of str-keyed dicts and of
     lists is written in Python; each scalar by the function json uses for
-    it, and a float list by the C encoder, once per distinct bit pattern.
+    it, and a float column (a 1-D ``float64`` array or a list of exact
+    floats) by :func:`_json_text` a run of equal values at a time.
     """
     try:
         return _json_text(obj, "") + "\n"
@@ -72,6 +76,9 @@ def _non_finite_path(obj, path: str) -> str | None:
     """The path below ``path`` of the first NaN or infinity in ``obj``, or None."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else path
+    if isinstance(obj, np.ndarray):
+        bad = np.argwhere(~np.isfinite(obj))
+        return path + "".join(f"[{i}]" for i in bad[0]) if bad.size else None
     if isinstance(obj, dict):
         children = ((f"{path}.{key}" if path else str(key), obj[key]) for key in sorted(obj))
     elif isinstance(obj, (list, tuple)):
@@ -97,11 +104,21 @@ _SCALAR_TEXT = {
 
 
 def _json_text(obj, pad: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value nested at ``pad``."""
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value nested at
+    ``pad``, where a numpy array stands for its ``tolist()``.
+
+    A float column, a 1-D ``float64`` array or a list of exact floats, is
+    written by runs of equal IEEE bit patterns: the runs are found with one pass over
+    the adjacent ``uint64`` patterns, the first value of every run is
+    encoded in one ``json.dumps`` call, and each text is repeated for its
+    run.  Equal bits have equal text, so the bytes are json's.
+    """
     scalar_text = _SCALAR_TEXT.get(type(obj))
     if scalar_text is not None:
         return scalar_text(obj)
     inner = pad + "  "
+    if type(obj) is list and obj and set(map(type, obj)) == {float}:
+        obj = np.array(obj)
     if type(obj) is dict and all(type(key) is str for key in obj):
         if not obj:
             return "{}"
@@ -111,40 +128,52 @@ def _json_text(obj, pad: str) -> str:
     elif type(obj) is list:
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {float}:
-            items = _float_texts(obj)
-        else:
-            items = [_json_text(item, inner) for item in obj]
+        items = [_json_text(item, inner) for item in obj]
+        brackets = "[]"
+    elif type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim == 1:
+        if not obj.size:
+            return "[]"
+        bits = obj.view(np.uint64)
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        texts = json.dumps(obj[np.append(0, starts)].tolist(), allow_nan=False)[1:-1].split(", ")
+        items = []
+        for text, count in zip(texts, np.diff(starts, prepend=0, append=obj.size).tolist()):
+            items += [text] * count
         brackets = "[]"
     else:
-        # non-str keys, tuples, subclasses: json's own layout, moved to this depth
-        # (a JSON string never holds a raw newline)
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+        # non-str keys, tuples, subclasses, other arrays: json's own layout, moved
+        # to this depth (a JSON string never holds a raw newline)
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_array_list).replace("\n", "\n" + pad)
     separator = ",\n" + inner
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{pad}{brackets[1]}"
 
 
-def _float_texts(values: list) -> list[str]:
-    """The JSON text of each float, encoding each distinct bit pattern once."""
-    bits, index = np.unique(np.array(values).view(np.uint64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
-    return np.array(texts, dtype=object)[index].tolist()
+def _array_list(obj) -> list:
+    """json's ``default`` hook: a numpy array as its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_text(obj, indent: int = 0) -> str:
+    """The text format: one ``key: value`` or ``- item`` line per leaf; an
+    array is written as its ``tolist()``."""
     pad = "  " * indent
     lines = []
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for key in sorted(obj):
             value = obj[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, np.ndarray)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_dump_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
     elif isinstance(obj, list):
         for value in obj:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, np.ndarray)):
                 lines.append(_dump_text(value, indent + 1))
             else:
                 lines.append(f"{pad}- {value}")
@@ -302,7 +331,7 @@ def cmd_extremal(args, argv) -> int:
             "discrepancy": construction.discrepancy,
             "note": construction.note,
             "materialized": spike is not None,
-            "resulting_distribution": None if spike is None else spike.tolist(),
+            "resulting_distribution": spike,  # as the array: no 2^n-entry list is made
         }
     )
     _emit_report(payload, args)

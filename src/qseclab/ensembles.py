@@ -410,6 +410,8 @@ def ensemble_from_dict(obj) -> CQEnsemble:
             raise ParseError(f"state {k}: {exc}") from exc
         except ValidationError as exc:
             raise ValidationError(f"state {k}: {exc}") from exc
+        except DimensionCapError as exc:
+            raise DimensionCapError(f"state {k}: {exc}") from exc
     try:
         return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
     except (ValueError, TypeError, OverflowError) as exc:

@@ -51,7 +51,9 @@ def _checked_hermitian(m: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix contains non-finite entries")
-    dev = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max()
+    # one complex temporary, in C order like m so that the subtraction runs contiguously
+    t = np.conj(np.swapaxes(m, -1, -2), order="C")
+    dev = np.abs(np.subtract(m, t, out=t)).max()
     if dev > HERMITIAN_TOL:
         raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
     m.setflags(write=False)

@@ -112,6 +112,15 @@ class TestCriteria:
         assert code == 1
         assert "state 1" in err
 
+    def test_state_above_the_dimension_cap_is_named(self, capsys, tmp_path):
+        over = ops.MAX_DIM + 1
+        record = {"n": 0, "prior": [1.0], "states": [ops.matrix_to_pairs(np.eye(over) / over)]}
+        path = tmp_path / "over_cap.json"
+        path.write_text(json.dumps(record))
+        assert run_cli(capsys, ["criteria", str(path)]) == (
+            1, "", f"qseclab: error: state 0: dimension {over} outside supported range "
+                   f"[1, {ops.MAX_DIM}]\n")
+
     def test_prior_round_off_below_zero_gives_a_report(self, capsys, tmp_path):
         zero = ops.matrix_to_pairs(np.diag([1.0, 0.0]))
         one = ops.matrix_to_pairs(np.diag([0.0, 1.0]))
@@ -543,7 +552,9 @@ class _Text(str):
 
 
 def _indented(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # an array is written as its list
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=np.ndarray.tolist) + "\n"
 
 
 def _assert_dumps_as_json(obj):
@@ -584,12 +595,26 @@ _NAN, _INF = float("nan"), float("inf")
     {"np": np.float64(0.1), "enum": _Level.HIGH, "str": _Text("v\u00e9"), "list": [_Level.LOW]},
     {_Text("k\u00e9y"): 1, "float": [np.float64(-0.0), 1.5]},
     np.float64(1e22), _Level.HIGH, _Text("\x00"),
+    np.repeat([2.0**-16, 1e-300, 0.75, 2.0**-16], [5000, 1, 3000, 2]),
+    np.tile([0.1, 1.0 / 3.0], 500),
+    np.array([0.0, -0.0, -0.0, 0.0, -0.0]),
+    np.array([5e-324, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]),
+    np.array([0.1]),
+    np.array([], dtype=np.float64),
+    np.array([0.25, 0.25, _NAN, 0.25]),
+    np.array([1.0, _INF, -_INF]),
+    {"b": np.arange(12.0)[::3], "a": [np.array([1e16, 1e16]), {"c": np.array([0.5])}]},
+    {"t": (np.array([0.5, 0.5]),), "i": np.arange(3), "m": np.array([[0.5, -0.0], [1.0, 2.0]])},
+    {"m": np.array([[0.5, 1.0], [2.0, _NAN]])},
 ], ids=["signed-zeros", "nan-inf", "subnormals", "repr-forms", "bool-and-float",
         "big-ints", "float-lists", "empty-dict", "empty-list", "empty-children", "strings",
         "tuples", "tuple-and-int-keys-nested", "int-keys", "mixed-list",
         "float", "str", "none", "bool", "int", "non-ascii-and-control", "float-values",
         "float-mixed-list", "constants-as-values", "subclass-values", "subclass-key",
-        "np-float64", "int-enum", "str-subclass"])
+        "np-float64", "int-enum", "str-subclass", "array-long-runs", "array-alternating",
+        "array-signed-zeros", "array-subnormals", "array-one-entry", "array-empty",
+        "array-nan", "array-inf", "arrays-nested-and-strided", "other-arrays",
+        "other-array-nan"])
 def test_dump_json_equals_indented_json_dumps(obj):
     _assert_dumps_as_json(obj)
 
@@ -607,6 +632,18 @@ def test_non_finite_float_error_text_is_jsons(value):
             with pytest.raises(Error) as info:
                 write(obj)
             assert str(info.value) == f"report not written: {refused.value} (at {path})"
+    # an array, which only the indented writer takes, is named with its index
+    spike = np.full(8, 0.125)
+    spike[5] = value
+    spike[7] = -value
+    with pytest.raises(Error) as info:
+        cli._dump_json({"n": 3, "resulting_distribution": spike, "a": np.array([0.5, 1.0])})
+    assert str(info.value) == (f"report not written: {refused.value} "
+                               "(at resulting_distribution[5])")
+    # json's own layout writes a 2-D array; its Python encoder words the refusal
+    # differently, so only the path is checked
+    with pytest.raises(Error, match=r"\(at m\[1\]\[1\]\[1\]\)$"):
+        cli._dump_json({"m": (np.eye(2), spike.reshape(2, 4))})
 
 
 _json_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF, 5e-324]))
@@ -616,10 +653,16 @@ _json_leaves = st.one_of(
 )
 
 
+def _float_runs(runs) -> np.ndarray:
+    return np.repeat(np.array([value for value, _ in runs], dtype=np.float64),
+                     [count for _, count in runs])
+
+
 def _json_children(inner):
     return st.one_of(
         st.lists(inner, max_size=4),
         st.lists(_json_floats, min_size=1, max_size=6),  # a float column
+        st.lists(st.tuples(_json_floats, st.integers(1, 4)), max_size=5).map(_float_runs),
         st.dictionaries(st.text(max_size=3), inner, max_size=4),
         st.dictionaries(st.integers(-3, 3), inner, max_size=3),
         st.lists(inner, max_size=3).map(tuple),
@@ -644,6 +687,10 @@ def test_json_reports_survive_a_json_round_trip(tmp_path, monkeypatch):
              for i in (0, 1, 2, 3, 4, 13)]
     runs.append(("extremal_mi_16.json",
                  ["extremal", "--kind", "mutual_information", "--n", "16", "--l-prime", "5"]))
+    runs.append(("extremal_vd_16.json",
+                 ["extremal", "--kind", "variational_distance", "--n", "16", "--l", "7.5"]))
+    runs.append(("extremal_mi_14.json",
+                 ["extremal", "--kind", "mutual_information", "--n", "14", "--l-prime", "3.25"]))
     assert sum(name.startswith("locking-demo") for name, _ in runs) == 2
     for name, argv in runs:
         out = io.StringIO()
@@ -651,6 +698,17 @@ def test_json_reports_survive_a_json_round_trip(tmp_path, monkeypatch):
             assert cli.main(argv) == 0, name
         text = out.getvalue()
         assert text == _indented(json.loads(text)), name
+
+
+def test_the_spike_reaches_the_writer_as_its_array(monkeypatch):
+    written = []
+    monkeypatch.setattr(cli, "_emit_report", lambda payload, args: written.append(payload))
+    assert cli.main(["extremal", "--kind", "variational_distance", "--n", "16", "--l", "7.5"]) == 0
+    column = written[0]["resulting_distribution"]
+    assert type(column) is np.ndarray and column.dtype == np.float64
+    assert column.shape == (2**16,)
+    # the text format writes the array as its list
+    assert cli._dump_text({"p": column[:3]}) == cli._dump_text({"p": column[:3].tolist()})
 
 
 class TestGoldenCompare:

@@ -630,6 +630,8 @@ def _literal_by_literal(obj):
             raise ParseError(f"state {k}: {exc}") from exc
         except ValidationError as exc:
             raise ValidationError(f"state {k}: {exc}") from exc
+        except DimensionCapError as exc:
+            raise DimensionCapError(f"state {k}: {exc}") from exc
     try:
         return ens.CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
     except (ValueError, TypeError, OverflowError) as exc:
@@ -682,12 +684,13 @@ class TestFileErrors:
         record = self.record()
         record["states"][k] = LITERAL_FAULTS[fault](record["states"][k])
         error_class, text = self.assert_same_error(record)
-        if fault == "over_cap":  # a DimensionCapError is not a ValidationError
-            assert error_class is DimensionCapError
-        elif fault == "other_dimension":  # each state is valid alone
+        if fault == "other_dimension":  # each state is valid alone
             assert text == "states have mixed dimensions [2, 3]"
         else:
             assert text.startswith(f"state {k}: ")
+        if fault == "over_cap":  # named, and still not a ValidationError
+            assert error_class is DimensionCapError
+            assert text == f"state {k}: dimension 65 outside supported range [1, 64]"
 
     @pytest.mark.parametrize("fault", sorted(LITERAL_FAULTS))
     def test_the_first_faulty_state_is_named(self, fault):

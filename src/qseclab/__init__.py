@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .distributions import (  # noqa: F401
     SpikeConstruction,
-    kl_divergence,
     max_event_gap,
     mutual_information,
     shannon_entropy,
@@ -47,7 +46,6 @@ from .operators import (  # noqa: F401
     DensityOperator,
     HermitianOperator,
     eig_hermitian,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )

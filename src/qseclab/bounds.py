@@ -34,7 +34,7 @@ import numpy as np
 
 from . import detection, distributions as dist, ensembles as ens, locking
 from .errors import OutOfScopeError, ValidationError
-from .operators import MAX_DIM, DensityOperator, _rank_one
+from .operators import MAX_DIM, _rank_one
 
 CLASSICAL_TOL = 1e-10
 OPERATOR_TOL = 1e-9
@@ -67,16 +67,6 @@ def _random_mixed_stack(count: int, dim: int, rng: np.random.Generator) -> np.nd
     m = g[:, 0] + 1j * g[:, 1]
     rho = m @ np.conj(np.swapaxes(m, -1, -2))
     return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Projector onto a spherically symmetric random complex vector."""
-    return DensityOperator(_random_pure_stack(1, dim, rng)[0])
-
-
-def random_mixed_state(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Reduced state of a random pure state on the squared dimension."""
-    return DensityOperator(_random_mixed_stack(1, dim, rng)[0])
 
 
 def _random_prior(n_keys: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, bounds, distributions, ensembles, locking, operators
+from . import __version__, bounds, distributions, ensembles, locking
 from .errors import Error
 
 FORMATS = ("json", "csv", "text")
@@ -251,10 +251,7 @@ def cmd_criteria(args, argv) -> int:
     payload["forms_agreement_residual"] = (
         None if record.d_joint is None else abs(record.d_joint - record.d)
     )
-    ideal = ensembles.conditional_distances(
-        e, reference=operators.maximally_mixed(e.state_dim)
-    )
-    payload["ideal_reference_mean"] = float(e.prior @ ideal)
+    payload["ideal_reference_mean"] = ensembles.ideal_comparison_value(e).mean
     _emit_report(payload, args)
     return 0
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import distributions as dist
 from . import ensembles as ens
 from .errors import DimensionMismatchError, ValidationError, ZeroMassError
-from .operators import DensityOperator, HermitianOperator, _as_hermitian, _rank_one, eig_hermitian
+from .operators import DensityOperator, _as_hermitian, _rank_one, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -89,8 +89,8 @@ def _computational_basis(dim: int) -> POVM:
     return projective_povm(np.eye(dim))
 
 
-def eigenbasis_povm(op: HermitianOperator | DensityOperator) -> POVM:
-    """Projective measurement in the eigenbasis of an operator."""
+def eigenbasis_povm(op) -> POVM:
+    """Projective measurement in the eigenbasis of an operator or a Hermitian matrix."""
     _, vecs = eig_hermitian(op)
     return projective_povm(vecs)
 
@@ -201,7 +201,7 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     average state on its support; a remainder element on the kernel
     completes the POVM (that outcome never fires on in-support states).
     """
-    vecs, inv_sqrt = _psd_spectrum(ens.average_state(e).matrix)
+    vecs, inv_sqrt = _psd_spectrum(ens.average_state(e))
     s = (vecs * inv_sqrt) @ vecs.conj().T
     kernel = (vecs * (inv_sqrt == 0.0)) @ vecs.conj().T
     weighted = e.prior[:, None, None] * e.stack

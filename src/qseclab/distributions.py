@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptySubsetError,
     InfeasibleError,
-    InfiniteDivergenceError,
     SizeMismatchError,
     ValidationError,
 )
@@ -167,18 +165,6 @@ def _information(j: np.ndarray) -> tuple[float, np.ndarray]:
     log2_ratio = np.zeros_like(j)
     log2_ratio[mask] = on_support
     return max(0.0, float((positive * on_support).sum())), log2_ratio
-
-
-def kl_divergence(p, q) -> float:
-    """Relative entropy in bits; requires supp(p) inside supp(q)."""
-    p, q = _pair(p, q)
-    bad = (q == 0.0) & (p > 0.0)
-    if bad.any():
-        raise InfiniteDivergenceError(
-            f"support violation at indices {np.nonzero(bad)[0].tolist()}"
-        )
-    mask = p > 0.0
-    return max(0.0, float((p[mask] * (np.log2(p[mask]) - np.log2(q[mask]))).sum()))
 
 
 # ---------------------------------------------------------------------------

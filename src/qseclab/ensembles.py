@@ -1,12 +1,16 @@
 """Classical-quantum key ensembles and the secrecy criteria computed on them.
 
 A ``CQEnsemble`` pairs a prior over n-bit key values with one probe state
-per key.  On top of it this module evaluates the trace-distance secrecy
-criterion in its two equivalent forms (explicit joint-vs-product state,
-and prior-weighted average of per-key distances), the prior-weighted
-variant used for non-uniform priors, the Holevo information, the
-measured (classical) counterparts induced by a POVM, and key-subset
-uniformity gaps.
+per key.  A state is validated once, where it enters: the ensemble checks
+its states as one stack, and every matrix derived from that stack (the
+average state, the joint state, the ideal reference) is a plain array
+that nothing validates again.  On top of it this module evaluates the
+trace-distance secrecy criterion in its two equivalent forms (explicit
+joint-vs-product state, and prior-weighted average of per-key
+distances), the prior-weighted variant used for non-uniform priors, the
+ideal-reference comparison, the Holevo information, the measured
+(classical) counterparts induced by a POVM, and key-subset uniformity
+gaps.
 
 Key-bit convention: key value k is an integer in [0, 2^n); bit position 0
 is the most significant bit, so for n = 2 the keys order as
@@ -49,10 +53,10 @@ class CQEnsemble:
     The states are held once, as one validated stack: ``stack`` is a
     read-only (keys, d, d) array and ``spectra`` the read-only (keys, d)
     ascending spectra its validation computed.  ``states`` may be any
-    sequence of state matrices or a 3-D array, validated with one batched
-    eigensolve (:func:`operators._as_states`); a sequence of
-    ``DensityOperator`` objects is taken as it is.  The ensemble is
-    immutable, so quantities derived from it are kept on it.
+    sequence of state matrices or ``DensityOperator`` objects, or a 3-D
+    array, validated together with one batched eigensolve
+    (:func:`operators._as_states`).  The ensemble is immutable, so
+    quantities derived from it are kept on it.
     """
 
     n_bits: int
@@ -70,25 +74,18 @@ class CQEnsemble:
         n_keys = 2**self.n_bits
         if prior.size != n_keys:
             raise ValidationError(f"prior has {prior.size} entries, expected {n_keys}")
-        states = list(states)
-        try:
-            if all(isinstance(s, DensityOperator) for s in states):
-                stack = np.stack([s.matrix for s in states])
-                spectra = np.stack([s.eigenvalues for s in states])
-                stack.setflags(write=False)
-                spectra.setflags(write=False)
-            else:
-                stack, spectra = ops._as_states(
-                    [s.matrix if isinstance(s, DensityOperator) else s for s in states]
-                )
-        except (ValueError, TypeError):
-            # a ragged or empty sequence: each state validated alone names the first fault
-            states = [s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states]
-            stack = None
-        if len(states) != n_keys:
-            raise ValidationError(f"{len(states)} states supplied, expected {n_keys}")
+        matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in states]
+        stack = None
+        if matrices:  # an empty sequence fails the count check below
+            try:
+                stack, spectra = ops._as_states(matrices)
+            except (ValueError, TypeError):
+                # a ragged sequence: each state validated alone names the first fault
+                matrices = [DensityOperator(m).matrix for m in matrices]
+        if len(matrices) != n_keys:
+            raise ValidationError(f"{len(matrices)} states supplied, expected {n_keys}")
         if stack is None:
-            dims = sorted({s.dim for s in states})
+            dims = sorted({len(m) for m in matrices})
             raise ValidationError(f"states have mixed dimensions {dims}")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "stack", stack)
@@ -141,54 +138,55 @@ def uniform_prior(n_bits: int) -> np.ndarray:
 
 
 @_once_per_ensemble
-def average_state(e: CQEnsemble) -> DensityOperator:
-    """The prior-averaged probe state, built and validated once per ensemble."""
-    return DensityOperator((e.prior[:, None, None] * e.stack).sum(axis=0))
-
-
-def key_register_state(e: CQEnsemble) -> DensityOperator:
-    """The prior as a diagonal state on the key register."""
-    return DensityOperator(np.diag(e.prior.astype(np.complex128)))
-
-
-def joint_state(e: CQEnsemble) -> DensityOperator:
-    """Block-diagonal joint state of key register and probe.
-
-    Explicit construction, so the total dimension 2^n * d is capped at 64.
-    """
-    d = e.state_dim
-    total = e.num_keys * d
-    if total > JOINT_DIM_CAP:
-        raise DimensionCapError(f"joint dimension {total} exceeds cap {JOINT_DIM_CAP}")
-    out = np.zeros((total, total), dtype=np.complex128)
-    for k, block in enumerate(e.prior[:, None, None] * e.stack):
-        out[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
-    return DensityOperator(out)
+def average_state(e: CQEnsemble) -> np.ndarray:
+    """The prior-averaged probe state, a read-only (d, d) array built once
+    per ensemble from its validated stack."""
+    avg = (e.prior[:, None, None] * e.stack).sum(axis=0)
+    avg.setflags(write=False)
+    return avg
 
 
 def joint_product_distance(e: CQEnsemble) -> float:
     """Trace distance between the joint state and the product of marginals.
 
-    Built explicitly, so it inherits the joint-dimension cap; beyond the
+    The block-diagonal joint state of key register and probe is built
+    explicitly, so the total dimension 2^n * d is capped at 64; beyond the
     cap use :func:`mean_conditional_distance`, which is equal.
     """
-    joint = joint_state(e)
-    # not validated as a state: its trace is sum(prior)^2, which can miss 1
-    # by twice the prior's tolerance
-    product = np.kron(key_register_state(e).matrix, average_state(e).matrix)
-    return float(ops._half_trace_norms(joint.matrix - product))
+    d = e.state_dim
+    total = e.num_keys * d
+    if total > JOINT_DIM_CAP:
+        raise DimensionCapError(f"joint dimension {total} exceeds cap {JOINT_DIM_CAP}")
+    joint = np.zeros((total, total), dtype=np.complex128)
+    for k, block in enumerate(e.prior[:, None, None] * e.stack):
+        joint[k * d:(k + 1) * d, k * d:(k + 1) * d] = block
+    product = np.kron(np.diag(e.prior.astype(np.complex128)), average_state(e))
+    return float(ops._half_trace_norms(joint - product))
 
 
-def conditional_distances(e: CQEnsemble, reference: DensityOperator | None = None) -> np.ndarray:
+def conditional_distances(e: CQEnsemble, reference: np.ndarray | None = None) -> np.ndarray:
     """Per-key half trace norms ``0.5 * || rho_k - reference ||_1``.
 
-    The reference defaults to the ensemble average state; passing the
-    maximally mixed state gives the ideal-reference variant.
+    The reference, a (d, d) matrix, defaults to the ensemble average
+    state; the maximally mixed state gives the ideal-reference variant.
     """
-    ref = average_state(e) if reference is None else reference
-    if ref.dim != e.state_dim:
-        raise DimensionMismatchError(f"reference dim {ref.dim} != {e.state_dim}")
-    return ops._half_trace_norms(e.stack - ref.matrix)
+    ref = average_state(e) if reference is None else np.asarray(reference)
+    if ref.shape != e.stack.shape[1:]:
+        raise DimensionMismatchError(f"reference shape {ref.shape} != {e.stack.shape[1:]}")
+    return ops._half_trace_norms(e.stack - ref)
+
+
+@dataclass(frozen=True)
+class IdealComparison:
+    per_key: dict
+    mean: float
+
+
+def ideal_comparison_value(e: CQEnsemble) -> IdealComparison:
+    """Per-key and mean half trace norms against the maximally mixed state."""
+    values = conditional_distances(e, reference=np.eye(e.state_dim) / e.state_dim)
+    per_key = {e.key_label(k): float(v) for k, v in enumerate(values)}
+    return IdealComparison(per_key=per_key, mean=float(e.prior @ values))
 
 
 @_once_per_ensemble
@@ -208,7 +206,7 @@ def weighted_conditional_distance(e: CQEnsemble) -> float:
     uniform; for skewed priors it keeps the per-key weighting inside the
     norm.
     """
-    avg = average_state(e).matrix / e.num_keys
+    avg = average_state(e) / e.num_keys
     norms = ops._half_trace_norms(e.prior[:, None, None] * e.stack - avg)
     # a running sum in key order: numpy's pairwise sum rounds differently from 8 keys on
     return float(np.cumsum(norms)[-1])
@@ -221,7 +219,8 @@ def holevo_information(e: CQEnsemble) -> float:
     Upper-bounds the mutual information extractable by any measurement on
     the probe; clamped at zero after a -1e-10 round-off allowance.
     """
-    value = ops.von_neumann_entropy(average_state(e))
+    # a one-state batch: the eigensolve operators._as_states runs on a single state
+    value = dist._entropy_bits(np.clip(np.linalg.eigvalsh(average_state(e)[None])[0], 0.0, 1.0))
     # one entropy per key: a masked sum over the (keys, d) array rounds differently
     value -= float(e.prior @ np.array([dist._entropy_bits(row)
                                        for row in np.clip(e.spectra, 0.0, 1.0)]))

@@ -41,10 +41,6 @@ class ConvergenceError(Error):
     """An eigensolver or iterative routine failed to converge."""
 
 
-class InfiniteDivergenceError(Error):
-    """KL divergence is infinite because the support condition fails."""
-
-
 class InfeasibleError(Error):
     """The requested extremal construction has no feasible solution."""
 

@@ -249,26 +249,6 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Ideal-reference comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdealComparison:
-    per_key: dict
-    mean: float
-
-
-def ideal_comparison_value(le: LockingEnsemble) -> IdealComparison:
-    """Per-key and mean half trace norms against the maximally mixed state."""
-    reference = ops.maximally_mixed(le.ensemble.state_dim)
-    values = ens.conditional_distances(le.ensemble, reference=reference)
-    per_key = {
-        le.ensemble.key_label(k): float(v) for k, v in enumerate(values)
-    }
-    return IdealComparison(per_key=per_key, mean=float(le.ensemble.prior @ values))
-
-
-# ---------------------------------------------------------------------------
 # Known-plaintext attack
 # ---------------------------------------------------------------------------
 
@@ -391,7 +371,7 @@ def _chain_closed_form(le, known_k1) -> float:
 class LockingReport:
     variant: str
     criteria: ens.CriteriaRecord
-    ideal: IdealComparison
+    ideal: ens.IdealComparison
     half_plus_ideal: float
     kpa: dict
     average_state_distance_from_mixed: float
@@ -419,10 +399,10 @@ def locking_report(le: LockingEnsemble, trials: int = 100_000, seed: int = 0) ->
     criterion itself sits near one half.
     """
     criteria = ens.criteria_record(le.ensemble)
-    ideal = ideal_comparison_value(le)
+    ideal = ens.ideal_comparison_value(le.ensemble)
     kpa = {k1: kpa_simulate(le, k1, trials, seed) for k1 in (0, 1)}
-    avg = ens.average_state(le.ensemble)
-    mixed_distance = ops.trace_distance(avg, ops.maximally_mixed(avg.dim))
+    d = le.ensemble.state_dim
+    mixed_distance = float(ops._half_trace_norms(ens.average_state(le.ensemble) - np.eye(d) / d))
     skewed = [str(bits) for bits, ok in sorted(le.term_orthogonality.items()) if not ok]
     if skewed:
         structure = (

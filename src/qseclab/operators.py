@@ -1,9 +1,12 @@
 """Dense complex Hermitian-operator algebra on desk-scale state spaces.
 
 Operators are immutable wrappers around 2-D ``complex128`` numpy arrays.
-All spectral work goes through LAPACK's Hermitian eigensolver, which is
-deterministic for identical input bits, so every derived quantity is
-bit-reproducible.  Dimensions are capped at 64 (six qubits); nothing here
+``DensityOperator`` is an input type: it validates a state where it
+enters, and the ensembles validate their states as one stack with the
+same checks (:func:`_as_states`); matrices derived from validated states
+are plain arrays.  All spectral work goes through LAPACK's Hermitian
+eigensolver, which is deterministic for identical input bits, so every
+derived quantity is bit-reproducible.  Dimensions are capped at 64 (six qubits); nothing here
 is sparse or structured.
 """
 
@@ -127,9 +130,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-Operator = HermitianOperator | DensityOperator
-
-
 def _rank_one(kets: np.ndarray) -> np.ndarray:
     """The projectors |v_y><v_y| of the rows v_y, bit-equal to ``np.outer``."""
     return kets[:, :, None] * kets.conj()[:, None, :]
@@ -140,8 +140,14 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator(np.eye(dim) / dim)
 
 
-def eig_hermitian(op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition with eigenvalues sorted in descending order.
+def _matrix(op) -> np.ndarray:
+    """The matrix of an operator; a matrix or a stack of them as it is."""
+    return op.matrix if isinstance(op, (HermitianOperator, DensityOperator)) else op
+
+
+def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of an operator or a Hermitian matrix, with
+    eigenvalues sorted in descending order.
 
     Returns ``(eigenvalues, eigenvectors)`` where column ``i`` of the
     eigenvector matrix matches ``eigenvalues[i]``.  Reconstruction
@@ -149,7 +155,7 @@ def eig_hermitian(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     eigenvector columns are orthonormal to the same tolerance.
     """
     try:
-        vals, vecs = np.linalg.eigh(op.matrix)
+        vals, vecs = np.linalg.eigh(_matrix(op))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
     order = np.argsort(vals)[::-1]
@@ -172,37 +178,6 @@ def _half_trace_norms(matrices: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1), 0.0, 1.0)
 
 
-def tensor(a: Operator, b: Operator):
-    """Kronecker product of two operators of the same kind.
-
-    The result dimension is the product of the input dimensions and the
-    trace is multiplicative.
-    """
-    if type(a) is not type(b):
-        raise TypeError("tensor requires two operators of the same kind")
-    return type(a)(np.kron(a.matrix, b.matrix))
-
-
-def partial_trace(op: Operator, dims: tuple[int, int], keep: int):
-    """Trace out one factor of a bipartite operator.
-
-    ``dims`` gives the factor dimensions ``(d_a, d_b)`` with
-    ``d_a * d_b == op.dim``; ``keep`` selects the factor (0 or 1) that
-    survives.  Returns the same operator kind as the input.
-    """
-    d_a, d_b = dims
-    if d_a * d_b != op.dim:
-        raise DimensionMismatchError(f"{dims} incompatible with dim {op.dim}")
-    blocks = op.matrix.reshape(d_a, d_b, d_a, d_b)
-    if keep == 0:
-        reduced = np.einsum("abcb->ac", blocks)
-    elif keep == 1:
-        reduced = np.einsum("abad->bd", blocks)
-    else:
-        raise ValueError("keep must be 0 or 1")
-    return type(op)(reduced)
-
-
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Spectral entropy in bits, in [0, log2(dim)].
 
@@ -220,8 +195,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 def matrix_to_pairs(op) -> list:
     """Serialize an operator, a matrix or a stack of matrices to nested
     [re, im] pairs: (rows, cols, 2), or (matrices, rows, cols, 2) for a stack."""
-    m = op.matrix if isinstance(op, (HermitianOperator, DensityOperator)) else op
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(_matrix(op), dtype=np.complex128)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 

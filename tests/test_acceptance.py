@@ -21,6 +21,7 @@ from qseclab import locking, operators as ops
 from pure_state import pure_state
 from qubit_oracle import brute_force_binary_qubit
 from random_joint import random_joint
+from random_states import random_mixed_state
 
 
 def _report(number, name, elapsed, limit=None):
@@ -30,7 +31,7 @@ def _report(number, name, elapsed, limit=None):
 
 def _random_uniform_ensemble(n_bits, dim, rng):
     n_keys = 2**n_bits
-    states = tuple(bounds.random_mixed_state(dim, rng) for _ in range(n_keys))
+    states = tuple(random_mixed_state(dim, rng) for _ in range(n_keys))
     return ens.CQEnsemble(n_bits, np.full(n_keys, 1 / n_keys), states)
 
 
@@ -38,11 +39,11 @@ def test_criterion_01_locking_ideal_comparison_value():
     """Half trace norm against the maximally mixed reference equals 1/2."""
     start = time.perf_counter()
     symmetric = locking.build_locking_ensemble("symmetric_corrected")
-    comparison = locking.ideal_comparison_value(symmetric)
+    comparison = ens.ideal_comparison_value(symmetric.ensemble)
     for key in ("00", "01", "10", "11"):
         assert comparison.per_key[key] == pytest.approx(0.5, abs=1e-10)
     printed = locking.build_locking_ensemble("as_printed")
-    comparison = locking.ideal_comparison_value(printed)
+    comparison = ens.ideal_comparison_value(printed.ensemble)
     for key in ("11", "10", "01"):
         assert comparison.per_key[key] == pytest.approx(0.5, abs=1e-10)
     elapsed = time.perf_counter() - start
@@ -78,8 +79,8 @@ def test_criterion_04_binary_optimum_closed_form():
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(1_000):
-        rho = bounds.random_mixed_state(2, rng)
-        sigma = bounds.random_mixed_state(2, rng)
+        rho = random_mixed_state(2, rng)
+        sigma = random_mixed_state(2, rng)
         closed = detection.helstrom_binary(rho, sigma, 0.5).success_probability
         brute = brute_force_binary_qubit(rho, sigma, 0.5).success_probability
         worst = max(worst, abs(closed - brute))

@@ -10,6 +10,7 @@ from qseclab.errors import OutOfScopeError, ValidationError
 
 from pure_state import pure_state
 from random_joint import random_joint
+from random_states import random_mixed_state, random_pure_state
 
 
 def orthogonal_ensemble(n_bits):
@@ -30,13 +31,13 @@ def d_chi(e):
 
 
 def _former_pure_state(dim, rng):
-    """The former body of ``bounds.random_pure_state``, as a matrix."""
+    """The former body of ``random_pure_state``, as a matrix."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return ops._rank_one(v[None])[0] / float(np.vdot(v, v).real)
 
 
 def _former_mixed_state(dim, rng):
-    """The former body of ``bounds.random_mixed_state``, as a matrix."""
+    """The former body of ``random_mixed_state``, as a matrix."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = m @ m.conj().T
     return rho / float(np.trace(rho).real)
@@ -219,8 +220,8 @@ class TestRecipesAndCampaigns:
                     assert np.array_equal(e.spectra, spectra)
 
     @pytest.mark.parametrize("draw, former", [
-        (bounds.random_mixed_state, _former_mixed_state),
-        (bounds.random_pure_state, _former_pure_state),
+        (random_mixed_state, _former_mixed_state),
+        (random_pure_state, _former_pure_state),
     ])
     def test_random_states_are_bit_equal_to_their_former_bodies(self, draw, former):
         for dim in (1, 2, 3, 5, 8, 16):
@@ -352,7 +353,7 @@ class TestRecipesAndCampaigns:
         distinct = list({id(e): e for e in built}.values())
         assert len(built) == 10 and len(distinct) == 9
         for e in distinct:
-            assert sum(m is ens.average_state(e).matrix for m in spectra) == 1
+            assert sum(m is ens.average_state(e) for m in spectra) == 1
 
     def test_one_candidate_search_per_ensemble(self, monkeypatch):
         # at restarts=0 the search is its deterministic candidates only, the

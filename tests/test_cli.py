@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qseclab import cli, distributions, ensembles, locking, operators as ops
+from qseclab.bounds import _random_mixed_stack
 from qseclab.errors import Error
 
 
@@ -144,6 +145,21 @@ class TestCriteria:
         assert (code, err) == (0, "")
         report = json.loads(out)["criteria"]
         assert report["d_joint"] == report["d"] == pytest.approx(0.5 - 4.5e-11, abs=1e-15)
+
+    @pytest.mark.parametrize("n_bits, dim", [(2, 4), (1, 2)])
+    def test_prior_and_traces_past_one_give_a_report(self, capsys, tmp_path, n_bits, dim):
+        # prior and traces each 9e-11 past one pass the input checks; the
+        # average state then has trace about 1 + 1.8e-10, so it is not re-checked
+        n_keys = 2**n_bits
+        states = _random_mixed_stack(n_keys, dim, np.random.default_rng(5)) * (1.0 + 9e-11)
+        record = {"n": n_bits, "prior": [1.0 / n_keys + 9e-11 / n_keys] * n_keys,
+                  "states": ops.matrix_to_pairs(states)}
+        path = tmp_path / "trace_edge.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["criteria", str(path)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)["criteria"]
+        assert report["d_joint"] == pytest.approx(report["d"], abs=1e-12)
 
     def test_skewed_prior_ensemble(self, capsys, tmp_path):
         zero = ops.matrix_to_pairs(np.diag([1.0, 0.0]))

@@ -23,6 +23,7 @@ from qseclab.errors import (
 from born_rule import outcome_distribution
 from pure_state import pure_state
 from qubit_oracle import brute_force_binary_qubit
+from random_states import random_mixed_state, random_pure_state
 
 
 def spectral_pinv_sqrt(matrix):
@@ -284,7 +285,7 @@ class TestPOVMValidation:
 class TestHelstromBinary:
     def test_closed_form_is_certified(self):
         rng = np.random.default_rng(97)
-        rho, sigma = bounds.random_mixed_state(3, rng), bounds.random_mixed_state(3, rng)
+        rho, sigma = random_mixed_state(3, rng), random_mixed_state(3, rng)
         assert det.helstrom_binary(rho, sigma, 0.3).gap == 0.0
 
     def test_identical_states_coin_flip(self):
@@ -298,16 +299,16 @@ class TestHelstromBinary:
     def test_closed_form_equals_half_plus_half_distance(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
-            a = bounds.random_mixed_state(3, rng)
-            b = bounds.random_mixed_state(3, rng)
+            a = random_mixed_state(3, rng)
+            b = random_mixed_state(3, rng)
             got = det.helstrom_binary(a, b, 0.5).success_probability
             assert got == pytest.approx(0.5 + 0.5 * ops.trace_distance(a, b), abs=1e-10)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(43)
         for _ in range(30):
-            a = bounds.random_mixed_state(2, rng)
-            b = bounds.random_mixed_state(2, rng)
+            a = random_mixed_state(2, rng)
+            b = random_mixed_state(2, rng)
             closed = det.helstrom_binary(a, b, 0.5).success_probability
             brute = brute_force_binary_qubit(a, b, 0.5).success_probability
             assert closed == pytest.approx(brute, abs=1e-6)
@@ -315,16 +316,16 @@ class TestHelstromBinary:
     def test_never_below_best_prior(self):
         rng = np.random.default_rng(47)
         for _ in range(25):
-            a = bounds.random_mixed_state(2, rng)
-            b = bounds.random_mixed_state(2, rng)
+            a = random_mixed_state(2, rng)
+            b = random_mixed_state(2, rng)
             prior = float(rng.uniform(0.05, 0.95))
             result = det.helstrom_binary(a, b, prior)
             assert result.success_probability >= max(prior, 1 - prior) - 1e-12
 
     def test_returned_povm_is_optimal(self):
         rng = np.random.default_rng(53)
-        a = bounds.random_mixed_state(2, rng)
-        b = bounds.random_mixed_state(2, rng)
+        a = random_mixed_state(2, rng)
+        b = random_mixed_state(2, rng)
         result = det.helstrom_binary(a, b, 0.5)
         achieved = 0.5 * outcome_distribution(result.povm, a)[0]
         achieved += 0.5 * outcome_distribution(result.povm, b)[1]
@@ -389,8 +390,8 @@ class TestMinimumErrorIterate:
     def test_matches_helstrom_on_binary_ensembles(self):
         rng = np.random.default_rng(79)
         for _ in range(10):
-            a = bounds.random_mixed_state(3, rng)
-            b = bounds.random_mixed_state(3, rng)
+            a = random_mixed_state(3, rng)
+            b = random_mixed_state(3, rng)
             e = ens.CQEnsemble(1, [0.5, 0.5], (a, b))
             refined = det.minimum_error_iterate(e)
             closed = det.helstrom_binary(a, b, 0.5)
@@ -401,7 +402,7 @@ class TestMinimumErrorIterate:
     def test_never_below_square_root_value(self):
         rng = np.random.default_rng(83)
         for _ in range(10):
-            e = uniform_ensemble([bounds.random_mixed_state(4, rng) for _ in range(4)])
+            e = uniform_ensemble([random_mixed_state(4, rng) for _ in range(4)])
             srm = det.square_root_measurement(e)
             refined = det.minimum_error_iterate(e)
             assert refined.success_probability >= srm.success_probability - 1e-12
@@ -443,7 +444,7 @@ class TestMinimumErrorIterate:
         rng = np.random.default_rng(89)
         for _ in range(20):
             dim = int(rng.integers(2, 5))
-            make = bounds.random_pure_state if rng.random() < 0.5 else bounds.random_mixed_state
+            make = random_pure_state if rng.random() < 0.5 else random_mixed_state
             a, b = make(dim, rng), make(dim, rng)
             prior = float(rng.uniform(0.05, 0.95))
             result = det.minimum_error_iterate(ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b)),
@@ -546,7 +547,7 @@ class TestMinimumErrorIterate:
         rng = np.random.default_rng(101)
         for i in range(40):
             dim = int(rng.integers(2, 9))
-            make = bounds.random_pure_state if i % 2 else bounds.random_mixed_state
+            make = random_pure_state if i % 2 else random_mixed_state
             a, b = make(dim, rng), make(dim, rng)
             prior = float(rng.choice([rng.uniform(0.05, 0.95), rng.uniform(0.0, 1e-3)]))
             e = ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b))
@@ -680,7 +681,7 @@ class TestAccessibleInfoLowerBound:
     def test_bounded_by_holevo_information_and_key_length(self):
         rng = np.random.default_rng(97)
         for _ in range(6):
-            e = uniform_ensemble([bounds.random_mixed_state(2, rng) for _ in range(2)])
+            e = uniform_ensemble([random_mixed_state(2, rng) for _ in range(2)])
             info = det.accessible_info_lower_bound(e, restarts=1, seed=11)
             assert info.bits <= ens.holevo_information(e) + 1e-8
             assert info.bits <= e.n_bits + 1e-8
@@ -1003,7 +1004,7 @@ class TestSubsetAttackSuperiority:
     def test_random_ensembles(self):
         rng = np.random.default_rng(107)
         for _ in range(5):
-            e = uniform_ensemble([bounds.random_mixed_state(4, rng) for _ in range(4)])
+            e = uniform_ensemble([random_mixed_state(4, rng) for _ in range(4)])
             success_conditioned = 0.0
             for value in (0, 1):
                 cond = det.conditioned_ensemble(e, (0,), (value,))

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from qseclab import distributions as dist
 from qseclab.errors import (
     InfeasibleError,
-    InfiniteDivergenceError,
     SizeMismatchError,
     ValidationError,
 )
@@ -260,27 +259,6 @@ class TestMutualInformation:
         h_k = dist.shannon_entropy(joint.sum(axis=1))
         h_y = dist.shannon_entropy(joint.sum(axis=0))
         assert 0.0 <= bits <= min(h_k, h_y) + 1e-12
-
-
-class TestKLDivergence:
-    def test_identical_is_zero(self):
-        p = normalized([3, 1, 4])
-        assert dist.kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_point_vs_fair_coin_is_one_bit(self):
-        assert dist.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
-
-    def test_support_violation(self):
-        with pytest.raises(InfiniteDivergenceError):
-            dist.kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-    @given(guts, guts)
-    @settings(max_examples=60, deadline=None)
-    def test_pinsker_in_bits(self, a, b):
-        size = min(len(a), len(b))
-        p, q = normalized(a[:size]), normalized(b[:size])
-        v = dist.variational_distance(p, q)
-        assert 2.0 * v * v <= dist.kl_divergence(p, q) + 1e-10
 
 
 def _rule(exponent):

@@ -21,11 +21,12 @@ from qseclab.errors import (
 )
 
 from pure_state import pure_state
+from random_states import random_mixed_state
 
 
 def random_ensemble(n_bits, dim, rng, uniform=True):
     n_keys = 2**n_bits
-    states = tuple(bounds.random_mixed_state(dim, rng) for _ in range(n_keys))
+    states = tuple(random_mixed_state(dim, rng) for _ in range(n_keys))
     if uniform:
         prior = np.full(n_keys, 1.0 / n_keys)
     else:
@@ -123,7 +124,7 @@ def _raised(build, *args):
 
 def _good_states(count, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    return [bounds.random_mixed_state(dim, rng).matrix for _ in range(count)]
+    return [random_mixed_state(dim, rng).matrix for _ in range(count)]
 
 
 def _off_hermitian(m):
@@ -224,33 +225,30 @@ class TestStackValidation:
         assert not e.spectra.flags.writeable
         assert all(np.array_equal(s.matrix, m) for s, m in zip(e.states, states))
 
-    def test_validated_states_are_taken_as_they_are(self, monkeypatch):
+    def test_validated_states_are_taken_as_they_are(self):
         states = [ops.DensityOperator(m) for m in _good_states(4)]
-        solves = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a) or eigvalsh(a))
         e = ens.CQEnsemble(2, ens.uniform_prior(2), states)
-        assert solves == []
         assert np.array_equal(e.spectra, np.stack([s.eigenvalues for s in states]))
 
 
 class TestAverageState:
     def test_constant_ensemble(self):
         e = constant_ensemble(2)
-        np.testing.assert_allclose(ens.average_state(e).matrix, np.eye(4) / 4, atol=1e-14)
+        np.testing.assert_allclose(ens.average_state(e), np.eye(4) / 4, atol=1e-14)
 
     def test_two_orthogonal_pure_states(self):
         e = orthogonal_ensemble(1)
-        np.testing.assert_allclose(ens.average_state(e).matrix, np.diag([0.5, 0.5]), atol=1e-14)
+        np.testing.assert_allclose(ens.average_state(e), np.diag([0.5, 0.5]), atol=1e-14)
 
     def test_locking_as_printed_average_is_not_mixed(self):
         le = locking.build_locking_ensemble("as_printed")
         avg = ens.average_state(le.ensemble)
-        assert ops.trace_distance(avg, ops.maximally_mixed(4)) > 1e-3
+        assert ops.trace_distance(ops.DensityOperator(avg), ops.maximally_mixed(4)) > 1e-3
 
     def test_built_once_per_ensemble(self):
         e = random_ensemble(2, 3, np.random.default_rng(8))
         assert ens.average_state(e) is ens.average_state(e)
+        assert not ens.average_state(e).flags.writeable
 
     @pytest.mark.parametrize("n_bits", [1, 2, 3])
     def test_bit_identical_to_the_weighted_sum_loop(self, n_bits):
@@ -258,7 +256,7 @@ class TestAverageState:
         expected = np.zeros((3, 3), dtype=np.complex128)
         for w, s in zip(e.prior, e.states):
             expected += w * s.matrix
-        assert np.array_equal(ens.average_state(e).matrix, expected)
+        assert np.array_equal(ens.average_state(e), expected)
 
 
 class TestJointProductDistance:
@@ -348,7 +346,7 @@ class TestHolevoInformation:
             vals = vals[vals > 0]
             return float(-(vals * np.log2(vals)).sum())
 
-        expected = entropy(ens.average_state(e).matrix) - sum(
+        expected = entropy(ens.average_state(e)) - sum(
             w * entropy(s.matrix) for w, s in zip(e.prior, e.states)
         )
         got = ens.holevo_information(e)
@@ -557,6 +555,16 @@ class TestCriteriaRecord:
         e = random_ensemble(3, 16, rng)
         record = ens.criteria_record(e)
         assert record.d_joint is None
+
+    def test_no_state_is_validated_again(self, monkeypatch):
+        # the stack is validated when the ensemble is built; every matrix
+        # the criteria derive from it is an array that nothing re-checks
+        e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 2, 4, seed=3))
+        calls = []
+        as_states = ops._as_states
+        monkeypatch.setattr(ops, "_as_states", lambda m: calls.append(m) or as_states(m))
+        ens.criteria_record(e)
+        assert calls == []
 
     def test_dict_field_names(self):
         le = locking.build_locking_ensemble("symmetric_corrected")

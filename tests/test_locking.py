@@ -298,14 +298,14 @@ class TestConstruction:
 class TestIdealComparison:
     def test_symmetric_all_keys_at_half(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
-        comparison = locking.ideal_comparison_value(le)
+        comparison = ens.ideal_comparison_value(le.ensemble)
         for value in comparison.per_key.values():
             assert value == pytest.approx(0.5, abs=1e-10)
         assert comparison.mean == pytest.approx(0.5, abs=1e-10)
 
     def test_as_printed_pattern_keys_at_half(self):
         le = locking.build_locking_ensemble("as_printed")
-        comparison = locking.ideal_comparison_value(le)
+        comparison = ens.ideal_comparison_value(le.ensemble)
         for key in ("11", "10", "01"):
             assert comparison.per_key[key] == pytest.approx(0.5, abs=1e-10)
         # eigenvalue arithmetic for the asymmetric state

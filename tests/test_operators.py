@@ -133,46 +133,6 @@ class TestTraceDistance:
             ops.trace_distance(ops.maximally_mixed(2), ops.maximally_mixed(4))
 
 
-class TestTensor:
-    def test_mixed_qubits_give_mixed_two_qubit(self):
-        out = ops.tensor(ops.maximally_mixed(2), ops.maximally_mixed(2))
-        np.testing.assert_allclose(out.matrix, np.eye(4) / 4)
-
-    def test_projector_tensor_is_rank_one(self):
-        p1 = ops.DensityOperator(PROJ[1])
-        out = ops.tensor(p1, p1)
-        vals = np.linalg.eigvalsh(out.matrix)
-        np.testing.assert_allclose(np.sort(vals), [0, 0, 0, 1], atol=1e-12)
-
-    def test_trace_multiplicative(self):
-        # oracle: direct multiplication of the individual traces
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            a = ops.HermitianOperator(random_hermitian(3, rng))
-            b = ops.HermitianOperator(random_hermitian(4, rng))
-            left = np.trace(ops.tensor(a, b).matrix)
-            right = np.trace(a.matrix) * np.trace(b.matrix)
-            assert abs(left - right) < 1e-10
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            ops.tensor(ops.maximally_mixed(2), ops.HermitianOperator(np.eye(2)))
-
-
-class TestPartialTrace:
-    def test_marginals_of_product(self):
-        rng = np.random.default_rng(2)
-        a = random_density(2, rng)
-        b = random_density(3, rng)
-        joint = ops.tensor(a, b)
-        np.testing.assert_allclose(
-            ops.partial_trace(joint, (2, 3), keep=0).matrix, a.matrix, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            ops.partial_trace(joint, (2, 3), keep=1).matrix, b.matrix, atol=1e-12
-        )
-
-
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
         assert ops.von_neumann_entropy(pure_state([1, 1])) == pytest.approx(0.0, abs=1e-12)

@@ -1,0 +1,59 @@
+"""Pins the public functions of the package that no package code refers to.
+
+A public top-level function of ``src/qseclab`` counts as unreferenced when
+no other module (the ``__init__`` re-exports aside) and no other code of
+its own module names it.  Each must be listed below with the reason it
+stays; a new one is either called from a report or deleted.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qseclab"
+
+ALLOWED = {
+    "detection.conditioned_ensemble": "KPA arithmetic: keys consistent with known bits",
+    "ensembles.semantic_security_gap": "KPA arithmetic: hidden-bit posterior uniformity",
+    "distributions.markov_individual_bound": "KPA arithmetic: average to per-value bound",
+    "distributions.pushforward_max": "KPA arithmetic: guessing a function of the key",
+    "distributions.max_event_gap": "the greedy side of the greedy-vs-exhaustive pair",
+    "locking.build_chained_locking_ensemble": "n-bit locking ensembles for the benchmark",
+    "distributions.variational_distance": "the public form of the criteria's distance",
+    "operators.maximally_mixed": "single-state API",
+    "operators.trace_distance": "single-state API",
+    "operators.von_neumann_entropy": "single-state API",
+    "detection.helstrom_binary": "single-state API",
+}
+
+
+def _names(node) -> set[str]:
+    """Every name, attribute and imported name that ``node`` mentions."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def _unreferenced() -> set[str]:
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    unreferenced = set()
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_names(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            own = set().union(*(_names(other) for other in tree.body if other is not node))
+            if node.name not in elsewhere | own:
+                unreferenced.add(f"{module}.{node.name}")
+    return unreferenced
+
+
+def test_unreferenced_public_functions_are_the_allowed_ones():
+    assert _unreferenced() == set(ALLOWED)
+

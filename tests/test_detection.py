@@ -281,6 +281,13 @@ class TestPOVMValidation:
         probs = outcome_distribution(povm, ops.DensityOperator(np.diag([0.3, 0.7])))
         np.testing.assert_allclose(probs, [0.3, 0.7], atol=1e-12)
 
+    def test_eigenbasis_of_a_matrix_is_that_of_its_operator(self):
+        avg = ens.average_state(locking.build_locking_ensemble("as_printed").ensemble)
+        from_matrix = det.eigenbasis_povm(avg)
+        assert np.array_equal(from_matrix.stack,
+                              det.eigenbasis_povm(ops.DensityOperator(avg)).stack)
+        assert from_matrix.num_outcomes == 4
+
 
 class TestHelstromBinary:
     def test_closed_form_is_certified(self):

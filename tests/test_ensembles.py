@@ -12,6 +12,7 @@ from qseclab import bounds, detection, distributions as dist, ensembles as ens, 
 from qseclab import operators as ops
 from qseclab.errors import (
     DimensionCapError,
+    DimensionMismatchError,
     EmptySubsetError,
     NotHermitianError,
     NotPositiveError,
@@ -63,6 +64,18 @@ class TestConstruction:
     def test_key_labels_msb_first(self):
         e = constant_ensemble(2)
         assert [e.key_label(k) for k in range(4)] == ["00", "01", "10", "11"]
+
+    def test_no_states_names_the_count(self):
+        with pytest.raises(ValidationError, match="^0 states supplied, expected 2$"):
+            ens.CQEnsemble(1, [0.5, 0.5], ())
+
+    def test_validated_and_raw_states_give_one_stack(self):
+        raw = _good_states(4, seed=9)
+        mixed = [ops.DensityOperator(raw[0]), raw[1], ops.DensityOperator(raw[2]), raw[3]]
+        e = ens.CQEnsemble(2, ens.uniform_prior(2), mixed)
+        plain = ens.CQEnsemble(2, ens.uniform_prior(2), raw)
+        assert np.array_equal(e.stack, plain.stack)
+        assert np.array_equal(e.spectra, plain.spectra)
 
     def test_stack_is_the_read_only_state_matrices(self):
         e = random_ensemble(2, 3, np.random.default_rng(6))
@@ -294,6 +307,22 @@ class TestJointProductDistance:
                 assert ens.joint_product_distance(e) == pytest.approx(
                     ens.mean_conditional_distance(e), abs=1e-9
                 )
+
+
+class TestConditionalDistances:
+    def test_reference_of_another_shape_rejected(self):
+        e = random_ensemble(1, 3, np.random.default_rng(14))
+        with pytest.raises(DimensionMismatchError):
+            ens.conditional_distances(e, reference=np.eye(4) / 4)
+
+    def test_ideal_mean_is_the_prior_weighted_per_key_distance(self):
+        # oracle: each per-key distance through the single-state API
+        e = random_ensemble(2, 3, np.random.default_rng(15), uniform=False)
+        comparison = ens.ideal_comparison_value(e)
+        per_key = [ops.trace_distance(s, ops.maximally_mixed(3)) for s in e.states]
+        assert list(comparison.per_key) == ["00", "01", "10", "11"]
+        assert list(comparison.per_key.values()) == per_key
+        assert comparison.mean == float(e.prior @ np.array(per_key))
 
 
 class TestWeightedConditionalDistance:

@@ -313,6 +313,15 @@ class TestIdealComparison:
         expected = 0.5 * np.abs(eigs - 0.25).sum()
         assert comparison.per_key["00"] == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("variant", ["as_printed", "symmetric_corrected"])
+    def test_report_reads_the_ensemble_values(self, variant):
+        le = locking.build_locking_ensemble(variant)
+        report = locking.locking_report(le, trials=10, seed=0)
+        assert report.ideal == ens.ideal_comparison_value(le.ensemble)
+        avg = ops.DensityOperator(ens.average_state(le.ensemble))
+        assert report.average_state_distance_from_mixed == ops.trace_distance(
+            avg, ops.maximally_mixed(4))
+
     def test_half_trace_norm_arithmetic(self):
         # eigenvalues (1/2, 1/2, 0, 0) against 1/4 give 0.5 exactly
         eigs = np.array([0.5, 0.5, 0.0, 0.0])

@@ -95,6 +95,14 @@ class TestEigHermitian:
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
+    def test_a_matrix_is_decomposed_as_its_operator(self):
+        rng = np.random.default_rng(5)
+        for m in (random_hermitian(5, rng), random_density(4, rng).matrix):
+            from_matrix = ops.eig_hermitian(m)
+            from_operator = ops.eig_hermitian(ops.HermitianOperator(m))
+            np.testing.assert_array_equal(from_matrix[0], from_operator[0])
+            np.testing.assert_array_equal(from_matrix[1], from_operator[1])
+
 
 class TestTraceDistance:
     def test_state_to_itself_is_zero(self):

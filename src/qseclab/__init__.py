@@ -32,7 +32,6 @@ from .detection import (  # noqa: F401
     POVM,
     DiscriminationResult,
     accessible_info_lower_bound,
-    helstrom_binary,
     minimum_error_iterate,
     square_root_measurement,
 )
@@ -46,6 +45,4 @@ from .operators import (  # noqa: F401
     DensityOperator,
     HermitianOperator,
     eig_hermitian,
-    trace_distance,
-    von_neumann_entropy,
 )

@@ -65,20 +65,31 @@ def _json_line(obj) -> str:
 
 
 def _refusal(obj, exc: ValueError) -> Error:
-    """json's refusal of ``obj``, with the path of its first non-finite
-    value in the order json writes it, such as ``(at criteria.d)``."""
-    path = _non_finite_path(obj, "")
-    where = "" if path is None else f" (at {path or 'the top level'})"
-    return Error(f"report not written: {exc}{where}")
+    """json's refusal of ``obj``.  For a NaN or infinity it is worded as
+    ``json.dumps(value, allow_nan=False)`` words the first one in the order
+    json writes it, whichever encoder met it, with its path, such as
+    ``(at criteria.d)``."""
+    found = _non_finite_path(obj, "")
+    if found is None:
+        return Error(f"report not written: {exc}")
+    path, value = found
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError as own:  # always: the value is a NaN or infinity
+        exc = own
+    return Error(f"report not written: {exc} (at {path or 'the top level'})")
 
 
-def _non_finite_path(obj, path: str) -> str | None:
-    """The path below ``path`` of the first NaN or infinity in ``obj``, or None."""
+def _non_finite_path(obj, path: str) -> tuple[str, float] | None:
+    """The path below ``path`` of the first NaN or infinity in ``obj`` and
+    that value, or None."""
     if isinstance(obj, float):
-        return None if math.isfinite(obj) else path
+        return None if math.isfinite(obj) else (path, obj)
     if isinstance(obj, np.ndarray):
         bad = np.argwhere(~np.isfinite(obj))
-        return path + "".join(f"[{i}]" for i in bad[0]) if bad.size else None
+        if not bad.size:
+            return None
+        return path + "".join(f"[{i}]" for i in bad[0]), obj[tuple(bad[0])].item()
     if isinstance(obj, dict):
         children = ((f"{path}.{key}" if path else str(key), obj[key]) for key in sorted(obj))
     elif isinstance(obj, (list, tuple)):

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import distributions as dist
 from . import ensembles as ens
-from .errors import DimensionMismatchError, ValidationError, ZeroMassError
-from .operators import DensityOperator, _as_hermitian, _rank_one, eig_hermitian
+from .errors import ValidationError, ZeroMassError
+from .operators import _as_hermitian, _rank_one, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -89,9 +89,9 @@ def _computational_basis(dim: int) -> POVM:
     return projective_povm(np.eye(dim))
 
 
-def eigenbasis_povm(op) -> POVM:
-    """Projective measurement in the eigenbasis of an operator or a Hermitian matrix."""
-    _, vecs = eig_hermitian(op)
+def eigenbasis_povm(matrix: np.ndarray) -> POVM:
+    """Projective measurement in the eigenbasis of a Hermitian matrix."""
+    _, vecs = eig_hermitian(matrix)
     return projective_povm(vecs)
 
 
@@ -138,21 +138,6 @@ def _duality_gap(weighted: np.ndarray, elements: np.ndarray) -> float:
     lam = _hermitian_part((weighted @ elements).sum(axis=0))
     t = max(0.0, -float(np.linalg.eigvalsh(lam - weighted)[:, 0].min()))
     return t * weighted.shape[-1]
-
-
-def helstrom_binary(rho: DensityOperator, sigma: DensityOperator, prior: float) -> DiscriminationResult:
-    """Optimal two-state discrimination.
-
-    For prior weight p on ``rho`` the optimal success probability is
-    ``(1 + ||p rho - (1-p) sigma||_1) / 2``, achieved by projecting onto
-    the positive eigenspace of the weighted difference.  At p = 1/2 this
-    is one half plus half the trace distance.
-    """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    if not 0.0 <= prior <= 1.0:
-        raise ValidationError(f"prior {prior!r} outside [0, 1]")
-    return _helstrom(np.stack([prior * rho.matrix, (1.0 - prior) * sigma.matrix]))
 
 
 def _helstrom(weighted: np.ndarray) -> DiscriminationResult:

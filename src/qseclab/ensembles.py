@@ -74,9 +74,11 @@ class CQEnsemble:
         n_keys = 2**self.n_bits
         if prior.size != n_keys:
             raise ValidationError(f"prior has {prior.size} entries, expected {n_keys}")
-        matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in states]
+        matrices = states
+        if not (isinstance(states, np.ndarray) and states.ndim == 3):
+            matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in states]
         stack = None
-        if matrices:  # an empty sequence fails the count check below
+        if len(matrices):  # an empty sequence fails the count check below
             try:
                 stack, spectra = ops._as_states(matrices)
             except (ValueError, TypeError):

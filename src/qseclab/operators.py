@@ -1,10 +1,11 @@
 """Dense complex Hermitian-operator algebra on desk-scale state spaces.
 
-Operators are immutable wrappers around 2-D ``complex128`` numpy arrays.
-``DensityOperator`` is an input type: it validates a state where it
-enters, and the ensembles validate their states as one stack with the
-same checks (:func:`_as_states`); matrices derived from validated states
-are plain arrays.  All spectral work goes through LAPACK's Hermitian
+Every function here takes plain arrays.  ``HermitianOperator`` and
+``DensityOperator`` are input types only, immutable wrappers around one
+validated 2-D ``complex128`` array: a state is validated where it enters,
+and the ensembles validate their states as one stack with the same checks
+(:func:`_as_states`); matrices derived from validated states are plain
+arrays.  All spectral work goes through LAPACK's Hermitian
 eigensolver, which is deterministic for identical input bits, so every
 derived quantity is bit-reproducible.  Dimensions are capped at 64 (six qubits); nothing here
 is sparse or structured.
@@ -16,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _entropy_bits
 from .errors import (
     ConvergenceError,
     DimensionCapError,
-    DimensionMismatchError,
     NotHermitianError,
     NotPositiveError,
     ParseError,
@@ -79,16 +78,18 @@ def _as_states(matrices) -> tuple[np.ndarray, np.ndarray]:
     try:
         _checked_hermitian(m)
         spectra = np.linalg.eigvalsh(m)
-        low = min(spectra[:, 0].tolist())
+        low = float(spectra[:, 0].min())
         if low < -POSITIVITY_TOL:
             raise NotPositiveError(low)
-        for tr in m.trace(axis1=1, axis2=2).real.tolist():
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+        traces = m.trace(axis1=1, axis2=2).real
+        tr = float(traces[np.argmax(np.abs(traces - 1.0))])  # the farthest from 1
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
     except ValidationError:
-        if len(m) > 1:
-            for state in m:
-                _as_states(state[None])
+        if len(m) > 1:  # the first faulty key is in the first half that fails
+            half = len(m) // 2
+            _as_states(m[:half])
+            _as_states(m[half:])
         raise
     spectra.setflags(write=False)
     return m, spectra
@@ -102,10 +103,6 @@ class HermitianOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_hermitian(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,29 +122,15 @@ class DensityOperator:
         object.__setattr__(self, "matrix", stack[0])
         object.__setattr__(self, "eigenvalues", spectra[0])
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _rank_one(kets: np.ndarray) -> np.ndarray:
     """The projectors |v_y><v_y| of the rows v_y, bit-equal to ``np.outer``."""
     return kets[:, :, None] * kets.conj()[:, None, :]
 
 
-def maximally_mixed(dim: int) -> DensityOperator:
-    """The state I/dim."""
-    return DensityOperator(np.eye(dim) / dim)
-
-
-def _matrix(op) -> np.ndarray:
-    """The matrix of an operator; a matrix or a stack of them as it is."""
-    return op.matrix if isinstance(op, (HermitianOperator, DensityOperator)) else op
-
-
-def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of an operator or a Hermitian matrix, with
-    eigenvalues sorted in descending order.
+def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of a Hermitian matrix, with eigenvalues sorted
+    in descending order.
 
     Returns ``(eigenvalues, eigenvectors)`` where column ``i`` of the
     eigenvector matrix matches ``eigenvalues[i]``.  Reconstruction
@@ -155,22 +138,11 @@ def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
     eigenvector columns are orthonormal to the same tolerance.
     """
     try:
-        vals, vecs = np.linalg.eigh(_matrix(op))
+        vals, vecs = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vals[order].copy(), vecs[:, order].copy()
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the trace norm of ``rho - sigma``; lies in [0, 1].
-
-    Equals half the sum of absolute eigenvalues of the difference.  The
-    value 1 is attained exactly when the two states have orthogonal ranges.
-    """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    return float(_half_trace_norms(rho.matrix - sigma.matrix))
 
 
 def _half_trace_norms(matrices: np.ndarray) -> np.ndarray:
@@ -178,24 +150,15 @@ def _half_trace_norms(matrices: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.abs(np.linalg.eigvalsh(matrices)).sum(axis=-1), 0.0, 1.0)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Spectral entropy in bits, in [0, log2(dim)].
-
-    Eigenvalues are clamped to [0, 1] after validation so round-off just
-    below zero cannot poison the logarithm; 0 log 0 is taken as 0.
-    """
-    return _entropy_bits(np.clip(rho.eigenvalues, 0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Wire format: a complex matrix is a nested list of [re, im] pairs, row-major;
 # a stack of matrices is a list of such literals.
 # ---------------------------------------------------------------------------
 
-def matrix_to_pairs(op) -> list:
-    """Serialize an operator, a matrix or a stack of matrices to nested
-    [re, im] pairs: (rows, cols, 2), or (matrices, rows, cols, 2) for a stack."""
-    m = np.asarray(_matrix(op), dtype=np.complex128)
+def matrix_to_pairs(matrix) -> list:
+    """Serialize a matrix or a stack of matrices to nested [re, im] pairs:
+    (rows, cols, 2), or (matrices, rows, cols, 2) for a stack."""
+    m = np.asarray(matrix, dtype=np.complex128)
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 

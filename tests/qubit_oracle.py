@@ -1,5 +1,6 @@
 """Direct search over qubit projective measurements: an oracle for the
-closed-form binary optimum (``detection.helstrom_binary``)."""
+closed-form binary optimum (the Helstrom measurement that
+``detection.minimum_error_iterate`` returns for two keys)."""
 
 import numpy as np
 
@@ -22,7 +23,7 @@ def brute_force_binary_qubit(
     previous step either side.  Serves as an oracle for the closed form (no
     eigen-decomposition); restricted to dimension 2.
     """
-    if rho.dim != 2 or sigma.dim != 2:
+    if rho.matrix.shape != (2, 2) or sigma.matrix.shape != (2, 2):
         raise DimensionMismatchError("brute-force oracle is restricted to qubits")
 
     def successes(thetas, phis):

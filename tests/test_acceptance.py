@@ -81,12 +81,14 @@ def test_criterion_04_binary_optimum_closed_form():
     for _ in range(1_000):
         rho = random_mixed_state(2, rng)
         sigma = random_mixed_state(2, rng)
-        closed = detection.helstrom_binary(rho, sigma, 0.5).success_probability
+        # two keys: minimum_error_iterate runs the closed form
+        pair = ens.CQEnsemble(1, [0.5, 0.5], (rho, sigma))
+        closed = detection.minimum_error_iterate(pair).success_probability
         brute = brute_force_binary_qubit(rho, sigma, 0.5).success_probability
         worst = max(worst, abs(closed - brute))
         assert abs(closed - brute) < 1e-6
         assert closed == pytest.approx(
-            0.5 + 0.5 * ops.trace_distance(rho, sigma), abs=1e-10
+            0.5 + 0.5 * float(ops._half_trace_norms(rho.matrix - sigma.matrix)), abs=1e-10
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

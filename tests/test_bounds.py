@@ -22,7 +22,7 @@ def orthogonal_ensemble(n_bits):
 def constant_ensemble(n_bits, dim=2):
     n_keys = 2**n_bits
     return ens.CQEnsemble(
-        n_bits, np.full(n_keys, 1 / n_keys), (ops.maximally_mixed(dim),) * n_keys
+        n_bits, np.full(n_keys, 1 / n_keys), (np.eye(dim) / dim,) * n_keys
     )
 
 

@@ -13,7 +13,6 @@ from qseclab import bounds, detection as det, distributions as dist, ensembles a
 from qseclab import operators as ops
 from qseclab.errors import (
     DimensionCapError,
-    DimensionMismatchError,
     Error,
     NotHermitianError,
     ValidationError,
@@ -285,22 +284,29 @@ class TestPOVMValidation:
         avg = ens.average_state(locking.build_locking_ensemble("as_printed").ensemble)
         from_matrix = det.eigenbasis_povm(avg)
         assert np.array_equal(from_matrix.stack,
-                              det.eigenbasis_povm(ops.DensityOperator(avg)).stack)
+                              det.eigenbasis_povm(ops.DensityOperator(avg).matrix).stack)
         assert from_matrix.num_outcomes == 4
+
+
+def binary_optimum(a, b, prior):
+    """The closed-form binary optimum of states ``a`` and ``b`` with prior
+    weight ``prior`` on ``a``: ``minimum_error_iterate`` on two keys runs
+    the Helstrom measurement."""
+    return det.minimum_error_iterate(ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b)))
 
 
 class TestHelstromBinary:
     def test_closed_form_is_certified(self):
         rng = np.random.default_rng(97)
         rho, sigma = random_mixed_state(3, rng), random_mixed_state(3, rng)
-        assert det.helstrom_binary(rho, sigma, 0.3).gap == 0.0
+        assert binary_optimum(rho, sigma, 0.3).gap == 0.0
 
     def test_identical_states_coin_flip(self):
-        rho = ops.maximally_mixed(2)
-        assert det.helstrom_binary(rho, rho, 0.5).success_probability == pytest.approx(0.5)
+        rho = np.eye(2) / 2
+        assert binary_optimum(rho, rho, 0.5).success_probability == pytest.approx(0.5)
 
     def test_orthogonal_states_perfect(self):
-        result = det.helstrom_binary(pure_state([1, 0]), pure_state([0, 1]), 0.5)
+        result = binary_optimum(pure_state([1, 0]), pure_state([0, 1]), 0.5)
         assert result.success_probability == pytest.approx(1.0)
 
     def test_closed_form_equals_half_plus_half_distance(self):
@@ -308,15 +314,16 @@ class TestHelstromBinary:
         for _ in range(50):
             a = random_mixed_state(3, rng)
             b = random_mixed_state(3, rng)
-            got = det.helstrom_binary(a, b, 0.5).success_probability
-            assert got == pytest.approx(0.5 + 0.5 * ops.trace_distance(a, b), abs=1e-10)
+            got = binary_optimum(a, b, 0.5).success_probability
+            distance = float(ops._half_trace_norms(a.matrix - b.matrix))
+            assert got == pytest.approx(0.5 + 0.5 * distance, abs=1e-10)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(43)
         for _ in range(30):
             a = random_mixed_state(2, rng)
             b = random_mixed_state(2, rng)
-            closed = det.helstrom_binary(a, b, 0.5).success_probability
+            closed = binary_optimum(a, b, 0.5).success_probability
             brute = brute_force_binary_qubit(a, b, 0.5).success_probability
             assert closed == pytest.approx(brute, abs=1e-6)
 
@@ -326,25 +333,24 @@ class TestHelstromBinary:
             a = random_mixed_state(2, rng)
             b = random_mixed_state(2, rng)
             prior = float(rng.uniform(0.05, 0.95))
-            result = det.helstrom_binary(a, b, prior)
+            result = binary_optimum(a, b, prior)
             assert result.success_probability >= max(prior, 1 - prior) - 1e-12
 
     def test_returned_povm_is_optimal(self):
         rng = np.random.default_rng(53)
         a = random_mixed_state(2, rng)
         b = random_mixed_state(2, rng)
-        result = det.helstrom_binary(a, b, 0.5)
+        result = binary_optimum(a, b, 0.5)
         achieved = 0.5 * outcome_distribution(result.povm, a)[0]
         achieved += 0.5 * outcome_distribution(result.povm, b)[1]
         assert achieved == pytest.approx(result.success_probability, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            det.helstrom_binary(ops.maximally_mixed(2), ops.maximally_mixed(4), 0.5)
-
-    def test_prior_outside_unit_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            det.helstrom_binary(ops.maximally_mixed(2), ops.maximally_mixed(2), 1.5)
+    def test_as_printed_unlock_optimum(self):
+        # with known first bit 0, the two remaining as-printed states are told
+        # apart with success (5 + sqrt 5) / 8, above the unlock rule's 7/8
+        e = locking.build_locking_ensemble("as_printed").ensemble
+        result = det.minimum_error_iterate(det.conditioned_ensemble(e, (0,), (0,)))
+        assert result.method == "helstrom"
+        assert result.success_probability == pytest.approx((5.0 + np.sqrt(5.0)) / 8.0, abs=1e-12)
 
 
 class TestSquareRootMeasurement:
@@ -353,7 +359,7 @@ class TestSquareRootMeasurement:
         assert result.success_probability == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_states_uniform(self):
-        e = uniform_ensemble([ops.maximally_mixed(2)] * 4)
+        e = uniform_ensemble([np.eye(2) / 2] * 4)
         result = det.square_root_measurement(e)
         assert result.success_probability == pytest.approx(0.25, abs=1e-10)
 
@@ -400,8 +406,9 @@ class TestMinimumErrorIterate:
             a = random_mixed_state(3, rng)
             b = random_mixed_state(3, rng)
             e = ens.CQEnsemble(1, [0.5, 0.5], (a, b))
-            refined = det.minimum_error_iterate(e)
-            closed = det.helstrom_binary(a, b, 0.5)
+            # the plain fixed-point loop, run on two keys, refines to the closed form
+            refined = copying_minimum_error_iterate(e)
+            closed = det.minimum_error_iterate(e)
             assert refined.success_probability == pytest.approx(
                 closed.success_probability, abs=1e-6
             )
@@ -415,7 +422,7 @@ class TestMinimumErrorIterate:
             assert refined.success_probability >= srm.success_probability - 1e-12
 
     def test_never_below_best_prior_guess(self):
-        states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
+        states = (np.eye(2) / 2, np.eye(2) / 2)
         e = ens.CQEnsemble(1, [0.9, 0.1], states)
         result = det.minimum_error_iterate(e)
         assert result.success_probability == pytest.approx(0.9, abs=1e-9)
@@ -456,7 +463,9 @@ class TestMinimumErrorIterate:
             prior = float(rng.uniform(0.05, 0.95))
             result = det.minimum_error_iterate(ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b)),
                                                max_iters=max_iters)
-            optimum = det.helstrom_binary(a, b, prior).success_probability
+            # (1 + ||p a - (1 - p) b||_1) / 2
+            optimum = 0.5 + float(ops._half_trace_norms(prior * a.matrix
+                                                        - (1.0 - prior) * b.matrix))
             value = result.success_probability
             assert value - 1e-12 <= optimum <= value + result.gap + 1e-12
 
@@ -476,7 +485,7 @@ class TestMinimumErrorIterate:
         instances = more_than_two_keys(bounds.default_recipes(120, seed=3) + tuple(
             bounds.EnsembleRecipe("random_pure", n_bits, dim, seed)
             for n_bits, dim, seed in [(2, 4, 224), (3, 8, 13), (3, 8, 101)]))
-        instances.append(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], (ops.maximally_mixed(2),) * 4))
+        instances.append(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], (np.eye(2) / 2,) * 4))
         for e in instances:
             got = det.minimum_error_iterate(e, max_iters=max_iters)
             expected = factored_minimum_error_iterate(e, max_iters=max_iters)
@@ -530,12 +539,12 @@ class TestMinimumErrorIterate:
         assert result.gap <= 1e-9 and result.converged
 
     def test_gap_closes_on_the_trivial_guess(self):
-        states = (ops.maximally_mixed(2), ops.maximally_mixed(2))
+        states = (np.eye(2) / 2, np.eye(2) / 2)
         result = det.minimum_error_iterate(ens.CQEnsemble(1, [0.9, 0.1], states))
         assert result.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_unbeaten_trivial_guess_is_labelled_as_such(self):
-        states = (ops.maximally_mixed(2),) * 4
+        states = (np.eye(2) / 2,) * 4
         result = det.minimum_error_iterate(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], states))
         assert result.method == "trivial_guess"
         assert result.success_probability == pytest.approx(0.7, abs=1e-15)
@@ -559,7 +568,7 @@ class TestMinimumErrorIterate:
             prior = float(rng.choice([rng.uniform(0.05, 0.95), rng.uniform(0.0, 1e-3)]))
             e = ens.CQEnsemble(1, [prior, 1.0 - prior], (a, b))
             result = det.minimum_error_iterate(e, max_iters=max_iters)
-            closed = det.helstrom_binary(a, b, prior)
+            closed = det._helstrom(np.stack([prior * a.matrix, (1.0 - prior) * b.matrix]))
             assert (result.method, result.converged, result.iterations, result.gap) == (
                 "helstrom", True, 0, 0.0)
             assert result.success_probability == closed.success_probability
@@ -650,7 +659,7 @@ class TestMapRule:
             assert iterated.success_probability == pytest.approx(closed, abs=1e-8)
 
     def test_ties_go_to_the_first_key(self):
-        e = uniform_ensemble([ops.maximally_mixed(3)] * 4)
+        e = uniform_ensemble([np.eye(3) / 3] * 4)
         stack = map_rule(e).povm.stack
         np.testing.assert_array_equal(stack[0], np.eye(3))
         assert not stack[1:].any()
@@ -681,7 +690,7 @@ class TestAccessibleInfoLowerBound:
             assert info.bits == pytest.approx(n_bits, abs=1e-6)
 
     def test_identical_states_no_information(self):
-        e = uniform_ensemble([ops.maximally_mixed(2)] * 2)
+        e = uniform_ensemble([np.eye(2) / 2] * 2)
         info = det.accessible_info_lower_bound(e, restarts=1, seed=5)
         assert info.bits == pytest.approx(0.0, abs=1e-9)
 
@@ -970,7 +979,7 @@ class TestConditionedEnsemble:
         np.testing.assert_allclose(cond.states[0].matrix, np.diag(rows[2].astype(complex)))
 
     def test_zero_mass_condition(self):
-        states = (ops.maximally_mixed(2),) * 4
+        states = (np.eye(2) / 2,) * 4
         e = ens.CQEnsemble(2, [0.5, 0.5, 0.0, 0.0], states)
         with pytest.raises(ZeroMassError):
             det.conditioned_ensemble(e, (0,), (1,))
@@ -1000,7 +1009,7 @@ class TestSubsetAttackSuperiority:
         success_conditioned = 0.0
         for value in (0, 1):
             cond = det.conditioned_ensemble(e, (0,), (value,))
-            result = det.helstrom_binary(cond.states[0], cond.states[1], 0.5)
+            result = det.minimum_error_iterate(cond)
             success_conditioned += 0.5 * result.success_probability
         assert success_conditioned == pytest.approx(1.0, abs=1e-10)
         # whole-key measurement then classical reduction to the second bit
@@ -1015,7 +1024,7 @@ class TestSubsetAttackSuperiority:
             success_conditioned = 0.0
             for value in (0, 1):
                 cond = det.conditioned_ensemble(e, (0,), (value,))
-                result = det.helstrom_binary(cond.states[0], cond.states[1], 0.5)
+                result = det.minimum_error_iterate(cond)
                 success_conditioned += 0.5 * result.success_probability
             full = det.minimum_error_iterate(e)
             marginal = self._marginal_bit_success(e, full.povm, bit=1)

@@ -43,7 +43,7 @@ def orthogonal_ensemble(n_bits):
 
 
 def constant_ensemble(n_bits, dim=4):
-    state = ops.maximally_mixed(dim)
+    state = np.eye(dim) / dim
     n_keys = 2**n_bits
     return ens.CQEnsemble(n_bits, np.full(n_keys, 1 / n_keys), (state,) * n_keys)
 
@@ -51,15 +51,15 @@ def constant_ensemble(n_bits, dim=4):
 class TestConstruction:
     def test_prior_size_must_match(self):
         with pytest.raises(ValidationError):
-            ens.CQEnsemble(2, [0.5, 0.5], (ops.maximally_mixed(2),) * 4)
+            ens.CQEnsemble(2, [0.5, 0.5], (np.eye(2) / 2,) * 4)
 
     def test_state_count_must_match(self):
         with pytest.raises(ValidationError):
-            ens.CQEnsemble(1, [0.5, 0.5], (ops.maximally_mixed(2),) * 3)
+            ens.CQEnsemble(1, [0.5, 0.5], (np.eye(2) / 2,) * 3)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValidationError):
-            ens.CQEnsemble(1, [0.5, 0.5], (ops.maximally_mixed(2), ops.maximally_mixed(4)))
+            ens.CQEnsemble(1, [0.5, 0.5], (np.eye(2) / 2, np.eye(4) / 4))
 
     def test_key_labels_msb_first(self):
         e = constant_ensemble(2)
@@ -209,6 +209,18 @@ class TestStackValidation:
         states[3] = np.diag([1.5, -0.5, 0.0]).astype(complex)
         self.assert_same_error(2, ens.uniform_prior(2), states)
 
+    @pytest.mark.parametrize("later", sorted(STATE_FAULTS))
+    @pytest.mark.parametrize("fault", sorted(STATE_FAULTS))
+    def test_a_fault_at_a_high_key_of_a_large_stack(self, fault, later):
+        n_bits = 12
+        stack = np.tile(np.stack(_good_states(4)), (2**(n_bits - 2), 1, 1))
+        k = 2**n_bits - 5
+        stack[k] = STATE_FAULTS[fault](stack[k])
+        stack[k + 3] = STATE_FAULTS[later](stack[k + 3])
+        expected = _raised(ops.DensityOperator, stack[k])
+        assert expected is not None
+        assert _raised(ens.CQEnsemble, n_bits, ens.uniform_prior(n_bits), stack) == expected
+
     @pytest.mark.parametrize("shape", [(4, 3, 4), (4, 3), (4, 0, 0), (4, 65, 65), (4, 2, 2, 2)])
     def test_every_state_of_one_wrong_shape(self, shape):
         self.assert_same_error(2, ens.uniform_prior(2), np.zeros(shape))
@@ -222,12 +234,12 @@ class TestStackValidation:
         for states in ([np.eye(2) / 2, np.eye(3) / 3],
                        [np.eye(2) / 2, np.diag([2.0, 0.0, 0.0])],
                        [np.eye(2) / 2, np.eye(3) / 3, np.eye(3) / 3],
-                       [ops.maximally_mixed(2), ops.maximally_mixed(4)],
+                       [np.eye(2) / 2, np.eye(4) / 4],
                        []):
             self.assert_same_error(1, [0.5, 0.5], states)
 
     def test_validated_states_with_a_bad_raw_state(self):
-        states = [ops.maximally_mixed(3), *_good_states(2), 2.0 * np.eye(3)]
+        states = [np.eye(3) / 3, *_good_states(2), 2.0 * np.eye(3)]
         self.assert_same_error(2, ens.uniform_prior(2), states)
 
     def test_spectra_are_the_per_state_eigenvalues(self):
@@ -256,7 +268,7 @@ class TestAverageState:
     def test_locking_as_printed_average_is_not_mixed(self):
         le = locking.build_locking_ensemble("as_printed")
         avg = ens.average_state(le.ensemble)
-        assert ops.trace_distance(ops.DensityOperator(avg), ops.maximally_mixed(4)) > 1e-3
+        assert ops._half_trace_norms(avg - np.eye(4) / 4) > 1e-3
 
     def test_built_once_per_ensemble(self):
         e = random_ensemble(2, 3, np.random.default_rng(8))
@@ -316,10 +328,10 @@ class TestConditionalDistances:
             ens.conditional_distances(e, reference=np.eye(4) / 4)
 
     def test_ideal_mean_is_the_prior_weighted_per_key_distance(self):
-        # oracle: each per-key distance through the single-state API
+        # oracle: each per-key distance by the half-trace-norm kernel, one state at a time
         e = random_ensemble(2, 3, np.random.default_rng(15), uniform=False)
         comparison = ens.ideal_comparison_value(e)
-        per_key = [ops.trace_distance(s, ops.maximally_mixed(3)) for s in e.states]
+        per_key = [float(ops._half_trace_norms(s.matrix - np.eye(3) / 3)) for s in e.states]
         assert list(comparison.per_key) == ["00", "01", "10", "11"]
         assert list(comparison.per_key.values()) == per_key
         assert comparison.mean == float(e.prior @ np.array(per_key))
@@ -446,7 +458,7 @@ class TestMeasuredCriteria:
     def test_prior_at_the_edge_of_its_tolerance(self):
         # the prior is accepted 9e-11 short of one; its product with p_Y is
         # then 1.8e-10 short, which a validated distance would refuse
-        e = ens.CQEnsemble(1, [0.5, 0.5 - 9e-11], (ops.maximally_mixed(2),) * 2)
+        e = ens.CQEnsemble(1, [0.5, 0.5 - 9e-11], (np.eye(2) / 2,) * 2)
         measured = ens.measured_criteria(e, detection.eigenbasis_povm(ens.average_state(e)))
         assert measured.delta_e <= 1e-10  # the product misses the joint by the prior's shortfall
 

@@ -369,47 +369,46 @@ def run_campaign(
     reports = []
     for instance_id, recipe in enumerate(recipes):
         e = build_instance(recipe)
-        d = ens.mean_conditional_distance(e)
-        chi = ens.holevo_information(e)
-        quantities = {"d": d, "chi": chi, "n_bits": e.n_bits, "state_dim": e.state_dim}
-        results: dict = {}
-        if "pinsker" in checks:
-            srm = detection.square_root_measurement(e)
-            result = check_pinsker(e.prior[:, None] * ens.measurement_table(e, srm.povm))
-            results["pinsker"] = result
-            quantities["delta"] = result.extras["delta"]
-            quantities["mutual_information"] = result.extras["mutual_information"]
-            quantities["pinsker_tight_margin"] = result.extras["tight_margin"]
-        if "quantum_pinsker" in checks:
-            results["quantum_pinsker"] = check_quantum_pinsker(d, chi)
-        if "chi_two_sided" in checks:
-            results["chi_two_sided"] = check_chi_two_sided(d, chi, e.n_bits)
-        if "accessible_info" in checks or "holevo_consistency" in checks:
-            main, companion = check_accessible_info(
-                e, d, chi, restarts=accessible_restarts, seed=seed * 1_000_003 + instance_id
-            )
-            if "accessible_info" in checks:
-                results["accessible_info"] = main
-            if "holevo_consistency" in checks:
-                results["holevo_consistency"] = companion
-            quantities["i_ac_lower"] = main.extras["i_ac_lower"]
-        if "exponent_relation" in checks:
-            try:
-                results["exponent_relation"] = check_exponent_relation(d, chi, e.n_bits)
-            except OutOfScopeError as exc:
-                results["exponent_relation"] = CheckResult(
-                    "exponent_relation", "not_applicable", None, note=str(exc)
-                )
-        for name, result in results.items():
-            if result.margin is not None and not math.isfinite(result.margin):
-                verdict = "fail" if name in PROVEN_CHECKS else "inconclusive"
-                results[name] = replace(result, verdict=verdict, note="non-finite margin")
-        reports.append(
-            BoundsReport(
-                instance_id=instance_id,
-                recipe=recipe,
-                quantities=quantities,
-                checks=results,
-            )
-        )
+        quantities, results = _instance_checks(e, checks, accessible_restarts,
+                                               seed * 1_000_003 + instance_id)
+        reports.append(BoundsReport(instance_id, recipe, quantities, results))
     return CampaignResult(reports=tuple(reports), summary=_summarize(reports))
+
+
+def _instance_checks(e: ens.CQEnsemble, checks, accessible_restarts: int,
+                     search_seed: int) -> tuple[dict, dict]:
+    """The quantities and check results of one campaign instance."""
+    d = ens.mean_conditional_distance(e)
+    chi = ens.holevo_information(e)
+    quantities = {"d": d, "chi": chi, "n_bits": e.n_bits, "state_dim": e.state_dim}
+    results: dict = {}
+    if "pinsker" in checks:
+        srm = detection.square_root_measurement(e)
+        result = check_pinsker(e.prior[:, None] * ens.measurement_table(e, srm.elements))
+        results["pinsker"] = result
+        quantities["delta"] = result.extras["delta"]
+        quantities["mutual_information"] = result.extras["mutual_information"]
+        quantities["pinsker_tight_margin"] = result.extras["tight_margin"]
+    if "quantum_pinsker" in checks:
+        results["quantum_pinsker"] = check_quantum_pinsker(d, chi)
+    if "chi_two_sided" in checks:
+        results["chi_two_sided"] = check_chi_two_sided(d, chi, e.n_bits)
+    if "accessible_info" in checks or "holevo_consistency" in checks:
+        main, companion = check_accessible_info(e, d, chi, accessible_restarts, search_seed)
+        if "accessible_info" in checks:
+            results["accessible_info"] = main
+        if "holevo_consistency" in checks:
+            results["holevo_consistency"] = companion
+        quantities["i_ac_lower"] = main.extras["i_ac_lower"]
+    if "exponent_relation" in checks:
+        try:
+            results["exponent_relation"] = check_exponent_relation(d, chi, e.n_bits)
+        except OutOfScopeError as exc:
+            results["exponent_relation"] = CheckResult(
+                "exponent_relation", "not_applicable", None, note=str(exc)
+            )
+    for name, result in results.items():
+        if result.margin is not None and not math.isfinite(result.margin):
+            verdict = "fail" if name in PROVEN_CHECKS else "inconclusive"
+            results[name] = replace(result, verdict=verdict, note="non-finite margin")
+    return quantities, results

@@ -1,6 +1,10 @@
 """Measurement optimization: POVMs, binary and M-ary discrimination,
 and lower bounds on the information a measurement can extract.
 
+A measurement is validated once, where it enters: ``POVM`` checks a
+caller's, and those derived here from a validated ensemble are plain
+read-only (outcomes, d, d) ``complex128`` element arrays.
+
 The binary optimum has a closed form (Helstrom), which
 ``minimum_error_iterate`` returns for two keys.  For more keys it starts
 from the square-root (pretty good) measurement and refines it by the
@@ -40,11 +44,11 @@ _TWO_OVER_LN2 = 2.0 / np.log(2.0)
 
 @dataclass(frozen=True, eq=False)
 class POVM:
-    """A finite measurement: positive elements summing to the identity.
+    """A caller's measurement: positive elements summing to the identity.
 
-    ``stack`` is one validated array: a read-only (outcomes, d, d)
-    ``complex128`` copy of the input, which may be any sequence of
-    equal-sized square matrices or a 3-D array.
+    ``stack``, the element array the functions here take, is a read-only
+    (outcomes, d, d) ``complex128`` copy of the input, which may be any
+    sequence of equal-sized square matrices or a 3-D array.
     """
 
     stack: np.ndarray
@@ -68,31 +72,23 @@ class POVM:
             raise ValidationError(f"elements sum to identity only within {dev:.3e}")
         object.__setattr__(self, "stack", stack)
 
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[-1]
 
-    @property
-    def num_outcomes(self) -> int:
-        return self.stack.shape[0]
-
-
-def projective_povm(vectors: np.ndarray) -> POVM:
-    """Rank-1 projective POVM from the orthonormal columns of a matrix."""
-    return POVM(_rank_one(np.asarray(vectors, dtype=np.complex128).T))
+def _read_only(elements: np.ndarray) -> np.ndarray:
+    """Derived elements as returned: the same array, made read-only."""
+    elements.setflags(write=False)
+    return elements
 
 
 @functools.cache
-def _computational_basis(dim: int) -> POVM:
-    """The measurement in the computational basis, built once per dimension
-    (its stack is read-only)."""
-    return projective_povm(np.eye(dim))
+def _computational_basis(dim: int) -> np.ndarray:
+    """Elements of the computational-basis measurement, built once per dimension."""
+    return _read_only(_rank_one(np.eye(dim, dtype=np.complex128)))
 
 
-def eigenbasis_povm(matrix: np.ndarray) -> POVM:
-    """Projective measurement in the eigenbasis of a Hermitian matrix."""
+def eigenbasis_povm(matrix: np.ndarray) -> np.ndarray:
+    """Elements of the projective measurement in a Hermitian matrix's eigenbasis."""
     _, vecs = eig_hermitian(matrix)
-    return projective_povm(vecs)
+    return _read_only(_rank_one(np.asarray(vecs, dtype=np.complex128).T))
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,10 @@ class DiscriminationResult:
     ``success_probability >= max(prior)`` holds for the closed-form binary
     optimum and the refined M-ary result; the raw
     square-root measurement can dip below it for skewed priors, so the
-    bound is asserted by tests only where it is a theorem.  ``gap``, where
-    set, certifies the result: the optimum lies in
+    bound is asserted by tests only where it is a theorem.  ``elements``,
+    the measurement returned, is a read-only (outcomes, d, d) array whose
+    outcome k names key k (a last one may cover the average's kernel).
+    ``gap``, where set, certifies the result: the optimum lies in
     ``[success_probability, success_probability + gap]``.  ``method`` names
     the measurement returned: ``helstrom`` (the binary optimum, gap 0),
     ``square_root``, ``trivial_guess`` (measure nothing, name the likeliest
@@ -113,7 +111,7 @@ class DiscriminationResult:
     """
 
     success_probability: float
-    povm: POVM
+    elements: np.ndarray
     method: str
     converged: bool
     iterations: int
@@ -151,7 +149,7 @@ def _helstrom(weighted: np.ndarray) -> DiscriminationResult:
     elements = np.stack([projector, np.eye(len(vals)) - projector])
     return DiscriminationResult(
         success_probability=min(_success(weighted, elements), 1.0),
-        povm=POVM(elements),
+        elements=_read_only(elements),
         method="helstrom",
         converged=True,
         iterations=0,
@@ -197,7 +195,7 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
         stack = np.concatenate([elements, kernel[None]])
     return DiscriminationResult(
         success_probability=min(_success(weighted, elements), 1.0),
-        povm=POVM(stack),
+        elements=_read_only(stack),
         method="square_root",
         converged=True,
         iterations=0,
@@ -234,7 +232,7 @@ def minimum_error_iterate(
         return _helstrom(weighted)
     srm = square_root_measurement(e)
     d = e.state_dim
-    start = srm.povm.stack[: e.num_keys]
+    start = srm.elements[: e.num_keys]
 
     floor = srm
     best_value = srm.success_probability
@@ -246,7 +244,7 @@ def minimum_error_iterate(
     if float(e.prior[guess]) > best_value:
         best_value = float(e.prior[guess])
         best_elements = trivial
-        floor = DiscriminationResult(best_value, POVM(trivial), "trivial_guess", True, 0)
+        floor = DiscriminationResult(best_value, _read_only(trivial), "trivial_guess", True, 0)
 
     # factors of the start, B_k = V_k sqrt(L_k) for E_k = V_k L_k V_k^dag; the
     # map multiplies factors on the left only, so any factorisation will do
@@ -300,21 +298,21 @@ def minimum_error_iterate(
             result = floor  # the repair cost more than the iteration gained
     if result is None:
         result = DiscriminationResult(
-            min(_success(weighted, final), 1.0), POVM(final), method, False, 0
+            min(_success(weighted, final), 1.0), _read_only(final), method, False, 0
         )
-    gap = _duality_gap(weighted, result.povm.stack[: e.num_keys])
+    gap = _duality_gap(weighted, result.elements[: e.num_keys])
     # certified: the loop stopped on its own and the gap closes to 1e-6
     return replace(result, converged=stopped and gap <= 1e-6, iterations=iterations, gap=gap)
 
 
 class AccessibleInfo(NamedTuple):
     bits: float
-    povm: POVM
+    elements: np.ndarray
 
 
-def povm_mutual_information(e: ens.CQEnsemble, povm: POVM) -> float:
-    """Mutual information in bits between the key and the POVM outcome."""
-    table = ens.measurement_table(e, povm)
+def povm_mutual_information(e: ens.CQEnsemble, elements: np.ndarray) -> float:
+    """Mutual information in bits between the key and the measured outcome."""
+    table = ens.measurement_table(e, elements)
     joint = e.prior[:, None] * table
     return dist.mutual_information(joint)
 
@@ -349,7 +347,9 @@ def _frame_ascent(
     A step that loses information, or gives NaN, is dropped, and the next
     is half the size and starts the momentum afresh; a kept step grows by a
     quarter.  Runs at most ``ASCENT_STEPS`` attempts, each with one
-    unvalidated information call; the final joint is validated.
+    information call on an unvalidated joint: it is derived from the
+    validated ensemble, so its total may differ from 1 by the prior's and
+    the traces' accepted round-off together.
 
     The gradient is computed once per kept frame.  The ascent stops early
     once it has stalled: at a rejected attempt without momentum whose
@@ -366,10 +366,9 @@ def _frame_ascent(
     def evaluate(v):
         rho_v = states @ v.T  # rho_v[k, :, y] = rho_k v_y
         table = np.maximum(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0)
-        joint = prior_col * table
-        return (*dist._information(joint), joint, rho_v)
+        return (*dist._information(prior_col * table), rho_v)
 
-    current, log2_ratio, joint, rho_v = evaluate(kets)
+    current, log2_ratio, rho_v = evaluate(kets)
     gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
     step = 1.0
     move = 0.0
@@ -377,7 +376,7 @@ def _frame_ascent(
         target = kets + step * gradient + ASCENT_MOMENTUM * move
         u, _, vh = np.linalg.svd(target, full_matrices=False)
         trial = u @ vh
-        value, trial_ratio, trial_joint, trial_rho_v = evaluate(trial)
+        value, trial_ratio, trial_rho_v = evaluate(trial)
         if not value >= current:
             if np.ndim(move) == 0 and (
                 step * _ascent_slope(kets, gradient) <= _EPS * max(1.0, current)
@@ -388,10 +387,9 @@ def _frame_ascent(
             move = 0.0
             continue
         move, kets = trial - kets, trial
-        current, log2_ratio, joint, rho_v = value, trial_ratio, trial_joint, trial_rho_v
+        current, log2_ratio, rho_v = value, trial_ratio, trial_rho_v
         gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
         step *= 1.25
-    dist.validate_distribution(joint)
     return current, kets
 
 
@@ -413,35 +411,35 @@ def accessible_info_lower_bound(
     """
     d = e.state_dim
     if np.count_nonzero(e.stack) == np.count_nonzero(np.diagonal(e.stack, axis1=1, axis2=2)):
-        povm = _computational_basis(d)
-        return AccessibleInfo(bits=povm_mutual_information(e, povm), povm=povm)
-    best_bits, best_povm = _best_candidate(e)
+        elements = _computational_basis(d)
+        return AccessibleInfo(bits=povm_mutual_information(e, elements), elements=elements)
+    best_bits, best_elements = _best_candidate(e)
     m = min(d * d, MAX_OUTCOMES)
     rng = np.random.default_rng(seed)
     for _ in range(max(0, restarts)):
         bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
         if bits > best_bits:
-            best_bits, best_povm = bits, POVM(_rank_one(kets))
-    return AccessibleInfo(bits=float(best_bits), povm=best_povm)
+            best_bits, best_elements = bits, _read_only(_rank_one(kets))
+    return AccessibleInfo(bits=float(best_bits), elements=best_elements)
 
 
 @ens._once_per_ensemble
-def _best_candidate(e: ens.CQEnsemble) -> tuple[float, POVM]:
+def _best_candidate(e: ens.CQEnsemble) -> tuple[float, np.ndarray]:
     """The most informative of the search's deterministic candidates: the
     square-root measurement, the average-state eigenbasis and 60
     minimum-error refinement steps, with its information in bits."""
     candidates = [
-        square_root_measurement(e).povm,
+        square_root_measurement(e).elements,
         eigenbasis_povm(ens.average_state(e)),
-        minimum_error_iterate(e, max_iters=60).povm,
+        minimum_error_iterate(e, max_iters=60).elements,
     ]
     best_bits = -1.0
-    best_povm = candidates[0]
-    for povm in candidates:
-        bits = povm_mutual_information(e, povm)
+    best_elements = candidates[0]
+    for elements in candidates:
+        bits = povm_mutual_information(e, elements)
         if bits > best_bits:
-            best_bits, best_povm = bits, povm
-    return best_bits, best_povm
+            best_bits, best_elements = bits, elements
+    return best_bits, best_elements
 
 
 def conditioned_ensemble(e: ens.CQEnsemble, known_bits, known_values) -> ens.CQEnsemble:

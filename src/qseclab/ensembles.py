@@ -9,8 +9,8 @@ trace-distance secrecy criterion in its two equivalent forms (explicit
 joint-vs-product state, and prior-weighted average of per-key
 distances), the prior-weighted variant used for non-uniform priors, the
 ideal-reference comparison, the Holevo information, the measured
-(classical) counterparts induced by a POVM, and key-subset uniformity
-gaps.
+(classical) counterparts induced by a measurement's element array, and
+key-subset uniformity gaps.
 
 Key-bit convention: key value k is an integer in [0, 2^n); bit position 0
 is the most significant bit, so for n = 2 the keys order as
@@ -23,7 +23,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import wraps
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .errors import (
     ValidationError,
 )
 from .operators import DensityOperator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .detection import POVM
 
 JOINT_DIM_CAP = 64
 MAX_KEY_BITS = dist.MAX_DENSE_SIZE.bit_length() - 1  # 2^n keys stay a dense vector
@@ -219,36 +216,37 @@ def holevo_information(e: CQEnsemble) -> float:
     """Average-state entropy minus mean per-key entropy, in bits.
 
     Upper-bounds the mutual information extractable by any measurement on
-    the probe; clamped at zero after a -1e-10 round-off allowance.
+    the probe; clamped at zero after a round-off allowance: a prior accepted
+    eps = ``dist.PROB_SUM_TOL`` off one shifts it by eps / ln 2, and 1e-12 more.
     """
     # a one-state batch: the eigensolve operators._as_states runs on a single state
     value = dist._entropy_bits(np.clip(np.linalg.eigvalsh(average_state(e)[None])[0], 0.0, 1.0))
     # one entropy per key: a masked sum over the (keys, d) array rounds differently
     value -= float(e.prior @ np.array([dist._entropy_bits(row)
                                        for row in np.clip(e.spectra, 0.0, 1.0)]))
-    if value < -1e-10:
+    if value < -(dist.PROB_SUM_TOL / np.log(2.0) + 1e-12):
         raise ValidationError(f"negative Holevo information {value:.3e}")
     return max(0.0, value)
 
 
 class MeasuredCriteria(NamedTuple):
-    """Classical quantities induced by measuring an ensemble with a POVM."""
+    """Classical quantities induced by measuring an ensemble."""
 
     delta_e: float
     i_e_deficit: float
     cpd_table: np.ndarray        # outcome-major: row y holds p(k | y)
 
 
-def measurement_table(e: CQEnsemble, povm: "POVM") -> np.ndarray:
-    """Outcome probabilities per key: entry (k, y) is p(y | k)."""
-    if povm.dim != e.state_dim:
-        raise DimensionMismatchError(f"POVM dim {povm.dim} != state dim {e.state_dim}")
-    table = np.einsum("yij,kji->ky", povm.stack, e.stack).real
+def measurement_table(e: CQEnsemble, elements: np.ndarray) -> np.ndarray:
+    """Outcome probabilities per key under (outcomes, d, d) elements: (k, y) is p(y | k)."""
+    if elements.shape[-1] != e.state_dim:
+        raise DimensionMismatchError(f"POVM dim {elements.shape[-1]} != state dim {e.state_dim}")
+    table = np.einsum("yij,kji->ky", elements, e.stack).real
     table = np.maximum(table, 0.0)
     return table / table.sum(axis=1, keepdims=True)
 
 
-def measured_criteria(e: CQEnsemble, povm: "POVM") -> MeasuredCriteria:
+def measured_criteria(e: CQEnsemble, elements: np.ndarray) -> MeasuredCriteria:
     """Joint-vs-product variational distance, entropy deficit and CPDs.
 
     The classical distance is ``v(p(y|k) p0(k), p(y) p0(k))`` with no
@@ -259,7 +257,7 @@ def measured_criteria(e: CQEnsemble, povm: "POVM") -> MeasuredCriteria:
     information deficit is the outcome-averaged gap between full key
     entropy and posterior entropy, ``sum_y p(y) (n - H(K | y))``.
     """
-    joint = e.prior[:, None] * measurement_table(e, povm)
+    joint = e.prior[:, None] * measurement_table(e, elements)
     py = joint.sum(axis=0)
     delta = dist._variational(joint, e.prior[:, None] * py)
     cpds = np.divide(joint.T, py[:, None], out=np.tile(e.prior, (py.size, 1)),
@@ -340,11 +338,11 @@ def criteria_record(e: CQEnsemble) -> CriteriaRecord:
     d_joint = None
     if e.num_keys * e.state_dim <= JOINT_DIM_CAP:
         d_joint = joint_product_distance(e)
-    povm = detection.square_root_measurement(e).povm
+    elements = detection.square_root_measurement(e).elements
     chi = holevo_information(e)
     if chi > e.n_bits + 1e-9:
         raise ValidationError(f"chi = {chi!r} exceeds key length {e.n_bits}")
-    measured = measured_criteria(e, povm)
+    measured = measured_criteria(e, elements)
     top = float(measured.cpd_table.max())
     notes = (
         f"measurement: square-root measurement; max posterior key mass {top:.6g}; "

@@ -50,10 +50,9 @@ def brute_force_binary_qubit(
         span_theta, span_phi = span_theta / 10.0, span_phi / 10.0
     ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     projector = np.outer(ket, ket.conj())
-    povm = POVM((projector, np.eye(2) - projector))
     return DiscriminationResult(
         success_probability=min(success, 1.0),
-        povm=povm,
+        elements=POVM((projector, np.eye(2) - projector)).stack,
         method="brute_force",
         converged=True,
         iterations=ORACLE_ZOOMS,

@@ -8,9 +8,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qseclab import cli, distributions, ensembles, locking, operators as ops
+from qseclab import bounds, cli, distributions, ensembles, locking, operators as ops
 from qseclab.bounds import _random_mixed_stack
 from qseclab.errors import Error
 
@@ -160,6 +160,38 @@ class TestCriteria:
         assert (code, err) == (0, "")
         report = json.loads(out)["criteria"]
         assert report["d_joint"] == pytest.approx(report["d"], abs=1e-12)
+
+    def test_eigenvalues_at_the_positivity_tolerance_give_a_report(self, capsys, tmp_path):
+        # each state's smallest eigenvalue set to -9e-11 passes the input
+        # checks; the square-root measurement's elements carry it, scaled
+        # past -1e-10 by the inverse square root of the average state
+        stack = _random_mixed_stack(8, 8, np.random.default_rng(0))
+        vals, vecs = np.linalg.eigh(stack)
+        vals[:, 0] = -9e-11
+        vals /= vals.sum(axis=1, keepdims=True)
+        states = (vecs * vals[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+        record = {"n": 3, "prior": [0.125] * 8, "states": ops.matrix_to_pairs(states)}
+        path = tmp_path / "eigenvalue_edge.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["criteria", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["criteria"]["d_joint"] is not None  # 2^n d at the joint cap
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    @pytest.mark.parametrize("n_bits", [0, 1, 2])
+    def test_prior_past_one_on_identical_states_gives_a_report(self, capsys, tmp_path,
+                                                               n_bits, dim):
+        # a prior accepted 9e-11 past one shifts chi by -9e-11 / ln 2, which
+        # is -1.3e-10; the Holevo information of identical states is 0
+        n_keys = 2**n_bits
+        states = np.broadcast_to(np.eye(dim) / dim, (n_keys, dim, dim))
+        record = {"n": n_bits, "prior": [(1.0 + 9e-11) / n_keys] * n_keys,
+                  "states": ops.matrix_to_pairs(states)}
+        path = tmp_path / "holevo_edge.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["criteria", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["criteria"]["chi"] == 0.0
 
     def test_skewed_prior_ensemble(self, capsys, tmp_path):
         zero = ops.matrix_to_pairs(np.diag([1.0, 0.0]))
@@ -399,6 +431,88 @@ def test_any_ensemble_file_gives_a_report_or_a_clean_error(tmp_path_factory, rec
         assert code == 1
         assert out.getvalue() == ""
         assert err.getvalue().startswith("qseclab: error: ")
+
+
+def _edge_record(n_bits, dim, rank, seed, identical=False, low=0.0, deviation=0.0,
+                 trace_off=0.0, prior_off=0.0, zeros=0, subnormals=0, skewed=False) -> dict:
+    """An ensemble record at the edges of the input checks.
+
+    The states have rank ``rank`` on one random subspace, so their average
+    is rank-deficient when ``rank < dim``; with ``identical`` all equal the
+    first.  Each has its smallest eigenvalue set to ``low`` before its
+    trace is scaled to 1 + ``trace_off``, and entry (0, 1) moved by
+    ``deviation``, a Hermitian deviation the positivity check, which reads
+    the lower triangle, does not see.  The prior is uniform or
+    exponential, with its first ``zeros`` entries 0 and the next
+    ``subnormals`` the smallest subnormal, and sums to 1 + ``prior_off``.
+    """
+    rng = np.random.default_rng(seed)
+    keys = 2**n_bits
+    g = rng.standard_normal((2, dim, rank))
+    basis = np.linalg.qr(g[0] + 1j * g[1])[0]
+    z = rng.standard_normal((keys, rank, rank)) + 1j * rng.standard_normal((keys, rank, rank))
+    states = basis @ (z @ np.conj(np.swapaxes(z, -1, -2))) @ basis.conj().T
+    if identical:
+        states[1:] = states[0]
+    vals, vecs = np.linalg.eigh(states)
+    vals /= vals.sum(axis=1, keepdims=True)
+    if low:  # the other eigenvalues take up the trace, so low stays as it is
+        vals[:, 0] = low
+        vals[:, 1:] *= (1.0 - low) / vals[:, 1:].sum(axis=1, keepdims=True)
+    states = (vecs * vals[:, None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    states = 0.5 * (states + np.conj(np.swapaxes(states, -1, -2))) * (1.0 + trace_off)
+    states[:, 0, 1] += deviation
+    prior = rng.exponential(size=keys) if skewed else np.ones(keys)
+    prior[:zeros + subnormals] = 0.0
+    prior /= prior.sum()
+    prior[zeros:zeros + subnormals] = 5e-324
+    prior[np.argmax(prior)] += prior_off
+    return {"n": n_bits, "prior": prior.tolist(), "states": ops.matrix_to_pairs(states)}
+
+
+@st.composite
+def _edge_records(draw):
+    """An ``_edge_record`` with n <= 3 and d <= 4, each edge either off or
+    a relative 1e-4 to 1e-2 inside its tolerance."""
+    n_bits, dim = draw(st.integers(0, 3)), draw(st.integers(2, 4))
+    inside = st.floats(1.0 - 1e-2, 1.0 - 1e-4)
+
+    def edge(tol, signs=(1.0,)):
+        return draw(st.one_of(st.just(0.0),
+                              st.tuples(st.sampled_from(signs), inside).map(
+                                  lambda pair: pair[0] * pair[1] * tol)))
+
+    zeros = draw(st.integers(0, 2**n_bits - 1))
+    return _edge_record(
+        n_bits, dim, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1)),
+        identical=draw(st.booleans()), low=edge(ops.POSITIVITY_TOL, (-1.0,)),
+        deviation=edge(ops.HERMITIAN_TOL), trace_off=edge(ops.TRACE_TOL, (-1.0, 1.0)),
+        prior_off=edge(distributions.PROB_SUM_TOL, (-1.0, 1.0)), zeros=zeros,
+        subnormals=draw(st.integers(0, 2**n_bits - 1 - zeros)), skewed=draw(st.booleans()),
+    )
+
+
+_EVERY_EDGE = {"low": -0.999e-10, "deviation": 0.999e-12, "trace_off": 0.999e-10,
+               "prior_off": 0.999e-10, "subnormals": 1, "skewed": True}
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_edge_records())
+@example(record=_edge_record(1, 64, 64, 0, **_EVERY_EDGE))
+@example(record=_edge_record(3, ensembles.JOINT_DIM_CAP // 8, 7, 1, zeros=1, **_EVERY_EDGE))
+def test_an_ensemble_at_the_input_edges_gives_a_report_and_passes_the_proven_checks(
+        tmp_path_factory, record):
+    path = tmp_path_factory.getbasetemp() / "edge_ensemble.json"
+    path.write_text(json.dumps(record))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["criteria", str(path)])
+    assert (code, err.getvalue()) == (0, "")
+    # the checks of a campaign instance, the search at one restart
+    checks = bounds.PROVEN_CHECKS + ("accessible_info",)
+    _, results = bounds._instance_checks(ensembles.ensemble_from_dict(record), checks, 1, 0)
+    assert {name: result.verdict for name, result in results.items()
+            if result.verdict == "fail"} == {}
 
 
 class TestBoundsSweep:

@@ -44,7 +44,7 @@ def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
     srm = det.square_root_measurement(e)
     d = e.state_dim
     weighted = e.prior[:, None, None] * e.stack
-    elements = srm.povm.stack[: e.num_keys]
+    elements = srm.elements[: e.num_keys]
     floor = srm
     best_value = srm.success_probability
     best_elements = elements.copy()
@@ -54,7 +54,7 @@ def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
     if float(e.prior[guess]) > best_value:
         best_value = float(e.prior[guess])
         best_elements = trivial
-        floor = det.DiscriminationResult(best_value, det.POVM(trivial), "trivial_guess", True, 0)
+        floor = det.DiscriminationResult(best_value, trivial, "trivial_guess", True, 0)
     converged = False
     iterations = 0
     previous = det._success(weighted, elements)
@@ -80,11 +80,11 @@ def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
         s = spectral_pinv_sqrt(final.sum(axis=0))
         final = det._hermitian_part(s @ final @ s)
         if det._success(weighted, final) < floor.success_probability:
-            gap = det._duality_gap(weighted, floor.povm.stack[: e.num_keys])
+            gap = det._duality_gap(weighted, floor.elements[: e.num_keys])
             return replace(floor, converged=converged, iterations=iterations, gap=gap)
     return det.DiscriminationResult(
         success_probability=min(det._success(weighted, final), 1.0),
-        povm=det.POVM(final),
+        elements=final,
         method="trivial_guess" if best_elements is trivial else "iterative",
         converged=converged,
         iterations=iterations,
@@ -100,7 +100,7 @@ def factored_minimum_error_iterate(e, max_iters=500, tol=1e-9):
     srm = det.square_root_measurement(e)
     d = e.state_dim
     weighted = e.prior[:, None, None] * e.stack
-    start = srm.povm.stack[: e.num_keys]
+    start = srm.elements[: e.num_keys]
     floor = srm
     best_value = srm.success_probability
     best_elements = start
@@ -110,7 +110,7 @@ def factored_minimum_error_iterate(e, max_iters=500, tol=1e-9):
     if float(e.prior[guess]) > best_value:
         best_value = float(e.prior[guess])
         best_elements = trivial
-        floor = det.DiscriminationResult(best_value, det.POVM(trivial), "trivial_guess", True, 0)
+        floor = det.DiscriminationResult(best_value, trivial, "trivial_guess", True, 0)
 
     def mapped(c):
         columns = c.transpose(1, 0, 2).reshape(d, -1)
@@ -161,8 +161,8 @@ def factored_minimum_error_iterate(e, max_iters=500, tol=1e-9):
             result = floor
     if result is None:
         result = det.DiscriminationResult(
-            min(det._success(weighted, final), 1.0), det.POVM(final), method, False, 0)
-    gap = det._duality_gap(weighted, result.povm.stack[: e.num_keys])
+            min(det._success(weighted, final), 1.0), final, method, False, 0)
+    gap = det._duality_gap(weighted, result.elements[: e.num_keys])
     return replace(result, converged=stopped and gap <= 1e-6, iterations=iterations, gap=gap)
 
 
@@ -208,18 +208,28 @@ def tetrahedron_ensemble():
     return uniform_ensemble([pure_state(k) for k in kets])
 
 
+def assert_valid_measurement(elements, dim):
+    """The checks ``det.POVM`` applies to a caller's measurement: Hermitian
+    elements within 1e-12, summing to the identity within
+    ``COMPLETENESS_TOL``, none with an eigenvalue below -``ELEMENT_PSD_TOL``."""
+    assert elements.dtype == np.complex128 and elements.shape[1:] == (dim, dim)
+    assert 1 <= len(elements) <= det.MAX_OUTCOMES and not elements.flags.writeable
+    assert np.abs(elements - np.conj(np.swapaxes(elements, -1, -2))).max() <= ops.HERMITIAN_TOL
+    assert np.abs(elements.sum(axis=0) - np.eye(dim)).max() <= det.COMPLETENESS_TOL
+    assert np.linalg.eigvalsh(elements)[:, 0].min() >= -det.ELEMENT_PSD_TOL
+
+
 class TestPOVMValidation:
     def test_projective_pair_valid(self):
         povm = det.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        assert povm.num_outcomes == 2
-        assert povm.dim == 2
+        assert povm.stack.shape == (2, 2, 2)
 
     def test_non_positive_element_rejected(self):
         with pytest.raises(ValidationError, match="element eigenvalue -5.000e-01"):
             det.POVM((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])))
 
     def test_stack_is_the_read_only_element_matrices(self):
-        povm = det.square_root_measurement(orthogonal_ensemble(2)).povm
+        povm = det.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         with pytest.raises(ValueError):
             povm.stack[0, 0, 0] = 1.0
 
@@ -277,15 +287,14 @@ class TestPOVMValidation:
 
     def test_outcome_distribution(self):
         povm = det.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        probs = outcome_distribution(povm, ops.DensityOperator(np.diag([0.3, 0.7])))
+        probs = outcome_distribution(povm.stack, ops.DensityOperator(np.diag([0.3, 0.7])))
         np.testing.assert_allclose(probs, [0.3, 0.7], atol=1e-12)
 
     def test_eigenbasis_of_a_matrix_is_that_of_its_operator(self):
         avg = ens.average_state(locking.build_locking_ensemble("as_printed").ensemble)
         from_matrix = det.eigenbasis_povm(avg)
-        assert np.array_equal(from_matrix.stack,
-                              det.eigenbasis_povm(ops.DensityOperator(avg).matrix).stack)
-        assert from_matrix.num_outcomes == 4
+        assert np.array_equal(from_matrix, det.eigenbasis_povm(ops.DensityOperator(avg).matrix))
+        assert len(from_matrix) == 4
 
 
 def binary_optimum(a, b, prior):
@@ -341,8 +350,8 @@ class TestHelstromBinary:
         a = random_mixed_state(2, rng)
         b = random_mixed_state(2, rng)
         result = binary_optimum(a, b, 0.5)
-        achieved = 0.5 * outcome_distribution(result.povm, a)[0]
-        achieved += 0.5 * outcome_distribution(result.povm, b)[1]
+        achieved = 0.5 * outcome_distribution(result.elements, a)[0]
+        achieved += 0.5 * outcome_distribution(result.elements, b)[1]
         assert achieved == pytest.approx(result.success_probability, abs=1e-10)
     def test_as_printed_unlock_optimum(self):
         # with known first bit 0, the two remaining as-printed states are told
@@ -383,7 +392,7 @@ class TestSquareRootMeasurement:
         states = [pure_state(np.eye(4)[0]), pure_state(np.eye(4)[1])]
         e = uniform_ensemble(states)
         result = det.square_root_measurement(e)
-        assert result.povm.num_outcomes == 3
+        assert len(result.elements) == 3
         assert result.success_probability == pytest.approx(1.0, abs=1e-10)
 
 
@@ -435,13 +444,13 @@ class TestMinimumErrorIterate:
         # fell below -1e-10 (to -3.4e-7 for seed 13 at d = 8)
         e = bounds.build_instance(bounds.EnsembleRecipe("random_pure", n_bits, dim, seed))
         result = det.minimum_error_iterate(e, max_iters=60)
-        total = sum(result.povm.stack)
+        total = sum(result.elements)
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-12)
         srm = det.square_root_measurement(e).success_probability
         assert result.success_probability >= srm - 1e-12
         achieved = sum(
             w * np.trace(st.matrix @ el).real
-            for w, st, el in zip(e.prior, e.states, result.povm.stack)
+            for w, st, el in zip(e.prior, e.states, result.elements)
         )
         assert achieved == pytest.approx(result.success_probability, abs=1e-12)
 
@@ -450,7 +459,7 @@ class TestMinimumErrorIterate:
         result = det.minimum_error_iterate(le.ensemble)
         achieved = 0.0
         for k, (w, s) in enumerate(zip(le.ensemble.prior, le.ensemble.states)):
-            achieved += w * outcome_distribution(result.povm, s)[k]
+            achieved += w * outcome_distribution(result.elements, s)[k]
         assert achieved == pytest.approx(result.success_probability, abs=1e-9)
 
     @pytest.mark.parametrize("max_iters", [3, 500])
@@ -493,7 +502,7 @@ class TestMinimumErrorIterate:
                 expected.method, expected.converged, expected.iterations)
             assert got.success_probability == expected.success_probability
             assert got.gap == expected.gap
-            assert np.array_equal(got.povm.stack, expected.povm.stack)
+            assert np.array_equal(got.elements, expected.elements)
 
     def test_never_below_the_plain_loop_in_fewer_iterations(self):
         steps = plain_steps = 0
@@ -520,7 +529,7 @@ class TestMinimumErrorIterate:
             result = det.minimum_error_iterate(e, max_iters=60)
             start = det.minimum_error_iterate(e, max_iters=0)
             unbeaten = start.method == "square_root" and np.array_equal(
-                result.povm.stack, start.povm.stack)
+                result.elements, start.elements)
             assert (result.method == "square_root") == unbeaten
             labels.add(result.method)
         assert {"square_root", "iterative"} <= labels
@@ -548,7 +557,7 @@ class TestMinimumErrorIterate:
         result = det.minimum_error_iterate(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], states))
         assert result.method == "trivial_guess"
         assert result.success_probability == pytest.approx(0.7, abs=1e-15)
-        assert np.array_equal(result.povm.stack, np.array([np.eye(2)] + [np.zeros((2, 2))] * 3))
+        assert np.array_equal(result.elements, np.array([np.eye(2)] + [np.zeros((2, 2))] * 3))
         # a result that beats the guess keeps the iterative label
         distinct = tuple(ops.DensityOperator(np.diag(row).astype(complex)) for row in
                          [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7], [0.4, 0.3, 0.3]])
@@ -572,9 +581,9 @@ class TestMinimumErrorIterate:
             assert (result.method, result.converged, result.iterations, result.gap) == (
                 "helstrom", True, 0, 0.0)
             assert result.success_probability == closed.success_probability
-            assert np.array_equal(result.povm.stack, closed.povm.stack)
+            assert np.array_equal(result.elements, closed.elements)
             weighted = e.prior[:, None, None] * e.stack
-            assert det._duality_gap(weighted, result.povm.stack) <= 1e-12
+            assert det._duality_gap(weighted, result.elements) <= 1e-12
         assert calls == []
 
     def test_valid_povm_on_campaign_instances_and_historic_faults(self):
@@ -586,10 +595,7 @@ class TestMinimumErrorIterate:
         for recipe in recipes:
             e = bounds.build_instance(recipe)
             result = det.minimum_error_iterate(e, max_iters=60)
-            stack = result.povm.stack
-            assert np.linalg.eigvalsh(stack)[:, 0].min() >= -det.ELEMENT_PSD_TOL
-            np.testing.assert_allclose(stack.sum(axis=0), np.eye(e.state_dim),
-                                       atol=det.COMPLETENESS_TOL)
+            assert_valid_measurement(result.elements, e.state_dim)
             assert result.gap >= 0.0
 
 
@@ -624,7 +630,7 @@ def map_rule(e):
     elements[np.argmax(weights, axis=0), basis, basis] = 1.0
     return det.DiscriminationResult(
         success_probability=min(float(weights.max(axis=0).sum()), 1.0),
-        povm=det.POVM(elements),
+        elements=elements,
         method="map_rule",
         converged=True,
         iterations=0,
@@ -641,7 +647,7 @@ class TestMapRule:
             assert result.gap == 0.0 and result.converged
             assert abs(result.success_probability - expected) <= 1e-12
             achieved = sum(w * np.trace(s.matrix @ el).real
-                           for w, s, el in zip(prior, e.states, result.povm.stack))
+                           for w, s, el in zip(prior, e.states, result.elements))
             assert abs(achieved - expected) <= 1e-12
 
     def test_matches_the_iteration_on_the_rotated_ensemble(self):
@@ -660,7 +666,7 @@ class TestMapRule:
 
     def test_ties_go_to_the_first_key(self):
         e = uniform_ensemble([np.eye(3) / 3] * 4)
-        stack = map_rule(e).povm.stack
+        stack = map_rule(e).elements
         np.testing.assert_array_equal(stack[0], np.eye(3))
         assert not stack[1:].any()
 
@@ -751,15 +757,43 @@ class TestAccessibleInfoLowerBound:
             bounds.build_instance(bounds.EnsembleRecipe("commuting_classical", 2, 4, 1)))
         second = det.accessible_info_lower_bound(
             bounds.build_instance(bounds.EnsembleRecipe("spike_classical", 2, 4, 2)))
-        assert first.povm is second.povm
-        assert np.array_equal(first.povm.stack, det.projective_povm(np.eye(4)).stack)
-        assert not first.povm.stack.flags.writeable
+        assert first.elements is second.elements
+        assert np.array_equal(first.elements, [np.diag(row) for row in np.eye(4)])
+        assert not first.elements.flags.writeable
 
     def test_deterministic_given_seed(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
         first = det.accessible_info_lower_bound(le.ensemble, restarts=1, seed=9)
         second = det.accessible_info_lower_bound(le.ensemble, restarts=1, seed=9)
         assert first.bits == second.bits
+
+    @pytest.mark.parametrize("n_bits, dim", [(2, 4), (1, 2)])
+    def test_prior_and_traces_past_one_give_a_bound(self, n_bits, dim):
+        # prior and traces each 9e-11 past one pass the input checks; the
+        # ascent's joint then sums to about 1 + 1.8e-10, derived data that
+        # is not validated again
+        n_keys = 2**n_bits
+        states = bounds._random_mixed_stack(n_keys, dim, np.random.default_rng(5)) * (1.0 + 9e-11)
+        e = ens.CQEnsemble(n_bits, [(1.0 + 9e-11) / n_keys] * n_keys, states)
+        info = det.accessible_info_lower_bound(e, restarts=1)
+        assert 0.0 < info.bits <= ens.holevo_information(e) + 1e-8
+
+
+def test_derived_measurements_pass_the_checks_of_a_callers():
+    # the package validates the measurements it derives nowhere at run time;
+    # the campaign recipes, both locking variants and the chained ensembles
+    # hold every one of them to the checks of a caller's POVM here
+    instances = [bounds.build_instance(recipe) for recipe in bounds.default_recipes(100, seed=3)]
+    instances += [locking.build_locking_ensemble(variant).ensemble
+                  for variant in ("as_printed", "symmetric_corrected")]
+    instances += [locking.build_chained_locking_ensemble(n).ensemble for n in (3, 4, 5)]
+    for e in instances:
+        for elements in (det.square_root_measurement(e).elements,
+                         det.eigenbasis_povm(ens.average_state(e)),
+                         det.minimum_error_iterate(e).elements,
+                         det.minimum_error_iterate(e, max_iters=60).elements,
+                         det.accessible_info_lower_bound(e, restarts=1).elements):
+            assert_valid_measurement(elements, e.state_dim)
 
 
 def reference_frame_ascent(prior, states, kets):
@@ -990,8 +1024,8 @@ class TestSubsetAttackSuperiority:
     reducing classically; quantified on the locking ensemble."""
 
     @staticmethod
-    def _marginal_bit_success(e, povm, bit):
-        table = ens.measurement_table(e, povm)
+    def _marginal_bit_success(e, elements, bit):
+        table = ens.measurement_table(e, elements)
         joint = e.prior[:, None] * table  # (key, outcome)
         success = 0.0
         for y in range(table.shape[1]):
@@ -1014,7 +1048,7 @@ class TestSubsetAttackSuperiority:
         assert success_conditioned == pytest.approx(1.0, abs=1e-10)
         # whole-key measurement then classical reduction to the second bit
         full = det.minimum_error_iterate(e)
-        marginal = self._marginal_bit_success(e, full.povm, bit=1)
+        marginal = self._marginal_bit_success(e, full.elements, bit=1)
         assert success_conditioned >= marginal - 1e-8
 
     def test_random_ensembles(self):
@@ -1027,7 +1061,7 @@ class TestSubsetAttackSuperiority:
                 result = det.minimum_error_iterate(cond)
                 success_conditioned += 0.5 * result.success_probability
             full = det.minimum_error_iterate(e)
-            marginal = self._marginal_bit_success(e, full.povm, bit=1)
+            marginal = self._marginal_bit_success(e, full.elements, bit=1)
             assert success_conditioned >= marginal - 1e-8
 
 

@@ -433,27 +433,27 @@ def decimal_measured_oracle(n_bits, prior, table):
 class TestMeasuredCriteria:
     def test_unreachable_outcome_keeps_the_prior(self):
         e = plane_ensemble()
-        povm = detection.square_root_measurement(e).povm
-        assert povm.num_outcomes == 3
-        assert (ens.measurement_table(e, povm)[:, 2] == 0.0).all()
-        measured = ens.measured_criteria(e, povm)
+        elements = detection.square_root_measurement(e).elements
+        assert len(elements) == 3
+        assert (ens.measurement_table(e, elements)[:, 2] == 0.0).all()
+        measured = ens.measured_criteria(e, elements)
         assert measured.cpd_table[2].tolist() == e.prior.tolist()
 
     def test_delta_and_deficit_against_decimal(self):
         e = plane_ensemble()
-        povm = detection.square_root_measurement(e).povm
-        table = ens.measurement_table(e, povm)
+        elements = detection.square_root_measurement(e).elements
+        table = ens.measurement_table(e, elements)
         delta, deficit = decimal_measured_oracle(e.n_bits, e.prior, table)
-        measured = ens.measured_criteria(e, povm)
+        measured = ens.measured_criteria(e, elements)
         assert abs(measured.delta_e - delta) <= 1e-14
         assert abs(measured.i_e_deficit - deficit) <= 1e-14
         assert 0.05 < delta < 0.2 and 0.1 < deficit < 0.6  # neither side is trivial
 
     def test_delta_equals_the_pinsker_checks(self):
         e = plane_ensemble()
-        povm = detection.square_root_measurement(e).povm
-        pinsker = bounds.check_pinsker(e.prior[:, None] * ens.measurement_table(e, povm))
-        assert abs(ens.measured_criteria(e, povm).delta_e - pinsker.extras["delta"]) <= 1e-15
+        elements = detection.square_root_measurement(e).elements
+        pinsker = bounds.check_pinsker(e.prior[:, None] * ens.measurement_table(e, elements))
+        assert abs(ens.measured_criteria(e, elements).delta_e - pinsker.extras["delta"]) <= 1e-15
 
     def test_prior_at_the_edge_of_its_tolerance(self):
         # the prior is accepted 9e-11 short of one; its product with p_Y is
@@ -464,8 +464,7 @@ class TestMeasuredCriteria:
 
     def test_trivial_povm(self):
         e = constant_ensemble(2)
-        povm = detection.POVM((np.eye(4),))
-        measured = ens.measured_criteria(e, povm)
+        measured = ens.measured_criteria(e, detection.POVM((np.eye(4),)).stack)
         assert measured.delta_e == pytest.approx(0.0, abs=1e-12)
         assert measured.i_e_deficit == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(measured.cpd_table[0], e.prior, atol=1e-12)
@@ -473,7 +472,7 @@ class TestMeasuredCriteria:
     def test_eigenbasis_on_orthogonal_states_gives_point_cpds(self):
         e = orthogonal_ensemble(1)
         povm = detection.POVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        measured = ens.measured_criteria(e, povm)
+        measured = ens.measured_criteria(e, povm.stack)
         np.testing.assert_allclose(measured.cpd_table, np.eye(2), atol=1e-12)
         assert measured.i_e_deficit == pytest.approx(1.0, abs=1e-10)
 
@@ -487,15 +486,14 @@ class TestMeasuredCriteria:
             q = q * (np.diag(r) / np.abs(np.diag(r)))
             frame = q[:, :3]
             povm = detection.POVM(tuple(np.outer(frame[y].conj(), frame[y]) for y in range(9)))
-            measured = ens.measured_criteria(e, povm)
+            measured = ens.measured_criteria(e, povm.stack)
             assert measured.delta_e <= ens.mean_conditional_distance(e) + 1e-9
 
     def test_per_key_contraction(self):
         # v(p(.|k), p(.)) <= 2 * (half trace norm per key) for every key
         rng = np.random.default_rng(89)
         e = random_ensemble(2, 4, rng)
-        povm = detection.eigenbasis_povm(ens.average_state(e))
-        table = ens.measurement_table(e, povm)
+        table = ens.measurement_table(e, detection.eigenbasis_povm(ens.average_state(e)))
         marginal = e.prior @ table
         distances = ens.conditional_distances(e)
         for k in range(e.num_keys):

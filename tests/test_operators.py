@@ -186,8 +186,8 @@ class TestMeasurementContraction:
             povm = detection.POVM(
                 tuple(np.outer(frame[y].conj(), frame[y]) for y in range(6))
             )
-            p = outcome_distribution(povm, rho)
-            qdist = outcome_distribution(povm, sigma)
+            p = outcome_distribution(povm.stack, rho)
+            qdist = outcome_distribution(povm.stack, sigma)
             distance = trace_distance(rho.matrix, sigma.matrix)
             assert variational_distance(p, qdist) <= distance + 1e-9
 
@@ -199,9 +199,9 @@ class TestMeasurementContraction:
         for _ in range(20):
             rho, sigma = random_density(4, rng), random_density(4, rng)
             diff = ops.HermitianOperator(rho.matrix - sigma.matrix)
-            povm = detection.eigenbasis_povm(diff.matrix)
-            p = outcome_distribution(povm, rho)
-            q = outcome_distribution(povm, sigma)
+            elements = detection.eigenbasis_povm(diff.matrix)
+            p = outcome_distribution(elements, rho)
+            q = outcome_distribution(elements, sigma)
             assert variational_distance(p, q) == pytest.approx(
                 trace_distance(rho.matrix, sigma.matrix), abs=1e-9
             )

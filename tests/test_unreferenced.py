@@ -22,6 +22,8 @@ ALLOWED = {
     "distributions.variational_distance": "the public form of the criteria's distance",
     "operators.HermitianOperator":
         "input type patched by `bench/tracer.py`; goes with ROADMAP item 1",
+    "detection.POVM":
+        "input type for a caller's measurement; patched by `bench/tracer.py`",
 }
 
 

@@ -6,7 +6,9 @@ Checks, named by content:
 * ``pinsker``: twice the squared joint-vs-product variational distance is
   at most the mutual information in bits (checked on classical joints,
   and on the joint induced by the square-root measurement inside
-  ensemble campaigns).
+  ensemble campaigns: that joint and its information are computed once
+  per ensemble, shared with the search's candidates and the criteria,
+  and, being derived from a validated ensemble, not validated again).
 * ``quantum_pinsker``: twice the squared trace criterion is at most the
   Holevo information.
 * ``chi_two_sided``: the Holevo information is sandwiched between twice
@@ -180,8 +182,12 @@ def check_pinsker(joint) -> CheckResult:
     ``I - (2/ln 2) delta^2`` is recorded alongside for auditability.
     """
     j = np.asarray(joint, dtype=np.float64)
-    info = dist.mutual_information(j)
-    delta = dist._variational(j, np.outer(j.sum(axis=1), j.sum(axis=0)))
+    return _pinsker(j, dist.mutual_information(j))
+
+
+def _pinsker(joint: np.ndarray, info: float) -> CheckResult:
+    """:func:`check_pinsker` of a joint whose information in bits is known."""
+    delta = dist._variational(joint, np.outer(joint.sum(axis=1), joint.sum(axis=0)))
     margin = info - 2.0 * delta * delta
     tight_margin = info - (2.0 / math.log(2.0)) * delta * delta
     return CheckResult(
@@ -383,8 +389,7 @@ def _instance_checks(e: ens.CQEnsemble, checks, accessible_restarts: int,
     quantities = {"d": d, "chi": chi, "n_bits": e.n_bits, "state_dim": e.state_dim}
     results: dict = {}
     if "pinsker" in checks:
-        srm = detection.square_root_measurement(e)
-        result = check_pinsker(e.prior[:, None] * ens.measurement_table(e, srm.elements))
+        result = _pinsker(*detection._srm_joint(e))
         results["pinsker"] = result
         quantities["delta"] = result.extras["delta"]
         quantities["mutual_information"] = result.extras["mutual_information"]

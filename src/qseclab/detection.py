@@ -3,7 +3,11 @@ and lower bounds on the information a measurement can extract.
 
 A measurement is validated once, where it enters: ``POVM`` checks a
 caller's, and those derived here from a validated ensemble are plain
-read-only (outcomes, d, d) ``complex128`` element arrays.
+read-only (outcomes, d, d) ``complex128`` element arrays, and the joints
+they induce with the key are not validated either.  Kept once per
+ensemble: the average state's eigendecomposition, the square-root
+measurement, its joint with the key and that joint's information, and
+the search's best candidate.
 
 The binary optimum has a closed form (Helstrom), which
 ``minimum_error_iterate`` returns for two keys.  For more keys it starts
@@ -31,7 +35,7 @@ import numpy as np
 from . import distributions as dist
 from . import ensembles as ens
 from .errors import ValidationError, ZeroMassError
-from .operators import _as_hermitian, _rank_one, eig_hermitian
+from .operators import _as_hermitian, _descending, _rank_one, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -87,7 +91,11 @@ def _computational_basis(dim: int) -> np.ndarray:
 
 def eigenbasis_povm(matrix: np.ndarray) -> np.ndarray:
     """Elements of the projective measurement in a Hermitian matrix's eigenbasis."""
-    _, vecs = eig_hermitian(matrix)
+    return _eigenbasis_elements(eig_hermitian(matrix)[1])
+
+
+def _eigenbasis_elements(vecs: np.ndarray) -> np.ndarray:
+    """The projectors onto the columns of ``vecs``, in column order."""
     return _read_only(_rank_one(np.asarray(vecs, dtype=np.complex128).T))
 
 
@@ -157,23 +165,33 @@ def _helstrom(weighted: np.ndarray) -> DiscriminationResult:
     )
 
 
-def _psd_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors of a PSD matrix and its inverse square-root spectrum,
-    which is 0 off the support (eigenvalues up to 1e-12 of the largest)."""
-    vals, vecs = np.linalg.eigh(matrix)
+def _pinv_sqrt_spectrum(vals: np.ndarray) -> np.ndarray:
+    """The inverse square roots of a PSD matrix's ascending spectrum, 0 off
+    its support (eigenvalues up to 1e-12 of the largest)."""
     cutoff = max(float(vals.max()), 0.0) * 1e-12
     if vals[0] > cutoff:  # eigh sorts ascending: full rank
-        return vecs, 1.0 / np.sqrt(vals)
+        return 1.0 / np.sqrt(vals)
     support = vals > cutoff
     inv_sqrt = np.zeros_like(vals)
     inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
-    return vecs, inv_sqrt
+    return inv_sqrt
 
 
 def _psd_pinv_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Inverse square root of a PSD matrix on its support, 0 on its kernel."""
-    vecs, inv_sqrt = _psd_spectrum(matrix)
-    return (vecs * inv_sqrt) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(matrix)
+    return (vecs * _pinv_sqrt_spectrum(vals)) @ vecs.conj().T
+
+
+@ens._once_per_ensemble
+def _average_eigh(e: ens.CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of the average state, as read-only arrays: the one
+    eigensolve the square-root measurement and the eigenbasis candidate of
+    the search both build on."""
+    vals, vecs = np.linalg.eigh(ens.average_state(e))
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
 
 
 @ens._once_per_ensemble
@@ -181,17 +199,19 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     """The pretty-good measurement built from the weighted ensemble states.
 
     Elements are ``S p_k rho_k S`` with S the inverse square root of the
-    average state on its support; a remainder element on the kernel
-    completes the POVM (that outcome never fires on in-support states).
+    average state on its support; where the average state is
+    rank-deficient, the projector onto its kernel completes the POVM (that
+    outcome never fires on in-support states).
     """
-    vecs, inv_sqrt = _psd_spectrum(ens.average_state(e))
+    vals, vecs = _average_eigh(e)
+    inv_sqrt = _pinv_sqrt_spectrum(vals)
     s = (vecs * inv_sqrt) @ vecs.conj().T
-    kernel = (vecs * (inv_sqrt == 0.0)) @ vecs.conj().T
     weighted = e.prior[:, None, None] * e.stack
     # s @ wk @ s is Hermitian only up to round-off that can exceed 1e-12
     elements = _hermitian_part(s @ weighted @ s)
     stack = elements
-    if float(np.trace(kernel).real) > 1e-9:
+    if not inv_sqrt.all():  # zeros mark the kernel of a rank-deficient average state
+        kernel = (vecs * (inv_sqrt == 0.0)) @ vecs.conj().T
         stack = np.concatenate([elements, kernel[None]])
     return DiscriminationResult(
         success_probability=min(_success(weighted, elements), 1.0),
@@ -311,10 +331,19 @@ class AccessibleInfo(NamedTuple):
 
 
 def povm_mutual_information(e: ens.CQEnsemble, elements: np.ndarray) -> float:
-    """Mutual information in bits between the key and the measured outcome."""
-    table = ens.measurement_table(e, elements)
-    joint = e.prior[:, None] * table
-    return dist.mutual_information(joint)
+    """Mutual information in bits between the key and the measured outcome
+    (a joint derived from the validated ensemble, not validated again)."""
+    return dist._information(ens._measured_joint(e, elements))[0]
+
+
+@ens._once_per_ensemble
+def _srm_joint(e: ens.CQEnsemble) -> tuple[np.ndarray, float]:
+    """The joint distribution of key and square-root-measurement outcome,
+    read-only, and its mutual information in bits: shared by the campaign's
+    ``pinsker`` check, the measured criteria and the search's candidates."""
+    joint = ens._measured_joint(e, square_root_measurement(e).elements)
+    joint.setflags(write=False)
+    return joint, dist._information(joint)[0]
 
 
 def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -351,14 +380,15 @@ def _frame_ascent(
     validated ensemble, so its total may differ from 1 by the prior's and
     the traces' accepted round-off together.
 
-    The gradient is computed once per kept frame.  The ascent stops early
-    once it has stalled: at a rejected attempt without momentum whose
-    first-order gain ``step * _ascent_slope(kets, gradient)`` is at most
-    one rounding unit of the value, eps * max(1, I), or whose step
-    ``kets + step * gradient`` rounds to ``kets`` itself.  Every later
-    step is half as long, so to first order they could not gain more than
-    that unit together: the result is a frame the full budget keeps on its
-    way, below the full budget's result by round-off only.
+    The gradient, and its slope where a stall test needs it, are computed
+    once per kept frame.  The ascent stops early once it has stalled: at a
+    rejected attempt without momentum whose first-order gain
+    ``step * _ascent_slope(kets, gradient)`` is at most one rounding unit
+    of the value, eps * max(1, I), or whose step ``kets + step * gradient``
+    rounds to ``kets`` itself.  Every later step is half as long, so to
+    first order they could not gain more than that unit together: the
+    result is a frame the full budget keeps on its way, below the full
+    budget's result by round-off only.
     """
     prior_col = prior[:, None]
     weight = np.log(2.0) * prior_col
@@ -370,6 +400,7 @@ def _frame_ascent(
 
     current, log2_ratio, rho_v = evaluate(kets)
     gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
+    slope = None  # _ascent_slope(kets, gradient), once the frame's first stall test needs it
     step = 1.0
     move = 0.0
     for _ in range(ASCENT_STEPS):
@@ -378,17 +409,18 @@ def _frame_ascent(
         trial = u @ vh
         value, trial_ratio, trial_rho_v = evaluate(trial)
         if not value >= current:
-            if np.ndim(move) == 0 and (
-                step * _ascent_slope(kets, gradient) <= _EPS * max(1.0, current)
-                or np.array_equal(target, kets)
-            ):
-                break
+            if np.ndim(move) == 0:
+                if slope is None:
+                    slope = _ascent_slope(kets, gradient)
+                if step * slope <= _EPS * max(1.0, current) or np.array_equal(target, kets):
+                    break
             step /= 2.0
             move = 0.0
             continue
         move, kets = trial - kets, trial
         current, log2_ratio, rho_v = value, trial_ratio, trial_rho_v
         gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
+        slope = None
         step *= 1.25
     return current, kets
 
@@ -427,15 +459,13 @@ def accessible_info_lower_bound(
 def _best_candidate(e: ens.CQEnsemble) -> tuple[float, np.ndarray]:
     """The most informative of the search's deterministic candidates: the
     square-root measurement, the average-state eigenbasis and 60
-    minimum-error refinement steps, with its information in bits."""
-    candidates = [
-        square_root_measurement(e).elements,
-        eigenbasis_povm(ens.average_state(e)),
+    minimum-error refinement steps, with its information in bits.  The
+    eigenbasis is :func:`eigenbasis_povm`'s, from the shared eigensolve."""
+    best_bits, best_elements = _srm_joint(e)[1], square_root_measurement(e).elements
+    for elements in (
+        _eigenbasis_elements(_descending(*_average_eigh(e))[1]),
         minimum_error_iterate(e, max_iters=60).elements,
-    ]
-    best_bits = -1.0
-    best_elements = candidates[0]
-    for elements in candidates:
+    ):
         bits = povm_mutual_information(e, elements)
         if bits > best_bits:
             best_bits, best_elements = bits, elements

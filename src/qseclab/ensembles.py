@@ -4,7 +4,10 @@ A ``CQEnsemble`` pairs a prior over n-bit key values with one probe state
 per key.  A state is validated once, where it enters: the ensemble checks
 its states as one stack, and every matrix derived from that stack (the
 average state, the joint state, the ideal reference) is a plain array
-that nothing validates again.  On top of it this module evaluates the
+that nothing validates again, nor is a distribution derived from it (a
+measurement's joint with the key, a posterior row).  A quantity that
+depends on the immutable ensemble alone is computed once and kept on it
+(``_once_per_ensemble``).  On top of it this module evaluates the
 trace-distance secrecy criterion in its two equivalent forms (explicit
 joint-vs-product state, and prior-weighted average of per-key
 distances), the prior-weighted variant used for non-uniform priors, the
@@ -113,8 +116,9 @@ CQEnsemble.states = property(_states)
 
 
 def _once_per_ensemble(fn):
-    """Compute ``fn(e)`` on the first call for an ensemble and keep it there."""
-    key = f"_once_{fn.__name__}"
+    """Compute ``fn(e)`` on the first call for an ensemble and keep it there,
+    in a slot named by the function's module and qualified name."""
+    key = f"_once_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
     def once(e):
@@ -253,16 +257,30 @@ def measured_criteria(e: CQEnsemble, elements: np.ndarray) -> MeasuredCriteria:
     extra prefactor, so it contracts exactly from the operator criterion;
     a circulating variant carries an additional 1/2, which reports note
     rather than adopt.  Row y of the posterior table is p(k | y); an
-    unreachable outcome (p(y) = 0) keeps the prior as its row.  The
-    information deficit is the outcome-averaged gap between full key
-    entropy and posterior entropy, ``sum_y p(y) (n - H(K | y))``.
+    unreachable outcome keeps the prior as its row.  The information
+    deficit is the outcome-averaged gap between full key entropy and
+    posterior entropy, ``sum_y p(y) (n - H(K | y))``.
     """
-    joint = e.prior[:, None] * measurement_table(e, elements)
+    return _joint_criteria(e, _measured_joint(e, elements))
+
+
+def _measured_joint(e: CQEnsemble, elements: np.ndarray) -> np.ndarray:
+    """The (keys, outcomes) joint p(k) p(y | k) of key and outcome."""
+    return e.prior[:, None] * measurement_table(e, elements)
+
+
+def _joint_criteria(e: CQEnsemble, joint: np.ndarray) -> MeasuredCriteria:
+    """:func:`measured_criteria` of the (keys, outcomes) joint a measurement
+    induces on ``e``, which is not validated again.  An outcome no likelier
+    than ``dist.PROB_SUM_TOL``, the slack a prior's total is accepted with,
+    is unreachable: such a p(y) may be round-off alone (the square-root
+    measurement's kernel outcome reads 3.5e-18 under some BLAS kernels, 0
+    under others), and its posterior round-off over round-off."""
     py = joint.sum(axis=0)
     delta = dist._variational(joint, e.prior[:, None] * py)
     cpds = np.divide(joint.T, py[:, None], out=np.tile(e.prior, (py.size, 1)),
-                     where=py[:, None] > 0.0)
-    deficit = float(py @ (e.n_bits - np.array([dist.shannon_entropy(row) for row in cpds])))
+                     where=py[:, None] > dist.PROB_SUM_TOL)
+    deficit = float(py @ (e.n_bits - np.array([dist._entropy_bits(row) for row in cpds])))
     return MeasuredCriteria(delta_e=delta, i_e_deficit=max(0.0, deficit), cpd_table=cpds)
 
 
@@ -338,11 +356,10 @@ def criteria_record(e: CQEnsemble) -> CriteriaRecord:
     d_joint = None
     if e.num_keys * e.state_dim <= JOINT_DIM_CAP:
         d_joint = joint_product_distance(e)
-    elements = detection.square_root_measurement(e).elements
     chi = holevo_information(e)
     if chi > e.n_bits + 1e-9:
         raise ValidationError(f"chi = {chi!r} exceeds key length {e.n_bits}")
-    measured = measured_criteria(e, elements)
+    measured = _joint_criteria(e, detection._srm_joint(e)[0])
     top = float(measured.cpd_table.max())
     notes = (
         f"measurement: square-root measurement; max posterior key mass {top:.6g}; "

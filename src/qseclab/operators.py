@@ -141,6 +141,12 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver failed: {exc}") from exc
+    return _descending(vals, vecs)
+
+
+def _descending(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``'s eigenpairs as new arrays, reordered as
+    :func:`eig_hermitian` returns them."""
     order = np.argsort(vals)[::-1]
     return vals[order].copy(), vecs[:, order].copy()
 

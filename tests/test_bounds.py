@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qseclab import bounds, detection as det, ensembles as ens, locking, operators as ops
+from qseclab import bounds, detection as det, distributions as dist, ensembles as ens, locking
+from qseclab import operators as ops
 from qseclab.errors import OutOfScopeError, ValidationError
 
 from pure_state import pure_state
@@ -333,27 +334,84 @@ class TestRecipesAndCampaigns:
 
     def test_one_square_root_spectrum_per_ensemble(self, monkeypatch):
         # the pinsker check and the search share one square-root measurement,
-        # and both locking recipes one ensemble; the min-error steps also
-        # call _psd_spectrum, so only calls on an average state count
+        # the square-root measurement and the eigenbasis candidate one eigh of
+        # the average state, and the locking recipes one ensemble; the
+        # min-error steps also call eigh, so only calls on an average state count
         monkeypatch.setattr(locking, "_BUILT", {})  # a locking ensemble new to this test
         built, spectra = [], []
-        build, spectrum = bounds.build_instance, det._psd_spectrum
+        build, eigh = bounds.build_instance, np.linalg.eigh
 
         def recording_build(recipe):
             built.append(build(recipe))
             return built[-1]
 
-        def recording_spectrum(matrix):
+        def recording_eigh(matrix, *args, **kwargs):
             spectra.append(matrix)
-            return spectrum(matrix)
+            return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(bounds, "build_instance", recording_build)
-        monkeypatch.setattr(det, "_psd_spectrum", recording_spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         bounds.run_campaign(bounds.default_recipes(10), checks=bounds.ALL_CHECKS)
         distinct = list({id(e): e for e in built}.values())
         assert len(built) == 10 and len(distinct) == 9
         for e in distinct:
             assert sum(m is ens.average_state(e) for m in spectra) == 1
+
+    # a full-rank average state with four keys (the min-error steps iterate),
+    # and a rank-deficient one (the square-root measurement has a kernel outcome)
+    ONCE_RECIPES = [bounds.EnsembleRecipe("random_mixed", 2, 3, 4),
+                    bounds.EnsembleRecipe("random_pure", 1, 3, 5)]
+
+    @pytest.mark.parametrize("recipe", ONCE_RECIPES)
+    def test_instance_checks_and_criteria_compute_each_quantity_once(self, monkeypatch, recipe):
+        e = bounds.build_instance(recipe)
+        solved, tables, validated = [], [], []
+        eigh, table, validate = np.linalg.eigh, ens.measurement_table, dist.validate_distribution
+
+        def recording_eigh(matrix, *args, **kwargs):
+            solved.append(matrix)
+            return eigh(matrix, *args, **kwargs)
+
+        def recording_table(e, elements):
+            tables.append(elements)
+            return table(e, elements)
+
+        def recording_validate(*args):
+            validated.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(ens, "measurement_table", recording_table)
+        monkeypatch.setattr(dist, "validate_distribution", recording_validate)
+        bounds._instance_checks(e, bounds.ALL_CHECKS, 0, 0)
+        ens.criteria_record(e)
+        srm = det.square_root_measurement(e).elements
+        assert len(srm) == e.num_keys + (recipe.kind == "random_pure")
+        assert sum(m is ens.average_state(e) for m in solved) == 1
+        assert sum(elements is srm for elements in tables) == 1
+        assert validated == []
+
+    @pytest.mark.parametrize("recipe", ONCE_RECIPES)
+    def test_quantities_kept_on_the_ensemble_are_read_only(self, recipe):
+        e = bounds.build_instance(recipe)
+        bounds._instance_checks(e, bounds.ALL_CHECKS, 0, 0)
+        ens.criteria_record(e)
+        kept = [v for k, v in vars(e).items() if k.startswith("_once_")]
+        arrays = []
+        while kept:
+            value = kept.pop()
+            if isinstance(value, tuple):
+                kept.extend(value)
+            elif isinstance(value, det.DiscriminationResult):
+                arrays.append(value.elements)
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
+        # the average state and its eigh, the square-root elements and joint,
+        # and the best candidate's elements
+        assert len(arrays) == 6
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
 
     def test_one_candidate_search_per_ensemble(self, monkeypatch):
         # at restarts=0 the search is its deterministic candidates only, the

@@ -562,7 +562,8 @@ class TestBoundsSweep:
         assert json.loads(out.splitlines()[-1])["hard_failures"] == 0
 
     def test_non_finite_float_is_a_clean_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(distributions, "mutual_information", lambda joint: float("inf"))
+        # the campaign takes the square-root joint's information from the kernel
+        monkeypatch.setattr(distributions, "_information", lambda joint: (float("inf"), None))
         code, out, err = run_cli(capsys, ["bounds-sweep", "--count", "2"])
         assert (code, out) == (1, "")
         assert err.startswith("qseclab: error: report not written: ")
@@ -573,7 +574,7 @@ class TestBoundsSweep:
         # an infinite information gives the pinsker check an infinite margin,
         # which proves nothing: a fail in every format.  JSON cannot hold the
         # infinity, so that report ends in a clean error instead.
-        monkeypatch.setattr(distributions, "mutual_information", lambda joint: float("inf"))
+        monkeypatch.setattr(distributions, "_information", lambda joint: (float("inf"), None))
         code, out, err = run_cli(
             capsys, ["bounds-sweep", "--count", "2", "--checks", "pinsker", "--format", fmt]
         )

@@ -966,22 +966,31 @@ class TestFrameAscent:
             np.testing.assert_allclose(gram, np.eye(e.state_dim), rtol=0.0, atol=1e-12)
 
     def test_search_validates_the_information_of_candidates_only(self, monkeypatch):
-        calls = []
-        validated = dist.mutual_information
+        # a candidate is evaluated through its measurement table, an ascent
+        # attempt through the frame's own; no derived joint is validated
+        tables, validated = [], []
+        table, validate = ens.measurement_table, dist.validate_distribution
 
-        def counted(*args):
-            calls.append(args)
-            return validated(*args)
+        def counted_table(*args):
+            tables.append(args)
+            return table(*args)
 
-        monkeypatch.setattr(dist, "mutual_information", counted)
+        def counted_validate(*args):
+            validated.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(ens, "measurement_table", counted_table)
+        monkeypatch.setattr(dist, "validate_distribution", counted_validate)
         for steps in (10, det.ASCENT_STEPS):
             monkeypatch.setattr(det, "ASCENT_STEPS", steps)
             # a new ensemble each time: the candidates are evaluated once per ensemble
             e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 2, 2, 3))
-            calls.clear()
+            tables.clear()
+            validated.clear()
             det.accessible_info_lower_bound(e, restarts=2)
-            # one call per candidate measurement, none per ascent attempt
-            assert len(calls) == 3
+            # one evaluation per candidate measurement, none per ascent attempt
+            assert len(tables) == 3
+            assert validated == []
 
 
 class TestConditionedEnsemble:

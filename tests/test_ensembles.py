@@ -2,6 +2,9 @@
 
 import decimal
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -284,6 +287,23 @@ class TestAverageState:
         assert np.array_equal(ens.average_state(e), expected)
 
 
+class TestOncePerEnsemble:
+    def test_same_named_functions_of_two_modules_keep_their_own_values(self):
+        def value(e):
+            return "first"
+
+        first = ens._once_per_ensemble(value)
+
+        def value(e):  # noqa: F811 - the same qualified name, in another module
+            return "second"
+
+        value.__module__ = "elsewhere"
+        second = ens._once_per_ensemble(value)
+        e = random_ensemble(1, 2, np.random.default_rng(9))
+        assert (first(e), second(e)) == ("first", "second")
+        assert (first(e), second(e)) == ("first", "second")  # read back from their slots
+
+
 class TestJointProductDistance:
     def test_constant_ensemble_is_zero(self):
         assert ens.joint_product_distance(constant_ensemble(1)) == pytest.approx(0.0, abs=1e-12)
@@ -439,6 +459,16 @@ class TestMeasuredCriteria:
         measured = ens.measured_criteria(e, elements)
         assert measured.cpd_table[2].tolist() == e.prior.tolist()
 
+    def test_outcome_within_round_off_of_zero_keeps_the_prior(self):
+        # the kernel outcome fires with 3.5e-18 of round-off under some BLAS
+        # kernels; its posterior would be round-off over round-off
+        e = plane_ensemble()
+        joint = ens._measured_joint(e, detection.square_root_measurement(e).elements)
+        joint[:, 2] = [3.47e-18, 0.0]
+        measured = ens._joint_criteria(e, joint)
+        assert measured.cpd_table[2].tolist() == e.prior.tolist()
+        assert measured.cpd_table.max() < 1.0
+
     def test_delta_and_deficit_against_decimal(self):
         e = plane_ensemble()
         elements = detection.square_root_measurement(e).elements
@@ -499,6 +529,36 @@ class TestMeasuredCriteria:
         for k in range(e.num_keys):
             v = dist.variational_distance(table[k], marginal)
             assert v <= 2.0 * distances[k] + 1e-9
+
+
+HASWELL_CRITERIA = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from qseclab import cli, detection, ensembles
+e = ensembles.load_ensemble(sys.argv[2])
+elements = detection.square_root_measurement(e).elements
+print(len(elements), repr(float(ensembles._measured_joint(e, elements)[:, -1].sum())))
+sys.exit(cli.main(["criteria", sys.argv[2]]))
+"""
+
+
+def test_criteria_note_does_not_follow_round_off_under_another_blas_kernel(tmp_path):
+    # the golden ensemble recipe_31 (n = 1, d = 4, rank-2 average state):
+    # under OpenBLAS's Haswell kernels its kernel outcome fires with
+    # p(y) = 3.5e-18, which must not decide the reported posterior mass
+    path = str(tmp_path / "recipe_31.json")
+    ens.save_ensemble(bounds.build_instance(bounds.default_recipes(40, seed=3)[31]), path)
+    src = os.path.dirname(os.path.dirname(ens.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", HASWELL_CRITERIA, src, path],
+                         capture_output=True, text=True, env=env, check=True)
+    first, report = run.stdout.split("\n", 1)
+    outcomes, kernel_py = first.split()
+    assert outcomes == "3"
+    if float(kernel_py) == 0.0:
+        pytest.skip("the kernel outcome's p(y) is exactly 0 here: "
+                    "OPENBLAS_CORETYPE=Haswell did not select another kernel")
+    assert "max posterior key mass 0.905169;" in json.loads(report)["criteria"]["p1_bound_notes"]
 
 
 def bit_matrix_gap(cpd, positions):

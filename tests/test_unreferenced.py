@@ -20,6 +20,14 @@ ALLOWED = {
     "distributions.max_event_gap": "the greedy side of the greedy-vs-exhaustive pair",
     "locking.build_chained_locking_ensemble": "n-bit locking ensembles for the benchmark",
     "distributions.variational_distance": "the public form of the criteria's distance",
+    "distributions.shannon_entropy":
+        "the validated form of `_entropy_bits`, for a caller's distribution",
+    "bounds.check_pinsker":
+        "the pinsker check on a caller's joint; campaigns check the shared square-root joint",
+    "ensembles.measured_criteria":
+        "the measured criteria of a caller's measurement; reports use the square-root joint",
+    "detection.eigenbasis_povm":
+        "a caller's matrix; the search builds the same elements from the shared eigh",
     "operators.HermitianOperator":
         "input type patched by `bench/tracer.py`; goes with ROADMAP item 1",
     "detection.POVM":

@@ -23,7 +23,11 @@ locking ensemble, two-bit or chained, is attacked by one sequential
 unlock rule (``_chain_walk``), which tracks per qubit whether it lies in
 basis 1-3: qubit 1 is measured in the known bit's basis, each later qubit
 in 1-3 after a first-state outcome (1 or 2), else in 2-4, and a
-first-state outcome decodes its qubit's bit as 1.
+first-state outcome decodes its qubit's bit as 1.  Where every Born
+weight on the attack's path is exactly 0 or 1 (every chained ensemble,
+``symmetric_corrected``, and ``as_printed`` with known first bit 1), one
+walk over each (hidden bits, coin) term decides the attack for every
+trial and seed; only the others are sampled.
 
 Basis realization is fixed for bit-reproducibility: state 1 = (1, 0),
 state 3 = (0, 1), state 2 = (1, 1)/sqrt2, state 4 = (1, -1)/sqrt2, so
@@ -63,8 +67,9 @@ OVERLAP2.setflags(write=False)
 _HALF = 0.5
 # the KPA sampler draws BLOCK_TRIALS trials at a time, so its memory does
 # not grow with the count (tracemalloc peak 2.9 MB at n = 2, 5.3 MB at n = 6);
-# MAX_TRIALS caps the run time instead: 10^7 trials took 0.5-0.6 s of CPU at
-# n = 2 and 1.5-1.7 s at n = 6 on a 2-core x86-64 VM
+# MAX_TRIALS caps the run time of a sampled attack instead: 10^7 trials took
+# 0.3-0.4 s of CPU at n = 2 and 1.1-1.2 s at n = 6 (a chained table with a
+# conjugate last slot) on a 2-core x86-64 VM; a certain attack is not sampled
 BLOCK_TRIALS = 2**16
 MAX_TRIALS = 10**7
 
@@ -276,14 +281,18 @@ def kpa_simulate(
     trials: int,
     seed: int,
 ) -> KPAResult:
-    """Sample the sequential unlock on keys with a known first bit.
+    """Run the sequential unlock on keys with a known first bit.
 
     Each trial draws the hidden bits and the mixture coin uniformly,
     measures every qubit in the basis ``_chain_walk`` steers to from the
     previous outcome, and succeeds when the decoded bits equal the hidden
-    ones.  Trials are drawn from one generator in blocks of
-    ``BLOCK_TRIALS``, so memory does not grow with ``trials``.  Returns
-    the empirical rate next to the closed-form rate.
+    ones.  One walk over each (hidden bits, coin) term comes first: where
+    every Born weight on those paths is exactly 0 or 1 and the terms all
+    decode, or all fail, so does every trial, whatever the draws, and the
+    count is ``trials`` or 0 without sampling.  Otherwise trials are drawn
+    from one generator in blocks of ``BLOCK_TRIALS``, so memory does not
+    grow with ``trials``.  Returns the empirical rate next to the
+    closed-form rate.
     """
     for name, value in (("trials", trials), ("seed", seed), ("known first bit", known_k1)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -297,12 +306,16 @@ def kpa_simulate(
     if known_k1 not in (0, 1):
         raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
     trials, seed, known_k1 = int(trials), int(seed), int(known_k1)
-    rng = np.random.default_rng([seed, known_k1])
     terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)  # row 2 * hidden + coin
     # Born weight of the first state of basis 2-4 ([0]) or 1-3 ([1]): (2, n, terms)
     weights = OVERLAP2[[BASIS_24[0] - 1, BASIS_13[0] - 1]][:, terms.T - 1]
-    correct = sum(_unlock_block(rng, weights, known_k1, min(BLOCK_TRIALS, trials - start))
-                  for start in range(0, trials, BLOCK_TRIALS))
+    certain = _certain_unlock(weights, known_k1)
+    if certain is None:
+        rng = np.random.default_rng([seed, known_k1])
+        correct = sum(_unlock_block(rng, weights, known_k1, min(BLOCK_TRIALS, trials - start))
+                      for start in range(0, trials, BLOCK_TRIALS))
+    else:
+        correct = trials if certain else 0
     closed_form = _chain_closed_form(le, known_k1)
     return KPAResult(
         success_rate=correct / trials,
@@ -311,6 +324,26 @@ def kpa_simulate(
         seed=seed,
         strategy=_describe_unlock(le.n_bits, known_k1, closed_form),
     )
+
+
+def _certain_unlock(weights, known_k1) -> bool | None:
+    """True if every trial decodes its hidden bits whatever the draws, False
+    if none does, None if that depends on the draws; from one walk over
+    each (hidden bits, coin) row that takes a step where its Born weight is
+    1, since a draw in [0, 1) takes every weight of 1 and no weight of 0."""
+    _, n, terms = weights.shape
+    rows = np.arange(terms)
+    visited = []  # the Born weights of each qubit's step, row by row
+
+    def takes_first(j, in13):
+        visited.append(weights[:, j].take(rows + terms * in13))
+        return visited[-1] == 1
+
+    decoded = _chain_walk(np.full(terms, known_k1), n, takes_first)
+    decodes = np.all(decoded[1:] == (ens._bit_rows(n - 1).repeat(2, axis=0).T == 1), axis=0)
+    if not np.isin(visited, (0.0, 1.0)).all() or decodes.min() != decodes.max():
+        return None
+    return bool(decodes[0])
 
 
 def _unlock_block(rng, weights, known_k1, size) -> int:

@@ -11,6 +11,7 @@ from qseclab.errors import ValidationError
 
 SQRT2 = np.sqrt(2.0)
 CONJUGATE = {1: 2, 2: 1, 3: 4, 4: 3}  # each basis state to one of the other basis
+FLIP = {1: 3, 3: 1, 2: 4, 4: 2}  # each basis state to the other state of its basis
 
 
 def independent_first_qubit_marginal(state):
@@ -123,6 +124,40 @@ def reference_success_count(le, known_k1, trials, seed):
     terms = np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
     return sum(reference_unlock_block(rng, terms, known_k1, min(REFERENCE_BLOCK, trials - start))
                for start in range(0, trials, REFERENCE_BLOCK))
+
+
+def last_slot_moved(n_bits, move, keys=None):
+    """The chained n-bit table with the last slot of every term moved by
+    ``move`` (a map of basis states), or, for ``keys``, of the first term of
+    those keys only."""
+    chain = locking.build_chained_locking_ensemble(n_bits)
+    terms = dict(chain.terms)
+    for bits in terms if keys is None else keys:
+        pair = terms[bits]
+        moved = tuple(t[:-1] + (move[t[-1]],) for t in pair)
+        terms[bits] = moved if keys is None else (moved[0], pair[1])
+    return locking.build_term_ensemble(terms, f"chained_{n_bits}_moved")
+
+
+def attack_source(source, known_k1):
+    """A two-bit variant, a chained key length, or a chained n-bit table
+    whose last slot is moved: into the conjugate basis in every term
+    ("conjugate_n"), so that each trial's last outcome is a fair coin; to
+    the other state of its basis in every term ("flip_all_n"), so that
+    every trial certainly fails; or so in the first term of the key
+    (known_k1, 1, ..., 1) only ("flip_one_n"), so that every outcome is
+    certain but one (hidden bits, coin) term fails."""
+    if isinstance(source, int):
+        return locking.build_chained_locking_ensemble(source)
+    if source in locking.VARIANTS:
+        return locking.build_locking_ensemble(source)
+    kind, n_bits = source.rsplit("_", 1)
+    n_bits = int(n_bits)
+    if kind == "conjugate":
+        return last_slot_moved(n_bits, CONJUGATE)
+    if kind == "flip_all":
+        return last_slot_moved(n_bits, FLIP)
+    return last_slot_moved(n_bits, FLIP, keys=[(known_k1,) + (1,) * (n_bits - 1)])
 
 
 # the two-bit report's strategy block per known first bit, written out so that
@@ -376,6 +411,14 @@ def assert_peak_memory_flat_in_trials(le):
     assert peaks[10**6] <= 1.2 * peaks[10**5]
 
 
+class SamplerReached(Exception):
+    pass
+
+
+def no_sampling(*args):
+    raise SamplerReached
+
+
 class TestKPASimulate:
     def test_symmetric_both_known_bits_certain(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
@@ -416,10 +459,7 @@ class TestKPASimulate:
         # Moving the last slot of one of them into the conjugate basis makes
         # the measured third qubit a fair coin on that term only, so the
         # unlock succeeds with probability 7/8 * 1 + 1/8 * 1/2 = 15/16.
-        terms = dict(locking.build_chained_locking_ensemble(3).terms)
-        first, second = terms[(1, 0, 1)]
-        terms[(1, 0, 1)] = (first[:2] + (CONJUGATE[first[2]],), second)
-        le = locking.build_term_ensemble(terms, "chained_3_one_conjugate_slot")
+        le = last_slot_moved(3, CONJUGATE, keys=[(1, 0, 1)])
         trials = 40_000
         result = locking.kpa_simulate(le, 1, trials=trials, seed=29)
         assert result.closed_form_success == 15 / 16
@@ -456,8 +496,37 @@ class TestKPASimulate:
         assert_peak_memory_flat_in_trials(locking.build_locking_ensemble("as_printed"))
 
     def test_peak_memory_flat_in_trials_at_six_bits(self):
-        # the per-block Born weight arrays grow with n, and are largest here
-        assert_peak_memory_flat_in_trials(locking.build_chained_locking_ensemble(6))
+        # the per-block Born weight arrays grow with n, and are largest here;
+        # the chained table itself is certain and never sampled, so its last
+        # slot is moved into the conjugate basis
+        assert_peak_memory_flat_in_trials(last_slot_moved(6, CONJUGATE))
+
+    @pytest.mark.parametrize("source, known_k1, rate", [
+        *(("symmetric_corrected", k1, 1.0) for k1 in (0, 1)),
+        ("as_printed", 1, 1.0),
+        *((n, k1, 1.0) for n in range(3, 7) for k1 in (0, 1)),
+        *(("flip_all_4", k1, 0.0) for k1 in (0, 1)),
+    ])
+    def test_certain_attack_is_decided_without_sampling(self, monkeypatch, source, known_k1, rate):
+        # every Born weight on each row's path is 0 or 1 and the rows agree
+        le = attack_source(source, known_k1)
+        monkeypatch.setattr(locking, "_unlock_block", no_sampling)
+        result = locking.kpa_simulate(le, known_k1, locking.MAX_TRIALS, seed=3)
+        assert result.success_rate == rate
+        assert result.trials == locking.MAX_TRIALS
+
+    @pytest.mark.parametrize("source, known_k1", [
+        ("as_printed", 0),
+        *((f"conjugate_{n}", k1) for n in (2, 6) for k1 in (0, 1)),
+        *(("flip_one_4", k1) for k1 in (0, 1)),
+    ])
+    def test_uncertain_attack_reaches_the_sampler(self, monkeypatch, source, known_k1):
+        # as_printed key 00 and the conjugate slots give weights of 1/2; one
+        # flipped term gives certain outcomes on rows that disagree
+        le = attack_source(source, known_k1)
+        monkeypatch.setattr(locking, "_unlock_block", no_sampling)
+        with pytest.raises(SamplerReached):
+            locking.kpa_simulate(le, known_k1, 10, seed=3)
 
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
     @pytest.mark.parametrize("known_k1", [2, -1])
@@ -481,22 +550,15 @@ class TestReferenceSampler:
 
     @pytest.mark.parametrize("known_k1", [0, 1])
     @pytest.mark.parametrize("source", [
-        *locking.VARIANTS, 2, 3, 4, 5, 6, "conjugate_2", "conjugate_6",
+        *locking.VARIANTS, 2, 3, 4, 5, 6, "conjugate_2", "conjugate_6", "flip_all_4",
+        "flip_one_4",
     ])
     def test_success_counts_equal_the_reference(self, source, known_k1):
-        # source: a two-bit variant, a chained key length, or a chained table
-        # whose last slot is moved into the conjugate basis in every term, so
-        # that each trial's last outcome is a fair coin: only there and on
-        # as_printed does the success count depend on the uniform draws
-        if isinstance(source, int):
-            le = locking.build_chained_locking_ensemble(source)
-        elif source.startswith("conjugate_"):
-            chain = locking.build_chained_locking_ensemble(int(source[-1]))
-            terms = {bits: tuple(t[:-1] + (CONJUGATE[t[-1]],) for t in pair)
-                     for bits, pair in chain.terms.items()}
-            le = locking.build_term_ensemble(terms, source)
-        else:
-            le = locking.build_locking_ensemble(source)
+        # source as in attack_source: only on the conjugate tables, the
+        # one-term flip and as_printed with known bit 0 does the success
+        # count depend on the uniform draws; every other case is decided
+        # without sampling
+        le = attack_source(source, known_k1)
         for trials in (1, 17, 2**16, 2**16 + 1, 10**5, 3 * 2**16 + 17):
             for seed in (0, 7, 2**31 + 5):
                 result = locking.kpa_simulate(le, known_k1, trials, seed)

@@ -15,13 +15,16 @@ from the square-root (pretty good) measurement and refines it by the
 fixed-point map of the optimality conditions, iterated on factors of the
 elements and extrapolated wherever that does not lower the success; a
 result is labelled converged only when its duality gap certifies it.  The
+search reads the refinement's elements only, so it computes no gap.  The
 extractable-information search is exact when every state is diagonal: the
-computational basis then attains the Holevo information.  Otherwise it
-evaluates a few deterministic candidate measurements, then runs seeded
-fixed-point ascents of the mutual information over rank-1 measurement
-frames kept on the POVM set by their polar factors (Rehacek, Englert and
-Kaszlikowski, PRA 71, 054303); that result is reported strictly as a lower
-bound, with the number of restarts under caller control.
+computational basis then attains the Holevo information.  When every state
+is the same, no measurement tells the keys apart and the candidates stand.
+Otherwise it evaluates a few deterministic candidate measurements, then
+runs seeded fixed-point ascents of the mutual information over rank-1
+measurement frames kept on the POVM set by their polar factors (Rehacek,
+Englert and Kaszlikowski, PRA 71, 054303); that result is reported
+strictly as a lower bound, with the number of restarts under caller
+control.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def _helstrom(weighted: np.ndarray) -> DiscriminationResult:
 def _pinv_sqrt_spectrum(vals: np.ndarray) -> np.ndarray:
     """The inverse square roots of a PSD matrix's ascending spectrum, 0 off
     its support (eigenvalues up to 1e-12 of the largest)."""
-    cutoff = max(float(vals.max()), 0.0) * 1e-12
+    cutoff = max(float(vals[-1]), 0.0) * 1e-12
     if vals[0] > cutoff:  # eigh sorts ascending: full rank
         return 1.0 / np.sqrt(vals)
     support = vals > cutoff
@@ -245,11 +248,27 @@ def minimum_error_iterate(
     the square-root value or the best trivial guess, with the duality gap
     of Yuen, Kennedy and Lax (IEEE Trans. IT 21, 125, 1975) as its
     certificate.  ``converged`` is True only when the loop stopped and the
-    gap is at most 1e-6: any other result is flagged, not raised.
+    gap is at most 1e-6: any other result is flagged, not raised.  The
+    refinement itself is ``_minimum_error_refinement``; the search takes
+    its elements without this certificate.
     """
+    result, stopped, iterations = _minimum_error_refinement(e, max_iters, tol)
+    if e.num_keys == 2:
+        return result  # the Helstrom measurement, certified by its closed form
+    gap = _duality_gap(e.prior[:, None, None] * e.stack, result.elements[: e.num_keys])
+    # certified: the loop stopped on its own and the gap closes to 1e-6
+    return replace(result, converged=stopped and gap <= 1e-6, iterations=iterations, gap=gap)
+
+
+def _minimum_error_refinement(
+    e: ens.CQEnsemble, max_iters: int, tol: float = 1e-9
+) -> tuple[DiscriminationResult, bool, int]:
+    """:func:`minimum_error_iterate` before its certificate: the result (the
+    Helstrom measurement for two keys, final as it is), whether the loop
+    stopped on its own, and the iterations it ran."""
     weighted = e.prior[:, None, None] * e.stack
     if e.num_keys == 2:
-        return _helstrom(weighted)
+        return _helstrom(weighted), True, 0
     srm = square_root_measurement(e)
     d = e.state_dim
     start = srm.elements[: e.num_keys]
@@ -303,7 +322,6 @@ def minimum_error_iterate(
     final = best_elements.copy()
     final[guess] += _hermitian_part(np.eye(d) - best_elements.sum(axis=0))
     final = _hermitian_part(final)
-    result = None
     vals, vecs = np.linalg.eigh(final)
     if vals[:, 0].min() < -ELEMENT_PSD_TOL:
         # the inverse square root can amplify round-off past the element
@@ -315,14 +333,11 @@ def minimum_error_iterate(
         s = _psd_pinv_sqrt(final.sum(axis=0))
         final = _hermitian_part(s @ final @ s)
         if _success(weighted, final) < floor.success_probability:
-            result = floor  # the repair cost more than the iteration gained
-    if result is None:
-        result = DiscriminationResult(
-            min(_success(weighted, final), 1.0), _read_only(final), method, False, 0
-        )
-    gap = _duality_gap(weighted, result.elements[: e.num_keys])
-    # certified: the loop stopped on its own and the gap closes to 1e-6
-    return replace(result, converged=stopped and gap <= 1e-6, iterations=iterations, gap=gap)
+            return floor, stopped, iterations  # the repair cost more than the iteration gained
+    result = DiscriminationResult(
+        min(_success(weighted, final), 1.0), _read_only(final), method, False, 0
+    )
+    return result, stopped, iterations
 
 
 class AccessibleInfo(NamedTuple):
@@ -439,19 +454,29 @@ def accessible_info_lower_bound(
     steps) are evaluated, once per ensemble; ``restarts`` seeded fixed-point ascents over
     rank-1 frames with min(d^2, ``MAX_OUTCOMES``) outcomes, each from a
     Haar-random frame, refine further.  That result is a LOWER bound on the
-    extractable information only; the true maximum may be higher.
+    extractable information only; the true maximum may be higher.  When
+    every state equals the first, every joint is a product and I_acc = 0,
+    so the best candidate is returned and no ascent runs.  ``seed`` must be
+    an integer of at least 0 at every restart count.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     d = e.state_dim
     if np.count_nonzero(e.stack) == np.count_nonzero(np.diagonal(e.stack, axis1=1, axis2=2)):
         elements = _computational_basis(d)
         return AccessibleInfo(bits=povm_mutual_information(e, elements), elements=elements)
     best_bits, best_elements = _best_candidate(e)
-    m = min(d * d, MAX_OUTCOMES)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts)):
-        bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
-        if bits > best_bits:
-            best_bits, best_elements = bits, _read_only(_rank_one(kets))
+    # identical states give every measurement a product joint: I_acc = 0, and
+    # an ascent could add round-off only
+    if restarts > 0 and not (e.stack == e.stack[0]).all():
+        m = min(d * d, MAX_OUTCOMES)
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts):
+            bits, kets = _frame_ascent(e.prior, e.stack, _haar_isometry(m, d, rng).conj())
+            if bits > best_bits:
+                best_bits, best_elements = bits, _read_only(_rank_one(kets))
     return AccessibleInfo(bits=float(best_bits), elements=best_elements)
 
 
@@ -460,11 +485,13 @@ def _best_candidate(e: ens.CQEnsemble) -> tuple[float, np.ndarray]:
     """The most informative of the search's deterministic candidates: the
     square-root measurement, the average-state eigenbasis and 60
     minimum-error refinement steps, with its information in bits.  The
-    eigenbasis is :func:`eigenbasis_povm`'s, from the shared eigensolve."""
+    eigenbasis is :func:`eigenbasis_povm`'s, from the shared eigensolve;
+    the refinement's elements are ``minimum_error_iterate(e, 60)``'s, taken
+    without the duality gap that certifies them, which nothing here reads."""
     best_bits, best_elements = _srm_joint(e)[1], square_root_measurement(e).elements
     for elements in (
         _eigenbasis_elements(_descending(*_average_eigh(e))[1]),
-        minimum_error_iterate(e, max_iters=60).elements,
+        _minimum_error_refinement(e, 60)[0].elements,
     ):
         bits = povm_mutual_information(e, elements)
         if bits > best_bits:

@@ -418,13 +418,13 @@ class TestRecipesAndCampaigns:
         # same on the one locking ensemble every locking recipe shares
         monkeypatch.setattr(locking, "_BUILT", {})  # a locking ensemble new to this test
         calls = []
-        refine = det.minimum_error_iterate
+        refine = det._minimum_error_refinement
 
         def counting_refine(*args, **kwargs):
             calls.append(args[0])
             return refine(*args, **kwargs)
 
-        monkeypatch.setattr(det, "minimum_error_iterate", counting_refine)
+        monkeypatch.setattr(det, "_minimum_error_refinement", counting_refine)
         recipes = [r for r in bounds.default_recipes(15) if r.kind == "locking"]
         reports = bounds.run_campaign(recipes, checks=("accessible_info",)).reports
         assert len(reports) == 3 and len(calls) == 1

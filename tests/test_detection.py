@@ -25,14 +25,20 @@ from qubit_oracle import brute_force_binary_qubit
 from random_states import random_mixed_state, random_pure_state
 
 
+def spectral_inverse_square_roots(vals):
+    """A spectrum's inverse square roots on the support through the masked
+    form, with the cutoff taken from the spectrum's maximum."""
+    support = vals > max(float(vals.max()), 0.0) * 1e-12
+    inv_sqrt = np.zeros_like(vals)
+    inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
+    return inv_sqrt
+
+
 def spectral_pinv_sqrt(matrix):
     """Inverse square root on the support through the masked spectrum, the
     form that also built the kernel projector on every call."""
     vals, vecs = np.linalg.eigh(matrix)
-    support = vals > max(float(vals.max()), 0.0) * 1e-12
-    inv_sqrt = np.zeros_like(vals)
-    inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
-    return (vecs * inv_sqrt) @ vecs.conj().T
+    return (vecs * spectral_inverse_square_roots(vals)) @ vecs.conj().T
 
 
 def copying_minimum_error_iterate(e, max_iters=500, tol=1e-9):
@@ -379,13 +385,21 @@ class TestSquareRootMeasurement:
         assert srm.success_probability >= 0.25 - 1e-12
         assert srm.success_probability <= refined.success_probability + 1e-9
 
-    @pytest.mark.parametrize("dim, rank", [(6, 1), (6, 3), (6, 6), (1, 1), (64, 64)],
-                             ids=["1", "3", "6", "full-d1", "full-d64"])
+    @pytest.mark.parametrize("dim, rank", [(6, 0), (6, 1), (6, 3), (6, 6), (1, 1), (64, 64)],
+                             ids=["0", "1", "3", "6", "full-d1", "full-d64"])
     def test_inverse_square_root_is_bit_equal_to_the_spectral_form(self, dim, rank):
         rng = np.random.default_rng(rank)
         z = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         matrix = z @ z.conj().T
         assert np.array_equal(det._psd_pinv_sqrt(matrix), spectral_pinv_sqrt(matrix))
+        # the cutoff reads the largest eigenvalue as the last of the ascending
+        # spectrum: the same where round-off puts entries at or below zero,
+        # and on an all-zero spectrum
+        vals = np.linalg.eigvalsh(matrix)
+        for spectrum in (vals, np.sort(np.concatenate([vals, [-1e-17, 0.0, 1e-30]])),
+                         np.zeros(dim)):
+            assert np.array_equal(det._pinv_sqrt_spectrum(spectrum),
+                                  spectral_inverse_square_roots(spectrum))
 
     def test_kernel_completion_on_rank_deficient_average(self):
         # two pure states in a 4-dim space leave a kernel remainder outcome
@@ -767,6 +781,44 @@ class TestAccessibleInfoLowerBound:
         second = det.accessible_info_lower_bound(le.ensemble, restarts=1, seed=9)
         assert first.bits == second.bits
 
+    @pytest.mark.parametrize("restarts", [0, 1])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ], ids=["negative", "bool", "float"])
+    def test_seed_is_refused_unless_a_non_negative_integer(self, restarts, seed, message):
+        # at restarts=0 no generator is built, so the check cannot be left to it
+        with pytest.raises(ValidationError) as raised:
+            det.accessible_info_lower_bound(two_basis_ensemble(1), restarts=restarts, seed=seed)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("n_bits", [0, 1])
+    def test_identical_states_return_the_candidates_without_an_ascent(self, n_bits, monkeypatch):
+        # every joint is a product, so I_acc = 0 and an ascent could add
+        # round-off only, after dozens of attempts at d = 64
+        n_keys = 2**n_bits
+        state = bounds._random_mixed_stack(1, 64, np.random.default_rng(0))
+        e = ens.CQEnsemble(n_bits, [1.0 / n_keys] * n_keys, np.repeat(state, n_keys, axis=0))
+        base = det.accessible_info_lower_bound(e, restarts=0)
+        svd_calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
+        searched = det.accessible_info_lower_bound(e, restarts=1)
+        assert svd_calls == []
+        assert searched.bits == base.bits and searched.elements is base.elements
+
+    def test_states_differing_in_one_entry_still_run_the_ascents(self, monkeypatch):
+        stack = np.repeat(bounds._random_mixed_stack(1, 4, np.random.default_rng(0)), 2, axis=0)
+        stack[1, 0, 1] += 1e-3  # one entry, and its mirror to stay Hermitian
+        stack[1, 1, 0] += 1e-3
+        e = ens.CQEnsemble(1, [0.5, 0.5], stack)
+        svd_calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
+        det.accessible_info_lower_bound(e, restarts=1)
+        assert svd_calls
+
     @pytest.mark.parametrize("n_bits, dim", [(2, 4), (1, 2)])
     def test_prior_and_traces_past_one_give_a_bound(self, n_bits, dim):
         # prior and traces each 9e-11 past one pass the input checks; the
@@ -794,6 +846,51 @@ def test_derived_measurements_pass_the_checks_of_a_callers():
                          det.minimum_error_iterate(e, max_iters=60).elements,
                          det.accessible_info_lower_bound(e, restarts=1).elements):
             assert_valid_measurement(elements, e.state_dim)
+
+
+def test_search_candidate_is_the_certified_minimum_error_measurement(monkeypatch):
+    # the search takes the refinement's elements without the gap; they are
+    # the elements minimum_error_iterate certifies, bit for bit
+    instances = [bounds.build_instance(recipe) for recipe in bounds.default_recipes(120, seed=3)]
+    instances += [locking.build_locking_ensemble(variant).ensemble
+                  for variant in ("as_printed", "symmetric_corrected")]
+    instances += [locking.build_chained_locking_ensemble(n).ensemble for n in (3, 4, 5)]
+    instances.append(ens.CQEnsemble(2, [0.7, 0.1, 0.1, 0.1], (np.eye(2) / 2,) * 4))
+    repaired = [bounds.EnsembleRecipe("random_pure", n_bits, dim, seed)
+                for n_bits, dim, seed in [(1, 2, 685), (2, 4, 224), (3, 8, 13), (3, 8, 101)]]
+    repaired += [bounds.default_recipes(index + 1, seed=seed)[index]
+                 for seed, index in [(7, 521), (7, 611), (505, 1991)]]
+    instances += [bounds.build_instance(recipe) for recipe in repaired]
+    refined = []
+    refine = det._minimum_error_refinement
+    monkeypatch.setattr(det, "_minimum_error_refinement",
+                        lambda *args: refined.append(refine(*args)) or refined[-1])
+    for e in instances:
+        refined.clear()
+        det._best_candidate.__wrapped__(e)  # past the per-ensemble slot
+        [(result, _, _)] = refined
+        certified = det.minimum_error_iterate(e, max_iters=60).elements
+        assert result.elements.dtype == certified.dtype
+        assert np.array_equal(result.elements, certified)
+        assert not result.elements.flags.writeable
+
+
+def test_search_without_restarts_computes_no_gap_and_builds_no_generator(monkeypatch):
+    instances = [bounds.build_instance(recipe) for recipe in bounds.default_recipes(60, seed=5)
+                 if recipe.kind in ("random_mixed", "random_pure") and recipe.n_bits > 1]
+    refined = []
+    refine = det._minimum_error_refinement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not on the path of a search without restarts")
+
+    monkeypatch.setattr(det, "_minimum_error_refinement",
+                        lambda *args: refined.append(args) or refine(*args))
+    monkeypatch.setattr(det, "_duality_gap", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for e in instances:
+        det.accessible_info_lower_bound(e, restarts=0)
+    assert len(refined) == len(instances) > 0
 
 
 def reference_frame_ascent(prior, states, kets):

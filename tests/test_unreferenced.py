@@ -26,6 +26,8 @@ ALLOWED = {
         "the pinsker check on a caller's joint; campaigns check the shared square-root joint",
     "ensembles.measured_criteria":
         "the measured criteria of a caller's measurement; reports use the square-root joint",
+    "detection.minimum_error_iterate":
+        "the certified result for a caller; ROADMAP item 2 reports it",
     "detection.eigenbasis_povm":
         "a caller's matrix; the search builds the same elements from the shared eigh",
     "operators.HermitianOperator":

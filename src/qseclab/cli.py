@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -38,17 +39,19 @@ def _envelope(command: str, argv: list[str], seed: int) -> dict:
 
 
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
-    byte for byte; a NaN or infinity, which JSON cannot hold, is an ``Error``.
+    """A report's text: ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, byte for byte; a NaN or infinity, which JSON
+    cannot hold, is an ``Error``.
 
-    ``obj`` may also hold numpy arrays; each is written as its ``tolist()``
-    would be.
+    A report holds str-keyed dicts, lists, scalars of the exact types
+    ``str``, ``int``, ``float``, ``bool`` and ``None``, and 1-D ``float64``
+    arrays, each written as its ``tolist()`` would be.  Any other type is
+    json's ``TypeError``.
 
     json's C encoder ignores ``indent``, so that call encodes element by
-    element in Python.  Here only the layout of str-keyed dicts and of
-    lists is written in Python; each scalar by the function json uses for
-    it, and a float column (a 1-D ``float64`` array or a list of exact
-    floats) by :func:`_json_text` a run of equal values at a time.
+    element in Python.  Here only the layout of dicts and lists is written
+    in Python; each scalar by the function json uses for it, and an array
+    by :func:`_json_text` a run of equal values at a time.
     """
     try:
         return _json_text(obj, "") + "\n"
@@ -65,34 +68,26 @@ def _json_line(obj) -> str:
 
 
 def _refusal(obj, exc: ValueError) -> Error:
-    """json's refusal of ``obj``.  For a NaN or infinity it is worded as
-    ``json.dumps(value, allow_nan=False)`` words the first one in the order
-    json writes it, whichever encoder met it, with its path, such as
-    ``(at criteria.d)``."""
-    found = _non_finite_path(obj, "")
-    if found is None:
+    """json's refusal of ``obj`` as an ``Error``.  json's C encoder refuses
+    every NaN or infinity with the text ``json.dumps(value, allow_nan=False)``
+    gives; the path of the first one in the order json writes it is added,
+    such as ``(at criteria.d)``."""
+    path = _non_finite_path(obj, "")
+    if path is None:  # not a NaN: an int too long for int.__repr__
         return Error(f"report not written: {exc}")
-    path, value = found
-    try:
-        json.dumps(value, allow_nan=False)
-    except ValueError as own:  # always: the value is a NaN or infinity
-        exc = own
     return Error(f"report not written: {exc} (at {path or 'the top level'})")
 
 
-def _non_finite_path(obj, path: str) -> tuple[str, float] | None:
-    """The path below ``path`` of the first NaN or infinity in ``obj`` and
-    that value, or None."""
+def _non_finite_path(obj, path: str) -> str | None:
+    """The path below ``path`` of the first NaN or infinity in ``obj``, or None."""
     if isinstance(obj, float):
-        return None if math.isfinite(obj) else (path, obj)
+        return None if math.isfinite(obj) else path
     if isinstance(obj, np.ndarray):
-        bad = np.argwhere(~np.isfinite(obj))
-        if not bad.size:
-            return None
-        return path + "".join(f"[{i}]" for i in bad[0]), obj[tuple(bad[0])].item()
+        bad = np.flatnonzero(~np.isfinite(obj))
+        return f"{path}[{bad[0]}]" if bad.size else None
     if isinstance(obj, dict):
-        children = ((f"{path}.{key}" if path else str(key), obj[key]) for key in sorted(obj))
-    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}.{key}" if path else key, obj[key]) for key in sorted(obj))
+    elif isinstance(obj, list):
         children = ((f"{path}[{i}]", item) for i, item in enumerate(obj))
     else:
         return None
@@ -103,8 +98,8 @@ def _non_finite_path(obj, path: str) -> tuple[str, float] | None:
     return None
 
 
-# json's text for each exact scalar type (a subclass takes the json.dumps branch);
-# json refuses a NaN or infinity with its own ValueError
+# json's text for each exact scalar type; json refuses a NaN or infinity
+# with its own ValueError
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -115,22 +110,22 @@ _SCALAR_TEXT = {
 
 
 def _json_text(obj, pad: str) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value nested at
-    ``pad``, where a numpy array stands for its ``tolist()``.
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for a report value
+    nested at ``pad``: one of the types :func:`_dump_json` names, where an
+    array stands for its ``tolist()``; any other type is json's
+    ``TypeError``.
 
-    A float column, a 1-D ``float64`` array or a list of exact floats, is
-    written by runs of equal IEEE bit patterns: the runs are found with one pass over
-    the adjacent ``uint64`` patterns, the first value of every run is
-    encoded in one ``json.dumps`` call, and each text is repeated for its
-    run.  Equal bits have equal text, so the bytes are json's.
+    An array is written by runs of equal IEEE bit patterns: the runs are
+    found with one pass over the adjacent ``uint64`` patterns, the first
+    value of every run is encoded in one ``json.dumps`` call, and each
+    text is repeated for its run.  Equal bits have equal text, so the
+    bytes are json's.
     """
     scalar_text = _SCALAR_TEXT.get(type(obj))
     if scalar_text is not None:
         return scalar_text(obj)
     inner = pad + "  "
-    if type(obj) is list and obj and set(map(type, obj)) == {float}:
-        obj = np.array(obj)
-    if type(obj) is dict and all(type(key) is str for key in obj):
+    if type(obj) is dict:
         if not obj:
             return "{}"
         items = [f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}"
@@ -152,19 +147,9 @@ def _json_text(obj, pad: str) -> str:
             items += [text] * count
         brackets = "[]"
     else:
-        # non-str keys, tuples, subclasses, other arrays: json's own layout, moved
-        # to this depth (a JSON string never holds a raw newline)
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                          default=_array_list).replace("\n", "\n" + pad)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     separator = ",\n" + inner
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{pad}{brackets[1]}"
-
-
-def _array_list(obj) -> list:
-    """json's ``default`` hook: a numpy array as its ``tolist()``."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_text(obj, indent: int = 0) -> str:
@@ -286,11 +271,7 @@ def cmd_bounds_sweep(args, argv) -> int:
         lines = [_json_line(row) for row in rows + [summary]]
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "csv":
-        columns: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        columns = list(dict.fromkeys(key for row in rows for key in row))
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
         writer.writeheader()
@@ -323,25 +304,12 @@ def cmd_extremal(args, argv) -> int:
             raise Error("--l is required for the variational_distance kind")
         construction = distributions.spike_for_variational_distance(args.n, args.l)
     spike = construction.resulting_distribution
+    p1 = construction.resulting_p1
     payload = _envelope("extremal", argv, args.seed)
-    payload.update(
-        {
-            "n": construction.n,
-            "constraint_kind": construction.constraint_kind,
-            "constraint_exponent": construction.constraint_exponent,
-            "resulting_p1": construction.resulting_p1,
-            "resulting_p1_exponent": (
-                -math.log2(construction.resulting_p1) if construction.resulting_p1 > 0 else None
-            ),
-            "reference_p1": construction.reference_p1,
-            "reference_exponent": construction.reference_exponent,
-            "residual": construction.residual,
-            "discrepancy": construction.discrepancy,
-            "note": construction.note,
-            "materialized": spike is not None,
-            "resulting_distribution": spike,  # as the array: no 2^n-entry list is made
-        }
-    )
+    payload.update(dataclasses.asdict(construction))
+    payload["resulting_p1_exponent"] = -math.log2(p1) if p1 > 0 else None
+    payload["materialized"] = spike is not None
+    payload["resulting_distribution"] = spike  # as the array: no 2^n-entry list is made
     _emit_report(payload, args)
     return 0
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import ensembles as ens
-from .errors import ValidationError, ZeroMassError
+from .errors import DimensionCapError, ValidationError, ZeroMassError
 from .operators import _as_hermitian, _descending, _rank_one, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
@@ -204,8 +204,14 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     Elements are ``S p_k rho_k S`` with S the inverse square root of the
     average state on its support; where the average state is
     rank-deficient, the projector onto its kernel completes the POVM (that
-    outcome never fires on in-support states).
+    outcome never fires on in-support states).  More than ``MAX_OUTCOMES``
+    keys are a ``DimensionCapError``: every K-outcome measurement built
+    here starts from this one.
     """
+    if e.num_keys > MAX_OUTCOMES:
+        raise DimensionCapError(
+            f"{e.num_keys} keys exceed the {MAX_OUTCOMES}-outcome cap of a measurement"
+        )
     vals, vecs = _average_eigh(e)
     inv_sqrt = _pinv_sqrt_spectrum(vals)
     s = (vecs * inv_sqrt) @ vecs.conj().T
@@ -456,13 +462,14 @@ def accessible_info_lower_bound(
     Haar-random frame, refine further.  That result is a LOWER bound on the
     extractable information only; the true maximum may be higher.  When
     every state equals the first, every joint is a product and I_acc = 0,
-    so the best candidate is returned and no ascent runs.  ``seed`` must be
-    an integer of at least 0 at every restart count.
+    so the best candidate is returned and no ascent runs.  ``restarts`` and
+    ``seed`` must be integers of at least 0, whether an ascent runs or not.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be at least 0, got {seed}")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValidationError(f"{name} must be at least 0, got {value}")
     d = e.state_dim
     if np.count_nonzero(e.stack) == np.count_nonzero(np.diagonal(e.stack, axis1=1, axis2=2)):
         elements = _computational_basis(d)

@@ -210,9 +210,10 @@ class SpikeConstruction:
 
 
 def _materialize_spike(p1: float, n_bits: int) -> np.ndarray | None:
-    size = 2**n_bits
-    if size > MAX_MATERIALIZE:
+    # decided from n_bits alone: 2^n_bits is not built for a huge n
+    if n_bits > MAX_MATERIALIZE.bit_length() - 1:
         return None
+    size = 2**n_bits
     out = np.full(size, (1.0 - p1) / (size - 1))
     out[0] = p1
     # absorb rounding into the last tail entry so the mass is exactly one;

@@ -348,7 +348,8 @@ def criteria_record(e: CQEnsemble) -> CriteriaRecord:
     """Evaluate every criterion on one ensemble.
 
     The joint form is included when the joint dimension fits the cap.  The
-    measured quantities are those of the square-root measurement.
+    measured quantities are those of the square-root measurement, so more
+    than ``detection.MAX_OUTCOMES`` keys are a ``DimensionCapError``.
     """
     from . import detection  # deferred: detection builds on this module
 

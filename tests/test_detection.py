@@ -409,6 +409,17 @@ class TestSquareRootMeasurement:
         assert len(result.elements) == 3
         assert result.success_probability == pytest.approx(1.0, abs=1e-10)
 
+    def test_more_keys_than_the_outcome_cap_are_refused(self):
+        # every K-outcome measurement starts from this one
+        assert len(det.square_root_measurement(
+            bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 8, 2, 0))).elements) == 256
+        e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 9, 2, 0))
+        for measure in (det.square_root_measurement, det.minimum_error_iterate,
+                        det.accessible_info_lower_bound, ens.criteria_record):
+            with pytest.raises(DimensionCapError) as raised:
+                measure(e)
+            assert str(raised.value) == "512 keys exceed the 256-outcome cap of a measurement"
+
 
 class TestMinimumErrorIterate:
     def test_matches_classical_maximum_likelihood(self):
@@ -791,6 +802,16 @@ class TestAccessibleInfoLowerBound:
         # at restarts=0 no generator is built, so the check cannot be left to it
         with pytest.raises(ValidationError) as raised:
             det.accessible_info_lower_bound(two_basis_ensemble(1), restarts=restarts, seed=seed)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("restarts, message", [
+        (-1, "restarts must be at least 0, got -1"),
+        (True, "restarts must be an integer, got True"),
+        (1.5, "restarts must be an integer, got 1.5"),
+    ], ids=["negative", "bool", "float"])
+    def test_restarts_is_refused_unless_a_non_negative_integer(self, restarts, message):
+        with pytest.raises(ValidationError) as raised:
+            det.accessible_info_lower_bound(two_basis_ensemble(1), restarts=restarts)
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("n_bits", [0, 1])

@@ -440,6 +440,10 @@ class TestMaterializedSpike:
             assert np.abs(tail - tail[0]).max() <= 1e-12
             assert spike.max() == spike[0] == pytest.approx(p1, abs=1e-15)
 
+    def test_materialised_for_n_up_to_16_only(self):
+        assert dist._materialize_spike(0.5, 16).size == dist.MAX_MATERIALIZE
+        assert dist._materialize_spike(0.5, 17) is None
+
 
 class TestMarkovBound:
     def test_threshold_arithmetic(self):

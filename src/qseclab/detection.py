@@ -20,11 +20,10 @@ extractable-information search is exact when every state is diagonal: the
 computational basis then attains the Holevo information.  When every state
 is the same, no measurement tells the keys apart and the candidates stand.
 Otherwise it evaluates a few deterministic candidate measurements, then
-runs seeded fixed-point ascents of the mutual information over rank-1
-measurement frames kept on the POVM set by their polar factors (Rehacek,
-Englert and Kaszlikowski, PRA 71, 054303); that result is reported
-strictly as a lower bound, with the number of restarts under caller
-control.
+runs seeded Barzilai-Borwein gradient ascents of the mutual information
+over rank-1 measurement frames kept on the POVM set by their polar factors,
+for at most ``ASCENT_STEPS`` attempts each; that result is reported strictly
+as a lower bound, with the number of restarts under caller control.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 MAX_OUTCOMES = 256
 ASCENT_STEPS = 200  # cap on attempts per restart; a stalled ascent stops sooner
-ASCENT_MOMENTUM = 0.9  # share of the last kept move carried into the next step
 _EPS = float(np.finfo(np.float64).eps)
 _TWO_OVER_LN2 = 2.0 / np.log(2.0)
 
@@ -374,11 +372,15 @@ def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarra
     return q[:, :d]
 
 
+def _tangent(kets: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """G - V herm(V^dag G): ``gradient``'s part tangent to the isometries at ``kets``."""
+    return gradient - kets @ _hermitian_part(kets.conj().T @ gradient)
+
+
 def _ascent_slope(kets: np.ndarray, gradient: np.ndarray) -> float:
-    """Bits gained per unit step along ``gradient`` from the frame ``kets``,
-    to first order: (2 / ln 2) ||G - V herm(V^dag G)||_F^2, the squared
-    norm of the gradient's part tangent to the isometries at V."""
-    tangent = gradient - kets @ _hermitian_part(kets.conj().T @ gradient)
+    """First-order bits per unit step from the frame ``kets`` along ``gradient``
+    or along its tangent part, the ascent's direction: (2 / ln 2) ||tangent||_F^2."""
+    tangent = _tangent(kets, gradient)
     return _TWO_OVER_LN2 * float(np.vdot(tangent, tangent).real)
 
 
@@ -387,29 +389,21 @@ def _frame_ascent(
 ) -> tuple[float, np.ndarray]:
     """Maximize mutual information over the rank-1 POVM {v_y v_y^dag}.
 
-    The fixed-point iteration of Rehacek, Englert and Kaszlikowski (PRA 71,
-    054303, 2005): each ket steps along R_y v_y, with
-    R_y = sum_k p_k ln(t_ky / q_y) rho_k the information's gradient, and
-    the frame W returns to a POVM as its polar factor W (W^dag W)^{-1/2},
-    which is an isometry even where W is rank-deficient.  Each step also
-    carries ``ASCENT_MOMENTUM`` of the last kept move, which crosses the
-    flat ridges where plain gradient steps crawl for thousands of attempts.
-    A step that loses information, or gives NaN, is dropped, and the next
-    is half the size and starts the momentum afresh; a kept step grows by a
-    quarter.  Runs at most ``ASCENT_STEPS`` attempts, each with one
-    information call on an unvalidated joint: it is derived from the
-    validated ensemble, so its total may differ from 1 by the prior's and
-    the traces' accepted round-off together.
-
-    The gradient, and its slope where a stall test needs it, are computed
-    once per kept frame.  The ascent stops early once it has stalled: at a
-    rejected attempt without momentum whose first-order gain
-    ``step * _ascent_slope(kets, gradient)`` is at most one rounding unit
-    of the value, eps * max(1, I), or whose step ``kets + step * gradient``
-    rounds to ``kets`` itself.  Every later step is half as long, so to
-    first order they could not gain more than that unit together: the
-    result is a frame the full budget keeps on its way, below the full
-    budget's result by round-off only.
+    The information's gradient at the frame V is R_y v_y, with
+    R_y = sum_k p_k ln(t_ky / q_y) rho_k (Rehacek, Englert and Kaszlikowski,
+    PRA 71, 054303, 2005).  Each step moves along its tangent part xi, and
+    V + step * xi returns to a POVM as its polar factor, taken by SVD.  The
+    steps are the Riemannian Barzilai-Borwein ones of Wen and Yin (Math.
+    Program. 142, 397, 2013), from the last changes s in V and y in xi:
+    <s, s> / |<s, y>| and |<s, y>| / <y, y> in turn, 1 at first.  A trial
+    is kept when its value is at least C + 1e-4 * step * ``_ascent_slope``,
+    C being the mean of the kept values weighted down by 0.85 per later kept
+    step (Zhang and Hager, SIAM J. Optim. 14, 1043, 2004); otherwise, or on
+    NaN, the step halves.  As a kept step may lose information, the best
+    kept frame is returned.  The ascent stops before an attempt whose
+    first-order gain is at most a rounding unit of the value, eps * max(1, I),
+    or after ``ASCENT_STEPS`` attempts.  Each attempt makes one information
+    call, on an unvalidated joint; the gradient is computed once per kept frame.
     """
     prior_col = prior[:, None]
     weight = np.log(2.0) * prior_col
@@ -419,31 +413,36 @@ def _frame_ascent(
         table = np.maximum(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0)
         return (*dist._information(prior_col * table), rho_v)
 
+    def direction(v, log2_ratio, rho_v):
+        tangent = _tangent(v, np.einsum("ky,kay->ya", weight * log2_ratio, rho_v))
+        return tangent, _TWO_OVER_LN2 * float(np.vdot(tangent, tangent).real)
+
     current, log2_ratio, rho_v = evaluate(kets)
-    gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
-    slope = None  # _ascent_slope(kets, gradient), once the frame's first stall test needs it
-    step = 1.0
-    move = 0.0
+    tangent, slope = direction(kets, log2_ratio, rho_v)
+    best, best_kets = current, kets
+    average, weight_sum = current, 1.0  # Zhang and Hager's C and Q
+    step, kept = 1.0, 0
     for _ in range(ASCENT_STEPS):
-        target = kets + step * gradient + ASCENT_MOMENTUM * move
-        u, _, vh = np.linalg.svd(target, full_matrices=False)
+        if step * slope <= _EPS * max(1.0, current):
+            break
+        u, _, vh = np.linalg.svd(kets + step * tangent, full_matrices=False)
         trial = u @ vh
-        value, trial_ratio, trial_rho_v = evaluate(trial)
-        if not value >= current:
-            if np.ndim(move) == 0:
-                if slope is None:
-                    slope = _ascent_slope(kets, gradient)
-                if step * slope <= _EPS * max(1.0, current) or np.array_equal(target, kets):
-                    break
+        value, log2_ratio, rho_v = evaluate(trial)
+        if not value >= average + 1e-4 * step * slope:
             step /= 2.0
-            move = 0.0
             continue
-        move, kets = trial - kets, trial
-        current, log2_ratio, rho_v = value, trial_ratio, trial_rho_v
-        gradient = np.einsum("ky,kay->ya", weight * log2_ratio, rho_v)
-        slope = None
-        step *= 1.25
-    return current, kets
+        trial_tangent, slope = direction(trial, log2_ratio, rho_v)
+        s, y = trial - kets, trial_tangent - tangent
+        sy = abs(float(np.vdot(s, y).real))
+        kept += 1
+        if sy > 0.0:
+            step = float(np.vdot(s, s).real) / sy if kept % 2 else sy / float(np.vdot(y, y).real)
+        kets, tangent, current = trial, trial_tangent, value
+        average = (0.85 * weight_sum * average + value) / (0.85 * weight_sum + 1.0)
+        weight_sum = 0.85 * weight_sum + 1.0
+        if value > best:
+            best, best_kets = value, kets
+    return best, best_kets
 
 
 def accessible_info_lower_bound(
@@ -457,13 +456,14 @@ def accessible_info_lower_bound(
     basis is returned at once: it attains the Holevo information, so the
     result is exact.  Otherwise deterministic candidates (square-root
     measurement, average-state eigenbasis, and 60 minimum-error refinement
-    steps) are evaluated, once per ensemble; ``restarts`` seeded fixed-point ascents over
-    rank-1 frames with min(d^2, ``MAX_OUTCOMES``) outcomes, each from a
-    Haar-random frame, refine further.  That result is a LOWER bound on the
-    extractable information only; the true maximum may be higher.  When
-    every state equals the first, every joint is a product and I_acc = 0,
-    so the best candidate is returned and no ascent runs.  ``restarts`` and
-    ``seed`` must be integers of at least 0, whether an ascent runs or not.
+    steps) are evaluated, once per ensemble; ``restarts`` seeded ascents over
+    rank-1 frames with min(d^2, ``MAX_OUTCOMES``) outcomes (``_frame_ascent``:
+    Barzilai-Borwein steps, each ascent from a Haar-random frame and stopped
+    once stalled or after ``ASCENT_STEPS`` attempts) refine further.  That
+    result is a LOWER bound on the extractable information only.  When every
+    state equals the first, every joint is a product and I_acc = 0, so the
+    best candidate is returned and no ascent runs.  ``restarts`` and ``seed``
+    must be integers of at least 0, whether an ascent runs or not.
     """
     for name, value in (("restarts", restarts), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

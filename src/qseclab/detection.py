@@ -372,16 +372,12 @@ def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarra
     return q[:, :d]
 
 
-def _tangent(kets: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """G - V herm(V^dag G): ``gradient``'s part tangent to the isometries at ``kets``."""
-    return gradient - kets @ _hermitian_part(kets.conj().T @ gradient)
-
-
-def _ascent_slope(kets: np.ndarray, gradient: np.ndarray) -> float:
-    """First-order bits per unit step from the frame ``kets`` along ``gradient``
-    or along its tangent part, the ascent's direction: (2 / ln 2) ||tangent||_F^2."""
-    tangent = _tangent(kets, gradient)
-    return _TWO_OVER_LN2 * float(np.vdot(tangent, tangent).real)
+def _ascent_slope(kets: np.ndarray, gradient: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ascent's direction from the frame ``kets``, ``gradient``'s part
+    tangent to the isometries G - V herm(V^dag G), and the first-order bits
+    per unit step along it or along ``gradient``: (2 / ln 2) ||tangent||_F^2."""
+    tangent = gradient - kets @ _hermitian_part(kets.conj().T @ gradient)
+    return tangent, _TWO_OVER_LN2 * float(np.vdot(tangent, tangent).real)
 
 
 def _frame_ascent(
@@ -396,14 +392,15 @@ def _frame_ascent(
     steps are the Riemannian Barzilai-Borwein ones of Wen and Yin (Math.
     Program. 142, 397, 2013), from the last changes s in V and y in xi:
     <s, s> / |<s, y>| and |<s, y>| / <y, y> in turn, 1 at first.  A trial
-    is kept when its value is at least C + 1e-4 * step * ``_ascent_slope``,
-    C being the mean of the kept values weighted down by 0.85 per later kept
-    step (Zhang and Hager, SIAM J. Optim. 14, 1043, 2004); otherwise, or on
-    NaN, the step halves.  As a kept step may lose information, the best
-    kept frame is returned.  The ascent stops before an attempt whose
-    first-order gain is at most a rounding unit of the value, eps * max(1, I),
-    or after ``ASCENT_STEPS`` attempts.  Each attempt makes one information
-    call, on an unvalidated joint; the gradient is computed once per kept frame.
+    is kept when its value is at least C + 1e-4 * step * slope, the slope
+    being ``_ascent_slope``'s and C the mean of the kept values weighted down
+    by 0.85 per later kept step (Zhang and Hager, SIAM J. Optim. 14, 1043,
+    2004); otherwise, or on NaN, the step halves.  As a kept step may lose
+    information, the best kept frame is returned.  The ascent stops before
+    an attempt whose first-order gain is at most a rounding unit of the
+    value, eps * max(1, I), or after ``ASCENT_STEPS`` attempts.  Each attempt
+    makes one information call, on an unvalidated joint; the gradient is
+    computed once per kept frame.
     """
     prior_col = prior[:, None]
     weight = np.log(2.0) * prior_col
@@ -414,8 +411,7 @@ def _frame_ascent(
         return (*dist._information(prior_col * table), rho_v)
 
     def direction(v, log2_ratio, rho_v):
-        tangent = _tangent(v, np.einsum("ky,kay->ya", weight * log2_ratio, rho_v))
-        return tangent, _TWO_OVER_LN2 * float(np.vdot(tangent, tangent).real)
+        return _ascent_slope(v, np.einsum("ky,kay->ya", weight * log2_ratio, rho_v))
 
     current, log2_ratio, rho_v = evaluate(kets)
     tangent, slope = direction(kets, log2_ratio, rho_v)

@@ -916,47 +916,55 @@ def test_search_without_restarts_computes_no_gap_and_builds_no_generator(monkeyp
 
 
 def reference_frame_ascent(prior, states, kets):
-    """The frame ascent as a plain loop: validated information per attempt,
-    the log ratio recomputed from the joint, the tangent projection and the
-    slope written out, and the frame returned to a POVM by G^{-1/2},
+    """The frame ascent as a plain loop.  Where round-off can tip an
+    acceptance its arithmetic is the production loop's: the SVD polar
+    factor, ``dist._information`` and its log ratio, the same products in the
+    same order.  At each attempt it checks those against independent forms:
+    the validated ``mutual_information``, the log ratio recomputed from the
+    joint, and the frame returned to a POVM by G^{-1/2},
     G = sum_y w_y w_y^dag.  Returns the best kept value and the values of
     the start and of each attempt."""
 
     def evaluate(v):
-        rho_v = np.einsum("kab,yb->kya", states, v)
-        table = np.clip(np.einsum("ya,kya->ky", v.conj(), rho_v).real, 0.0, None)
-        joint = prior[:, None] * table
-        return dist.mutual_information(joint), joint, rho_v
-
-    def direction(v, joint, rho_v):
+        rho_v = states @ v.T  # rho_v[k, :, y] = rho_k v_y
+        joint = prior[:, None] * np.maximum(np.einsum("ya,kay->ky", v.conj(), rho_v).real, 0.0)
+        value, log2_ratio = dist._information(joint)
+        assert abs(value - dist.mutual_information(joint)) <= 1e-12
         product = np.outer(prior, joint.sum(axis=0))
         ratio = np.divide(joint, product, out=np.ones_like(joint), where=joint > 0.0)
-        gradient = np.einsum("ky,kya->ya", prior[:, None] * np.log(ratio), rho_v)
-        overlap = v.conj().T @ gradient
-        tangent = gradient - v @ (overlap + overlap.conj().T) / 2.0
-        return tangent, 2.0 / np.log(2.0) * np.sum(np.abs(tangent) ** 2)
+        np.testing.assert_allclose(log2_ratio, np.log2(ratio), rtol=0.0, atol=1e-12)
+        return value, log2_ratio, rho_v
 
-    current, joint, rho_v = evaluate(kets)
-    tangent, slope = direction(kets, joint, rho_v)
+    def direction(v, log2_ratio, rho_v):
+        gradient = np.einsum("ky,kay->ya", np.log(2.0) * prior[:, None] * log2_ratio, rho_v)
+        overlap = v.conj().T @ gradient
+        tangent = gradient - v @ (0.5 * (overlap + overlap.conj().T))
+        return tangent, 2.0 / np.log(2.0) * float(np.vdot(tangent, tangent).real)
+
+    current, log2_ratio, rho_v = evaluate(kets)
+    tangent, slope = direction(kets, log2_ratio, rho_v)
     best, values = current, [current]
     average, weight_sum = current, 1.0
     step, kept = 1.0, 0
     for _ in range(det.ASCENT_STEPS):
         if step * slope <= np.finfo(float).eps * max(1.0, current):
             break
-        trial = kets + step * tangent
-        trial = trial @ det._psd_pinv_sqrt(trial.T @ trial.conj()).T
-        value, joint, rho_v = evaluate(trial)
+        target = kets + step * tangent
+        u, _, vh = np.linalg.svd(target, full_matrices=False)
+        trial = u @ vh
+        np.testing.assert_allclose(
+            trial, target @ det._psd_pinv_sqrt(target.T @ target.conj()).T, rtol=0.0, atol=1e-12)
+        value, log2_ratio, rho_v = evaluate(trial)
         values.append(value)
         if value < average + 1e-4 * step * slope:
             step /= 2.0
             continue
-        trial_tangent, slope = direction(trial, joint, rho_v)
+        trial_tangent, slope = direction(trial, log2_ratio, rho_v)
         s, y = trial - kets, trial_tangent - tangent
-        sy = abs(np.sum(s.conj() * y).real)
+        sy = abs(float(np.vdot(s, y).real))
         kept += 1
         if sy > 0.0:
-            step = np.sum(np.abs(s) ** 2) / sy if kept % 2 else sy / np.sum(np.abs(y) ** 2)
+            step = float(np.vdot(s, s).real) / sy if kept % 2 else sy / float(np.vdot(y, y).real)
         kets, tangent, current = trial, trial_tangent, value
         average = (0.85 * weight_sum * average + value) / (0.85 * weight_sum + 1.0)
         weight_sum = 0.85 * weight_sum + 1.0
@@ -995,8 +1003,7 @@ def rounding_exit_frame_ascent(prior, states, kets):
         return (*dist._information(joint), rho_v)
 
     def direction(v, log2_ratio, rho_v):
-        tangent = det._tangent(v, np.einsum("ky,kay->ya", weight * log2_ratio, rho_v))
-        return tangent, 2.0 / np.log(2.0) * float(np.vdot(tangent, tangent).real)
+        return det._ascent_slope(v, np.einsum("ky,kay->ya", weight * log2_ratio, rho_v))
 
     current, log2_ratio, rho_v = evaluate(kets)
     tangent, slope = direction(kets, log2_ratio, rho_v)
@@ -1094,31 +1101,26 @@ def assert_ascent_properties(e, kets):
 
 class TestFrameAscent:
     def test_matches_the_loop_reference(self, ascents, monkeypatch):
-        # the step rule is the reference's: the first 30 information calls
-        # agree, and an ascent that stalls before its cap ends on the
-        # reference's value; one still climbing at the cap may part from it
-        # later, once round-off tips an acceptance test
-        stalled = 0
+        # every information call agrees, so every ascent, capped or not,
+        # ends on the reference's value
+        assert len(ascents) >= 40
         for (e, kets), (_, (expected, expected_values), _) in zip(_ascent_instances(), ascents):
             bits, _, values = counted_frame_ascent(monkeypatch, e.prior, e.stack, kets)
-            head = min(30, len(values))
-            assert len(expected_values) >= head
-            np.testing.assert_allclose(values[:head], expected_values[:head], rtol=0.0, atol=1e-12)
-            if len(values) <= det.ASCENT_STEPS:
-                stalled += 1
-                assert abs(bits - expected) <= 1e-12
-        assert stalled >= 30
+            assert len(values) == len(expected_values)
+            np.testing.assert_allclose(values, expected_values, rtol=0.0, atol=1e-12)
+            assert abs(bits - expected) <= 1e-12
 
     def test_stops_at_a_kept_frame_of_the_rounding_exit_loop(self, monkeypatch):
         # the stall exit only ends the loop sooner: every attempt before it
         # is the rounding-exit loop's, so the result is one of that loop's
-        # kept frames, and what that loop gains after it is round-off
+        # kept frames, and what that loop gains after it is round-off (at
+        # most 1.8e-14, from random_mixed n=1 d=3 seed 1)
         for e, kets in _ascent_instances():
             kept, attempts = rounding_exit_frame_ascent(e.prior, e.stack, kets)
             bits, found, values = counted_frame_ascent(monkeypatch, e.prior, e.stack, kets)
             assert any(bits == value and np.array_equal(found, frame) for value, frame in kept)
             assert len(values) - 1 <= attempts
-            assert max(value for value, _ in kept) - bits <= 1e-13
+            assert max(value for value, _ in kept) - bits <= 2e-14
 
     def test_stalled_ascent_stops_before_its_step_rounds_away(self, monkeypatch):
         # from this start the ascent reaches I_acc = 1/2 and stalls there;
@@ -1129,6 +1131,18 @@ class TestFrameAscent:
         bits, _, values = counted_frame_ascent(monkeypatch, e.prior, e.stack, kets)
         assert 0 < len(values) - 1 < attempts
         assert bits == pytest.approx(0.5, abs=1e-12)
+
+    def test_two_basis_ascent_from_a_slow_start_uses_the_whole_cap(self, monkeypatch):
+        # from this start the momentum rule this ascent replaced stalled
+        # within 1e-6 of I_acc = 1/2; this one still climbs at the cap,
+        # 1.46e-6 short, and gets within 5e-11 of 1/2 in 5000 attempts
+        e = two_basis_ensemble(1)
+        kets = det._haar_isometry(4, 2, np.random.default_rng(7)).conj()
+        bits, _, values = counted_frame_ascent(monkeypatch, e.prior, e.stack, kets)
+        assert len(values) - 1 == det.ASCENT_STEPS
+        assert 0.0 < 0.5 - bits <= 1.5e-6
+        monkeypatch.setattr(det, "ASCENT_STEPS", 5000)
+        assert det._frame_ascent(e.prior, e.stack, kets)[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_attempt_budget_reaches_the_long_run_value(self, monkeypatch):
         # from this start the ascent stalls after more than 100 attempts, at
@@ -1166,7 +1180,7 @@ class TestFrameAscent:
 
         h = 1e-5
         difference = (information(h) - information(-h)) / (2.0 * h)
-        assert det._ascent_slope(kets, gradient) == pytest.approx(difference, rel=1e-5)
+        assert det._ascent_slope(kets, gradient)[1] == pytest.approx(difference, rel=1e-5)
 
     def test_returned_frame_is_a_povm(self, ascents):
         for e, _, (_, kets) in ascents:

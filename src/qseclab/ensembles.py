@@ -399,6 +399,8 @@ def ensemble_from_dict(obj) -> CQEnsemble:
     eigensolve.  Only where that fails is each literal parsed and
     validated alone, in order, so the error names the first faulty state
     (``state k: ...``) and has the class it has for that state alone.
+    ``prior`` must be a list of JSON numbers; any other is a
+    ``ParseError``, raised only after every state has been read.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"ensemble record must be an object, got {type(obj).__name__}")
@@ -409,9 +411,11 @@ def ensemble_from_dict(obj) -> CQEnsemble:
         raise ParseError(f'"n" must be an integer, got {type(obj["n"]).__name__}')
     if not isinstance(obj["states"], list):
         raise ParseError(f'"states" must be a list, got {type(obj["states"]).__name__}')
+    # numpy would read a bool, a numeric string or a one-entry list as a number
+    prior_ok = isinstance(obj["prior"], list) and all(type(p) in (int, float) for p in obj["prior"])
     try:
         stack = ops.matrix_from_pairs(obj["states"])
-        if stack.ndim == 3:
+        if stack.ndim == 3 and prior_ok:
             return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=stack)
     except (Error, ValueError, TypeError, OverflowError):
         pass  # the literals one by one below find the fault and name it
@@ -429,6 +433,8 @@ def ensemble_from_dict(obj) -> CQEnsemble:
             raise ValidationError(f"state {k}: {exc}") from exc
         except DimensionCapError as exc:
             raise DimensionCapError(f"state {k}: {exc}") from exc
+    if not prior_ok:
+        raise ParseError('"prior" must be a list of numbers')
     try:
         return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
     except (ValueError, TypeError, OverflowError) as exc:

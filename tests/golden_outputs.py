@@ -15,8 +15,9 @@ committed manifest.
     python tests/golden_outputs.py --compare OLDDIR NEWDIR
 
 summarises how two such directories differ, file by file: for each numeric
-(float) field, how many values rose, how many fell and the largest absolute
-change; and, one by one, every other changed value (verdicts, summary
+(float) field, how many values rose, how many fell, how many of those fell
+by more than round-off (``ROUND_OFF`` = 1e-12), the largest rise and the
+largest fall; and, one by one, every other changed value (verdicts, summary
 counts, exit codes, notes).  A field is named by its path inside a record,
 with list indices written ``[]``; records are the lines of a ``.jsonl``
 file, the rows of a ``.csv`` file and the ``key=value`` rows of a text
@@ -54,6 +55,7 @@ from qseclab import bounds, cli, ensembles, locking
 HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST = os.path.join(HERE, "golden.sha256")
 VERDICTS = os.path.join(HERE, "golden_verdicts.json")
+ROUND_OFF = 1e-12  # a fall beyond this is counted apart from round-off
 
 
 def golden_runs() -> list[tuple[str, list[str]]]:
@@ -208,7 +210,7 @@ def compare(old_dir: str, new_dir: str) -> int:
                 identical += 1
                 continue
         old, new = _leaves(old_path), _leaves(new_path)
-        moved: dict[str, list] = {}  # field -> [rose, fell, largest |delta|]
+        moved: dict[str, list] = {}  # field -> [rose, fell, fell past round-off, rise, fall]
         changed = []
         missing = object()
         for record, field in sorted(old.keys() | new.keys(), key=str):
@@ -216,9 +218,11 @@ def compare(old_dir: str, new_dir: str) -> int:
             if a == b:
                 continue
             if type(a) is float and type(b) is float:
-                stats = moved.setdefault(re.sub(r"\[\d+\]", "[]", field), [0, 0, 0.0])
-                stats[0 if b > a else 1] += 1
-                stats[2] = max(stats[2], abs(b - a))
+                stats = moved.setdefault(re.sub(r"\[\d+\]", "[]", field), [0, 0, 0, 0.0, 0.0])
+                rose = b > a
+                stats[0 if rose else 1] += 1
+                stats[2] += a - b > ROUND_OFF
+                stats[3 if rose else 4] = max(stats[3 if rose else 4], abs(b - a))
             else:
                 where = "" if record is None else f"record {record} "
                 shown = ["(absent)" if v is missing else repr(v) for v in (a, b)]
@@ -226,9 +230,11 @@ def compare(old_dir: str, new_dir: str) -> int:
         print(name)
         if moved:
             width = max(len(field) for field in moved)
-            print(f"  {'field':<{width}}  {'rose':>5}  {'fell':>5}  largest |delta|")
-            for field, (rose, fell, largest) in sorted(moved.items()):
-                print(f"  {field:<{width}}  {rose:>5}  {fell:>5}  {largest:.3g}")
+            print(f"  {'field':<{width}}  {'rose':>5}  {'fell':>5}  {f'fell>{ROUND_OFF:g}':>10}"
+                  "  largest rise  largest fall")
+            for field, (rose, fell, past, rise, fall) in sorted(moved.items()):
+                print(f"  {field:<{width}}  {rose:>5}  {fell:>5}  {past:>10}"
+                      f"  {rise:>12.3g}  {fall:>12.3g}")
         print("\n".join(changed) if changed else "  no verdict, count or text changed")
         if changed:
             status = 1

@@ -1,6 +1,7 @@
 """Tests for the inequality checks and campaign machinery."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestPinskerCheck:
         assert result.extras["delta"] == pytest.approx(0.5)
         assert result.extras["mutual_information"] == pytest.approx(1.0)
         assert result.margin == pytest.approx(0.5)
+
+    def test_tight_margin_closed_form_on_the_binary_symmetric_joint(self):
+        # crossover 1/4: delta = 1/4 and I = 1 - h(1/4) = (3/4) log2 3 - 1,
+        # so the tight margin is I - (2 / ln 2) / 16 = I - 1 / (8 ln 2)
+        joint = np.array([[3.0, 1.0], [1.0, 3.0]]) / 8
+        result = bounds.check_pinsker(joint)
+        info = 0.75 * math.log2(3.0) - 1.0
+        assert result.extras["delta"] == pytest.approx(0.25, abs=1e-15)
+        assert result.extras["mutual_information"] == pytest.approx(info, abs=1e-12)
+        assert abs(result.extras["tight_margin"] - (info - 1.0 / (8.0 * math.log(2.0)))) <= 1e-12
 
     def test_random_campaign_all_pass(self):
         rng = np.random.default_rng(111)

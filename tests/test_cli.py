@@ -116,6 +116,17 @@ class TestCriteria:
         assert code == 1
         assert "state 1" in err
 
+    @pytest.mark.parametrize("prior", [[True, False], ["0.5", "0.5"], [[0.5], [0.5]]],
+                             ids=["bools", "strings", "nested"])
+    def test_prior_of_non_numbers_is_refused(self, capsys, tmp_path, prior):
+        state = ops.matrix_to_pairs(np.eye(2) / 2)
+        record = {"n": 1, "prior": prior, "states": [state, state]}
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["criteria", str(path)])
+        assert (code, out) == (1, "")
+        assert err == 'qseclab: error: "prior" must be a list of numbers\n'
+
     def test_state_above_the_dimension_cap_is_named(self, capsys, tmp_path):
         over = ops.MAX_DIM + 1
         record = {"n": 0, "prior": [1.0], "states": [ops.matrix_to_pairs(np.eye(over) / over)]}
@@ -902,6 +913,16 @@ class TestGoldenCompare:
                                  "report.text": "d=0.26  verdict=pass\n"})
         code, out = self.compare(tmp_path, capsys, new)
         assert code == 0 and "1 of 3 files byte-identical" in out
+
+    def test_falls_past_round_off_are_counted_apart(self, tmp_path, capsys):
+        old = dict(self.BASE, **{"sweep.jsonl": '{"d": [0.5, 0.5, 0.5, 0.5]}\n'})
+        new = dict(self.BASE, **{"sweep.jsonl": '{"d": [0.75, 0.4999999999999999, 0.375, 0.5]}\n'})
+        code, out = self.compare(tmp_path, capsys, new, old)
+        assert code == 0
+        header, row = out.splitlines()[1:3]
+        assert header.split() == ["field", "rose", "fell", "fell>1e-12", "largest", "rise",
+                                  "largest", "fall"]
+        assert row.split() == ["d[]", "1", "2", "1", "0.25", "0.125"]
 
     @pytest.mark.parametrize("name, text", [
         ("sweep.jsonl", '{"d": 0.25, "verdict": "fail", "count": 3}\n'),

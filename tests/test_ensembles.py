@@ -722,7 +722,8 @@ class TestEnsembleFiles:
 
 def _literal_by_literal(obj):
     """The file loader that parsed and validated each state literal alone, in
-    order, kept as the reference for the errors of the one-stack loader."""
+    order, then refused a prior that is not a list of JSON numbers, kept as
+    the reference for the errors of the one-stack loader."""
     states = []
     for k, literal in enumerate(obj["states"]):
         try:
@@ -739,6 +740,10 @@ def _literal_by_literal(obj):
             raise ValidationError(f"state {k}: {exc}") from exc
         except DimensionCapError as exc:
             raise DimensionCapError(f"state {k}: {exc}") from exc
+    prior = obj["prior"]
+    if not isinstance(prior, list) or any(
+            isinstance(w, bool) or not isinstance(w, (int, float)) for w in prior):
+        raise ParseError('"prior" must be a list of numbers')
     try:
         return ens.CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
     except (ValueError, TypeError, OverflowError) as exc:
@@ -806,7 +811,10 @@ class TestFileErrors:
         record["states"][2] = LITERAL_FAULTS[fault](record["states"][2])
         self.assert_same_error(record)
 
-    @pytest.mark.parametrize("prior", [[0.5, 0.6, 0.0, 0.0], [0.5, 0.5], "uniform", [0.25, 0.25, 0.25, None]])
+    @pytest.mark.parametrize("prior", [
+        [0.5, 0.6, 0.0, 0.0], [0.5, 0.5], "uniform", [0.25, 0.25, 0.25, None],
+        [True, False, False, False], ["0.25"] * 4, [[0.25]] * 4,
+    ])
     def test_a_bad_prior_is_named_after_the_states(self, prior):
         record = self.record()
         record["prior"] = prior
@@ -822,6 +830,16 @@ class TestFileErrors:
         record = self.record()
         edit(record)
         self.assert_same_error(record)
+
+    @pytest.mark.parametrize("prior", [
+        [True, False], ["0.5", "0.5"], [[0.5], [0.5]], [0.5, None], {"0": 0.5, "1": 0.5},
+    ], ids=["bools", "strings", "nested", "null", "object"])
+    def test_a_prior_of_non_numbers_is_a_parse_error(self, prior):
+        # numpy alone reads each list here as a valid distribution or a NaN
+        record = self.record(n_bits=1)
+        record["prior"] = prior
+        with pytest.raises(ParseError, match='^"prior" must be a list of numbers$'):
+            ens.ensemble_from_dict(record)
 
     def test_an_integer_past_float_range_is_a_parse_error(self):
         record = self.record()

@@ -74,7 +74,8 @@ def per_term_kron_build(terms):
     return np.stack(states), np.stack(spectra), orthogonality
 
 
-REFERENCE_BLOCK = 2**16  # the block size the reference sampler draws in
+REFERENCE_BLOCK = 2**16  # the block size the per-trial reference draws in
+LAW_TRIALS, LAW_SEEDS = 1000, 400  # the per-trial law test's sample
 
 
 def reference_chain_walk(known, n, takes_first):
@@ -117,13 +118,56 @@ def reference_unlock_block(rng, terms, known_k1, size):
     return int(np.all(decoded[:, 1:] == (hidden == 1), axis=1).sum())
 
 
-def reference_success_count(le, known_k1, trials, seed):
-    """Successes of ``kpa_simulate`` by the reference sampler: the same
-    generator, drawn in blocks of ``REFERENCE_BLOCK`` trials."""
-    rng = np.random.default_rng([seed, known_k1])
-    terms = np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
+def chain_term_rows(le, known_k1):
+    """The prepared states of the keys with a known first bit, one row per
+    (hidden bits, coin) term in the order hidden bits, then coin; (terms, n)."""
+    return np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()]
+                    ).reshape(-1, le.n_bits)
+
+
+def per_trial_success_count(le, known_k1, trials, seed):
+    """Successes of the attack walked one trial at a time by
+    ``reference_unlock_block``, in blocks of ``REFERENCE_BLOCK`` trials, on
+    a generator seeded apart from the one ``kpa_simulate`` draws from."""
+    rng = np.random.default_rng(seed)
+    terms = chain_term_rows(le, known_k1).reshape(-1, 2, le.n_bits)
     return sum(reference_unlock_block(rng, terms, known_k1, min(REFERENCE_BLOCK, trials - start))
                for start in range(0, trials, REFERENCE_BLOCK))
+
+
+def reference_success_count(le, known_k1, trials, seed):
+    """Successes of ``kpa_simulate`` by the count sampler written with scalar
+    draws from the same generator.  The trials are split over the terms by a
+    chain of conditional binomials, one term at a time; then each term's
+    count by qubit 1's outcome, one term at a time; then, qubit by qubit,
+    first over the terms whose qubit 1 took its basis's second state, then
+    its first, one binomial per term gives the survivors that decode that
+    qubit's hidden bit.  The basis of each qubit follows the state taken on
+    the one before, as in ``reference_chain_walk``."""
+    rng = np.random.default_rng([seed, known_k1])
+    terms = chain_term_rows(le, known_k1)
+    hidden = ens._bit_rows(le.n_bits - 1).repeat(2, axis=0) == 1
+    size = len(terms)
+    counts, left, share = [], trials, 1.0
+    for _ in range(size - 1):
+        count = int(rng.binomial(left, (1.0 / size) / share)) if left else 0
+        counts.append(count)
+        left -= count
+        share -= 1.0 / size
+    counts.append(left)
+    first = 1 if known_k1 == 1 else 2
+    took = [int(rng.binomial(count, locking.OVERLAP2[first - 1, term[0] - 1]))
+            for count, term in zip(counts, terms)]
+    alive = [[count - t for count, t in zip(counts, took)], took]
+    for j in range(1, le.n_bits):
+        for took_first in (0, 1):
+            for r, term in enumerate(terms):
+                steered_by = took_first if j == 1 else hidden[r, j - 2]
+                first = 1 if steered_by else 2
+                decoding = first if hidden[r, j - 1] else first + 2
+                p = locking.OVERLAP2[decoding - 1, term[j] - 1]
+                alive[took_first][r] = int(rng.binomial(alive[took_first][r], p))
+    return sum(alive[0]) + sum(alive[1])
 
 
 def last_slot_moved(n_bits, move, keys=None):
@@ -484,7 +528,7 @@ class TestKPASimulate:
 
     def test_blocks_deterministic_and_near_closed_form(self):
         le = locking.build_locking_ensemble("as_printed")
-        trials = 3 * locking.BLOCK_TRIALS + 17
+        trials = 3 * 2**16 + 17
         a = locking.kpa_simulate(le, 0, trials=trials, seed=23)
         b = locking.kpa_simulate(le, 0, trials=trials, seed=23)
         assert a.success_rate == b.success_rate
@@ -492,11 +536,18 @@ class TestKPASimulate:
         sigma = np.sqrt(7 / 8 * (1 / 8) / trials)
         assert abs(a.success_rate - 7 / 8) <= 5 * sigma
 
+    def test_max_trials_attack_near_closed_form(self):
+        le = locking.build_locking_ensemble("as_printed")
+        result = locking.kpa_simulate(le, 0, trials=locking.MAX_TRIALS, seed=31)
+        assert result.trials == locking.MAX_TRIALS
+        sigma = np.sqrt(7 / 8 * (1 / 8) / locking.MAX_TRIALS)
+        assert abs(result.success_rate - 7 / 8) <= 5 * sigma
+
     def test_peak_memory_flat_in_trials(self):
         assert_peak_memory_flat_in_trials(locking.build_locking_ensemble("as_printed"))
 
     def test_peak_memory_flat_in_trials_at_six_bits(self):
-        # the per-block Born weight arrays grow with n, and are largest here;
+        # the per-term count arrays grow with n, and are largest here;
         # the chained table itself is certain and never sampled, so its last
         # slot is moved into the conjugate basis
         assert_peak_memory_flat_in_trials(last_slot_moved(6, CONJUGATE))
@@ -510,7 +561,7 @@ class TestKPASimulate:
     def test_certain_attack_is_decided_without_sampling(self, monkeypatch, source, known_k1, rate):
         # every Born weight on each row's path is 0 or 1 and the rows agree
         le = attack_source(source, known_k1)
-        monkeypatch.setattr(locking, "_unlock_block", no_sampling)
+        monkeypatch.setattr(locking, "_unlock_counts", no_sampling)
         result = locking.kpa_simulate(le, known_k1, locking.MAX_TRIALS, seed=3)
         assert result.success_rate == rate
         assert result.trials == locking.MAX_TRIALS
@@ -524,7 +575,7 @@ class TestKPASimulate:
         # as_printed key 00 and the conjugate slots give weights of 1/2; one
         # flipped term gives certain outcomes on rows that disagree
         le = attack_source(source, known_k1)
-        monkeypatch.setattr(locking, "_unlock_block", no_sampling)
+        monkeypatch.setattr(locking, "_unlock_counts", no_sampling)
         with pytest.raises(SamplerReached):
             locking.kpa_simulate(le, known_k1, 10, seed=3)
 
@@ -556,14 +607,40 @@ class TestReferenceSampler:
     def test_success_counts_equal_the_reference(self, source, known_k1):
         # source as in attack_source: only on the conjugate tables, the
         # one-term flip and as_printed with known bit 0 does the success
-        # count depend on the uniform draws; every other case is decided
-        # without sampling
+        # count depend on the draws; every other case is decided without
+        # sampling
         le = attack_source(source, known_k1)
         for trials in (1, 17, 2**16, 2**16 + 1, 10**5, 3 * 2**16 + 17):
             for seed in (0, 7, 2**31 + 5):
                 result = locking.kpa_simulate(le, known_k1, trials, seed)
                 expected = reference_success_count(le, known_k1, trials, seed)
                 assert result.success_rate == expected / trials, (trials, seed)
+
+    @pytest.mark.parametrize("source, known_k1", [
+        ("as_printed", 0),
+        *((f"conjugate_{n}", k1) for n in (2, 6) for k1 in (0, 1)),
+        *(("flip_one_4", k1) for k1 in (0, 1)),
+    ])
+    def test_success_count_follows_the_per_trial_law(self, source, known_k1):
+        # Over LAW_SEEDS seeds of LAW_TRIALS trials, the counts of
+        # kpa_simulate and of the per-trial walk are both samples of
+        # Binomial(trials, closed form).  Bands are 4 sigma of the normal
+        # approximation: the standard error of a mean of S counts with
+        # variance v is sqrt(v / S), that of a sample variance v sqrt(2 / (S - 1))
+        le = attack_source(source, known_k1)
+        p = locking._chain_closed_form(le, known_k1)
+        assert 0.0 < p < 1.0
+        seeds = range(LAW_SEEDS)
+        counts = np.array([locking.kpa_simulate(le, known_k1, LAW_TRIALS, s).success_rate
+                           for s in seeds]) * LAW_TRIALS
+        walked = np.array([per_trial_success_count(le, known_k1, LAW_TRIALS, s) for s in seeds])
+        mean, var = LAW_TRIALS * p, LAW_TRIALS * p * (1 - p)
+        mean_band, var_band = 4 * np.sqrt(var / LAW_SEEDS), 4 * var * np.sqrt(2 / (LAW_SEEDS - 1))
+        for sample in (counts, walked):
+            assert abs(sample.mean() - mean) <= mean_band
+            assert abs(sample.var(ddof=1) - var) <= var_band
+        assert abs(counts.mean() - walked.mean()) <= np.sqrt(2) * mean_band
+        assert abs(counts.var(ddof=1) - walked.var(ddof=1)) <= np.sqrt(2) * var_band
 
 
 class TestKPAArguments:

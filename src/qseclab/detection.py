@@ -36,7 +36,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import ensembles as ens
-from .errors import DimensionCapError, ValidationError, ZeroMassError
+from .errors import DimensionCapError, ValidationError, ZeroMassError, _require_integer
 from .operators import _as_hermitian, _descending, _rank_one, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
@@ -462,8 +462,7 @@ def accessible_info_lower_bound(
     must be integers of at least 0, whether an ascent runs or not.
     """
     for name, value in (("restarts", restarts), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        _require_integer(name, value)
         if value < 0:
             raise ValidationError(f"{name} must be at least 0, got {value}")
     d = e.state_dim

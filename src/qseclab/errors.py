@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numpy as np
 
 
 class Error(Exception):
@@ -59,3 +61,9 @@ class OutOfScopeError(Error):
 
 class ParseError(Error):
     """A serialized artifact could not be parsed."""
+
+
+def _require_integer(name: str, value) -> None:
+    """Refuse ``value`` unless it is an int or a numpy integer; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -20,14 +20,14 @@ are first-class and every report labels the one in use.
 each qubit encoding its bit in the basis selected by the previous
 qubit's state; at n = 2 it reproduces ``symmetric_corrected``.  Every
 locking ensemble, two-bit or chained, is attacked by one sequential
-unlock rule (``_chain_walk``), which tracks per qubit whether it lies in
+unlock rule (``_walk_states``), which tracks per qubit whether it lies in
 basis 1-3: qubit 1 is measured in the known bit's basis, each later qubit
 in 1-3 after a first-state outcome (1 or 2), else in 2-4, and a
-first-state outcome decodes its qubit's bit as 1.  Where every Born
-weight on the attack's path is exactly 0 or 1 (every chained ensemble,
-``symmetric_corrected``, and ``as_printed`` with known first bit 1), one
-walk over each (hidden bits, coin) term decides the attack for every
-trial and seed; only the others are sampled, as counts (``_unlock_counts``).
+first-state outcome decodes its qubit's bit as 1.  An attack is one chain
+of count draws over its (hidden bits, coin) terms (``_unlock``), whose
+expectation is the exact closed form.  Where every Born weight on the path
+is 0 or 1 (every chained ensemble, ``symmetric_corrected``, and
+``as_printed`` with known first bit 1), every draw is certain.
 
 Basis realization is fixed for bit-reproducibility: state 1 = (1, 0),
 state 3 = (0, 1), state 2 = (1, 1)/sqrt2, state 4 = (1, -1)/sqrt2, so
@@ -43,7 +43,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import distributions, ensembles as ens, operators as ops
-from .errors import ValidationError
+from .errors import ValidationError, _require_integer
 
 BASIS_13 = (1, 3)
 BASIS_24 = (2, 4)
@@ -207,29 +207,17 @@ def build_locking_ensemble(variant: str = "symmetric_corrected") -> LockingEnsem
     return _BUILT[variant]
 
 
-def _chain_walk(known: np.ndarray, n: int, takes_first) -> np.ndarray:
-    """The chained steering rule, one walk over n qubits per entry of ``known``.
+def _walk_states(known: np.ndarray, took: np.ndarray) -> np.ndarray:
+    """The basis states 1..4 of the chained steering walk that takes the
+    fixed choices ``took`` (n, walks), shape (walks, n).
 
     Qubit 1 lies in basis 1-3 for known first bit 1, else 2-4; each later
-    qubit lies in 1-3 after a first basis state, else 2-4.  Per walk,
-    ``takes_first(j, in13)`` picks the first state of qubit j's basis (1 or
-    2) or the second (3 or 4), given whether that basis is 1-3: the coin or
-    encoded bit when building, the outcome (the decoded bit) when
-    attacking.  Returns these choices, shape (n, walks).
+    qubit lies in 1-3 after its predecessor took the first state of its
+    basis (1 or 2), else 2-4.  ``took`` picks, per qubit, that first state
+    or the second (3 or 4): the coin or encoded bit when building, the
+    outcome (the decoded bit) when attacking.
     """
-    took = np.empty((n, len(known)), dtype=bool)
-    in13 = known == 1
-    for j in range(n):
-        took[j] = takes_first(j, in13)
-        in13 = took[j]
-    return took
-
-
-def _walk_states(known: np.ndarray, took: np.ndarray) -> np.ndarray:
-    """The basis states 1..4 that ``_chain_walk`` visits when it takes the
-    fixed choices ``took`` (n, walks); shape (walks, n)."""
-    in13 = []  # each qubit's basis, recorded as the walk takes the fixed choice
-    _chain_walk(known, len(took), lambda j, basis: in13.append(basis) or took[j])
+    in13 = np.vstack([known == 1, took[:-1]])
     return (np.where(in13, BASIS_13[0], BASIS_24[0]) + np.where(took, 0, 2)).T
 
 
@@ -241,8 +229,7 @@ def build_chained_locking_ensemble(n_bits: int) -> LockingEnsemble:
     the basis selected by the previous qubit's state.  For n = 2 this
     reproduces the symmetric_corrected table.
     """
-    if isinstance(n_bits, bool) or not isinstance(n_bits, (int, np.integer)):
-        raise ValidationError(f"number of bits must be an integer, got {n_bits!r}")
+    _require_integer("number of bits", n_bits)
     n_bits = int(n_bits)
     keys = _key_rows(n_bits).repeat(2, axis=0)  # each key for coin 0, then coin 1
     took = np.vstack([np.tile([True, False], 2**n_bits), keys[:, 1:].T == 1])
@@ -283,19 +270,18 @@ def kpa_simulate(
     """Run the sequential unlock on keys with a known first bit.
 
     Each trial draws the hidden bits and the mixture coin uniformly,
-    measures every qubit in the basis ``_chain_walk`` steers to from the
+    measures every qubit in the basis ``_walk_states`` steers to from the
     previous outcome, and succeeds when the decoded bits equal the hidden
-    ones.  One walk over each (hidden bits, coin) term comes first: where
-    every Born weight on those paths is exactly 0 or 1 and the terms all
-    decode, or all fail, so does every trial, whatever the draws, and the
-    count is ``trials`` or 0 without sampling.  Otherwise it is drawn as
-    counts from one generator, Binomial(trials, closed form) as for a walk
-    per trial, at a cost that does not grow with ``trials``.  Returns the
-    empirical rate next to the closed-form rate.
+    ones.  The successes are drawn as counts from one generator
+    (``_unlock``), Binomial(trials, closed form) as for a walk per trial,
+    at a cost that does not grow with ``trials``.  The closed form is the
+    expectation of the same chain of draws; where every Born weight on the
+    attack's path is 0 or 1, every draw is certain and the count is
+    ``trials`` or 0 for every seed.  Returns the empirical rate next to the
+    closed-form rate.
     """
     for name, value in (("trials", trials), ("seed", seed), ("known first bit", known_k1)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        _require_integer(name, value)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if seed < 0:
@@ -305,15 +291,12 @@ def kpa_simulate(
     if known_k1 not in (0, 1):
         raise ValidationError(f"known first bit must be 0 or 1, got {known_k1!r}")
     trials, seed, known_k1 = int(trials), int(seed), int(known_k1)
-    terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)  # row 2 * hidden + coin
-    # Born weight of the first state of basis 2-4 ([0]) or 1-3 ([1]): (2, n, terms)
-    weights = OVERLAP2[[BASIS_24[0] - 1, BASIS_13[0] - 1]][:, terms.T - 1]
-    certain = _certain_unlock(weights, known_k1)
-    if certain is None:
-        correct = _unlock_counts(np.random.default_rng([seed, known_k1]), weights, known_k1, trials)
-    else:
-        correct = trials if certain else 0
-    closed_form = _chain_closed_form(le, known_k1)
+    terms = np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
+    # Born weight of the first state of basis 2-4 ([0]) or 1-3 ([1]) on each
+    # (hidden bits, coin) term, row 2 * hidden + coin: (2, n, terms)
+    weights = OVERLAP2[[BASIS_24[0] - 1, BASIS_13[0] - 1]][:, terms.reshape(-1, le.n_bits).T - 1]
+    correct = _unlock(weights, known_k1, trials, np.random.default_rng([seed, known_k1]))
+    closed_form = _unlock(weights, known_k1, 1)
     return KPAResult(
         success_rate=correct / trials,
         closed_form_success=closed_form,
@@ -323,48 +306,35 @@ def kpa_simulate(
     )
 
 
-def _certain_unlock(weights, known_k1) -> bool | None:
-    """True if every trial decodes its hidden bits whatever the draws, False
-    if none does, None if that depends on the draws; from one walk over
-    each (hidden bits, coin) row that takes a step where its Born weight is
-    1, since a draw in [0, 1) takes every weight of 1 and no weight of 0."""
-    _, n, terms = weights.shape
-    rows = np.arange(terms)
-    visited = []  # the Born weights of each qubit's step, row by row
-
-    def takes_first(j, in13):
-        visited.append(weights[:, j].take(rows + terms * in13))
-        return visited[-1] == 1
-
-    decoded = _chain_walk(np.full(terms, known_k1), n, takes_first)
-    decodes = np.all(decoded[1:] == (ens._bit_rows(n - 1).repeat(2, axis=0).T == 1), axis=0)
-    if not np.isin(visited, (0.0, 1.0)).all() or decodes.min() != decodes.max():
-        return None
-    return bool(decodes[0])
-
-
-def _unlock_counts(rng, weights, known_k1, trials) -> int:
-    """Successes among ``trials`` sampled trials, drawn as counts (the
-    conditional-binomial method): how many fall on each (hidden bits, coin)
-    row, how many of those take each outcome of qubit 1, and per later
+def _unlock(weights, known_k1, trials, rng=None) -> float:
+    """Successes among ``trials`` trials of the sequential unlock, followed
+    as counts down one chain: how many fall on each (hidden bits, coin)
+    term, how many of those take each outcome of qubit 1, and per later
     qubit how many survivors take the outcome that decodes its hidden bit.
-    ``weights`` as in ``kpa_simulate``."""
+    With ``rng`` each step is a draw (one multinomial, then one binomial per
+    qubit: the conditional-binomial method); without, it is its expectation,
+    and ``trials = 1`` gives the exact success probability, since every
+    weight is 0, 1/2 or 1 and 1/terms a power of two.  ``weights`` as in
+    ``kpa_simulate``."""
     _, n, terms = weights.shape
     rows = np.arange(terms)
-    alive = rng.multinomial(trials, np.full(terms, 1.0 / terms))
-    took = rng.binomial(alive, weights[known_k1, 0])
+    if rng is None:
+        draw, alive = np.multiply, np.full(terms, trials / terms)
+    else:
+        draw, alive = rng.binomial, rng.multinomial(trials, np.full(terms, 1.0 / terms))
+    took = draw(alive, weights[known_k1, 0])
     alive = np.stack([alive - took, took])  # by qubit 2's basis: 2-4, then 1-3
     in13 = np.array([[False], [True]])
     for j, bit in enumerate(ens._bit_rows(n - 1).repeat(2, axis=0).T == 1, start=1):
         first = weights[:, j].take(rows + terms * in13)
-        alive = rng.binomial(alive, np.where(bit, first, 1.0 - first))
+        alive = draw(alive, np.where(bit, first, 1.0 - first))
         in13 = bit  # a decoding outcome steers the next qubit by its bit
-    return int(alive.sum())
+    return float(alive.sum())
 
 
 def _describe_unlock(n: int, known_k1: int, closed_form: float) -> dict | str:
     """The report's account of the unlock: one line for n >= 3; for two
-    bits, the bases and decode table that ``_chain_walk`` yields for the
+    bits, the bases and decode table that ``_walk_states`` yields for the
     four outcome pairs."""
     if n > 2:
         return f"sequential unlock over {n - 1} hidden bits"
@@ -379,24 +349,6 @@ def _describe_unlock(n: int, known_k1: int, closed_form: float) -> dict | str:
         "decode_table": {f"{f},{s}": int(t) for (f, s), t in zip(pairs, took[1])},
         "closed_form_success": closed_form,
     }
-
-
-def _chain_terms(le, known_k1) -> np.ndarray:
-    """The terms of the keys with a known first bit, shape (hidden, coin, n)."""
-    return np.array([le.terms[(known_k1, *h)] for h in ens._bit_rows(le.n_bits - 1).tolist()])
-
-
-def _chain_closed_form(le, known_k1) -> float:
-    """Exact success of the sequential unlock: the Born probability, summed
-    over every term, of the outcome sequences that decode the hidden bits
-    (qubit 1's outcome is free)."""
-    terms = _chain_terms(le, known_k1).reshape(-1, le.n_bits)
-    hidden = ens._bit_rows(le.n_bits - 1).repeat(2, axis=0) == 1
-    prepared = np.tile(terms, (2, 1))
-    took = np.vstack([np.repeat([True, False], len(terms)), np.tile(hidden, (2, 1)).T])
-    outcomes = _walk_states(np.full(len(prepared), known_k1), took)
-    born = OVERLAP2[outcomes - 1, prepared - 1].prod(axis=1)
-    return float(born.sum()) / len(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,15 @@ class TestMinimumErrorIterate:
             refined = det.minimum_error_iterate(e)
             assert refined.success_probability >= srm.success_probability - 1e-12
 
+    def test_default_budget_certifies_a_slow_campaign_instance(self):
+        # commuting_classical, n = 2, d = 4: the loop stops after 124
+        # iterations at a gap of 4.0e-8; a budget of 100 leaves it
+        # uncertified at a gap of 1.25e-6
+        e = bounds.build_instance(bounds.default_recipes(300, seed=1)[67])
+        result = det.minimum_error_iterate(e)
+        assert result.converged
+        assert result.gap <= 1e-6
+
     def test_never_below_best_prior_guess(self):
         states = (np.eye(2) / 2, np.eye(2) / 2)
         e = ens.CQEnsemble(1, [0.9, 0.1], states)

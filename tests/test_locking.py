@@ -426,7 +426,7 @@ class TestUnlockingStrategy:
 
     def test_conjugate_strategy_is_coin_flip(self, conjugate_control):
         for k1 in (0, 1):
-            assert locking._chain_closed_form(conjugate_control, k1) == 0.5
+            assert locking.kpa_simulate(conjugate_control, k1, 1, 0).closed_form_success == 0.5
             assert sequential_unlock_oracle(conjugate_control, k1) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("variant, known_k1, closed_form", [
@@ -453,14 +453,6 @@ def assert_peak_memory_flat_in_trials(le):
         finally:
             tracemalloc.stop()
     assert peaks[10**6] <= 1.2 * peaks[10**5]
-
-
-class SamplerReached(Exception):
-    pass
-
-
-def no_sampling(*args):
-    raise SamplerReached
 
 
 class TestKPASimulate:
@@ -513,18 +505,20 @@ class TestKPASimulate:
         assert result.success_rate < 1.0
 
     @pytest.mark.parametrize("known_k1", [0, 1])
-    @pytest.mark.parametrize("source", [2, 3, 4, 5, *locking.VARIANTS])
-    def test_chain_closed_form_matches_born_oracle(self, source, known_k1):
-        # source: a chained key length, or a two-bit variant
-        if isinstance(source, int):
-            le = locking.build_chained_locking_ensemble(source)
-        else:
-            le = locking.build_locking_ensemble(source)
+    @pytest.mark.parametrize("source, anchor", [
+        *((n, 1.0) for n in (2, 3, 4, 5)),
+        *((variant, 1.0) for variant in locking.VARIANTS),
+        ("conjugate_2", 0.5), ("conjugate_6", 0.5), ("flip_all_4", 0.0), ("flip_one_4", 15 / 16),
+    ])
+    def test_chain_closed_form_matches_born_oracle(self, source, anchor, known_k1):
+        # source as in attack_source; the closed form is the sampler's
+        # expectation, so the Born oracle is the independent check.  One
+        # flipped term of the 16 (hidden bits, coin) terms at n = 4 fails
+        le = attack_source(source, known_k1)
         oracle = sequential_unlock_oracle(le, known_k1)
-        closed_form = locking._chain_closed_form(le, known_k1)
+        closed_form = locking.kpa_simulate(le, known_k1, 1, 0).closed_form_success
         assert closed_form == pytest.approx(oracle, abs=1e-12)
-        anchor = 7 / 8 if (source, known_k1) == ("as_printed", 0) else 1.0
-        assert closed_form == anchor
+        assert closed_form == (7 / 8 if (source, known_k1) == ("as_printed", 0) else anchor)
 
     def test_blocks_deterministic_and_near_closed_form(self):
         le = locking.build_locking_ensemble("as_printed")
@@ -547,9 +541,9 @@ class TestKPASimulate:
         assert_peak_memory_flat_in_trials(locking.build_locking_ensemble("as_printed"))
 
     def test_peak_memory_flat_in_trials_at_six_bits(self):
-        # the per-term count arrays grow with n, and are largest here;
-        # the chained table itself is certain and never sampled, so its last
-        # slot is moved into the conjugate basis
+        # the per-term count arrays grow with n, and are largest here; the
+        # last slot is moved into the conjugate basis so that the draws are
+        # not all certain
         assert_peak_memory_flat_in_trials(last_slot_moved(6, CONJUGATE))
 
     @pytest.mark.parametrize("source, known_k1, rate", [
@@ -558,26 +552,15 @@ class TestKPASimulate:
         *((n, k1, 1.0) for n in range(3, 7) for k1 in (0, 1)),
         *(("flip_all_4", k1, 0.0) for k1 in (0, 1)),
     ])
-    def test_certain_attack_is_decided_without_sampling(self, monkeypatch, source, known_k1, rate):
-        # every Born weight on each row's path is 0 or 1 and the rows agree
+    def test_certain_attack_scores_every_trial_or_none(self, source, known_k1, rate):
+        # every Born weight on each term's path is 0 or 1 and the terms
+        # agree, so every draw is certain, whatever the seed
         le = attack_source(source, known_k1)
-        monkeypatch.setattr(locking, "_unlock_counts", no_sampling)
-        result = locking.kpa_simulate(le, known_k1, locking.MAX_TRIALS, seed=3)
-        assert result.success_rate == rate
-        assert result.trials == locking.MAX_TRIALS
-
-    @pytest.mark.parametrize("source, known_k1", [
-        ("as_printed", 0),
-        *((f"conjugate_{n}", k1) for n in (2, 6) for k1 in (0, 1)),
-        *(("flip_one_4", k1) for k1 in (0, 1)),
-    ])
-    def test_uncertain_attack_reaches_the_sampler(self, monkeypatch, source, known_k1):
-        # as_printed key 00 and the conjugate slots give weights of 1/2; one
-        # flipped term gives certain outcomes on rows that disagree
-        le = attack_source(source, known_k1)
-        monkeypatch.setattr(locking, "_unlock_counts", no_sampling)
-        with pytest.raises(SamplerReached):
-            locking.kpa_simulate(le, known_k1, 10, seed=3)
+        for trials in (1, 17, locking.MAX_TRIALS):
+            for seed in (0, 3, 2**31 + 5):
+                result = locking.kpa_simulate(le, known_k1, trials, seed)
+                assert result.success_rate == rate, (trials, seed)
+                assert result.trials == trials
 
     @pytest.mark.parametrize("n_bits", [2, 3, 4])
     @pytest.mark.parametrize("known_k1", [2, -1])
@@ -607,8 +590,8 @@ class TestReferenceSampler:
     def test_success_counts_equal_the_reference(self, source, known_k1):
         # source as in attack_source: only on the conjugate tables, the
         # one-term flip and as_printed with known bit 0 does the success
-        # count depend on the draws; every other case is decided without
-        # sampling
+        # count depend on the draws; in every other case every draw is
+        # certain
         le = attack_source(source, known_k1)
         for trials in (1, 17, 2**16, 2**16 + 1, 10**5, 3 * 2**16 + 17):
             for seed in (0, 7, 2**31 + 5):
@@ -628,7 +611,7 @@ class TestReferenceSampler:
         # approximation: the standard error of a mean of S counts with
         # variance v is sqrt(v / S), that of a sample variance v sqrt(2 / (S - 1))
         le = attack_source(source, known_k1)
-        p = locking._chain_closed_form(le, known_k1)
+        p = locking.kpa_simulate(le, known_k1, 1, 0).closed_form_success
         assert 0.0 < p < 1.0
         seeds = range(LAW_SEEDS)
         counts = np.array([locking.kpa_simulate(le, known_k1, LAW_TRIALS, s).success_rate

@@ -21,8 +21,6 @@ from .distributions import (  # noqa: F401
 )
 from .ensembles import (  # noqa: F401
     CQEnsemble,
-    CriteriaRecord,
-    criteria_record,
     holevo_information,
     joint_product_distance,
     mean_conditional_distance,
@@ -30,7 +28,9 @@ from .ensembles import (  # noqa: F401
 )
 from .detection import (  # noqa: F401
     POVM,
+    CriteriaRecord,
     DiscriminationResult,
+    criteria_record,
     accessible_info_lower_bound,
     minimum_error_iterate,
     square_root_measurement,

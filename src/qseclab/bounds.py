@@ -80,7 +80,13 @@ def _random_prior(n_keys: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleRecipe:
-    """Fully deterministic description of one campaign instance."""
+    """Fully deterministic description of one campaign instance.
+
+    Only recipes that :func:`build_instance` honours are accepted: a
+    ``locking`` recipe is the 2-bit ensemble of dimension 4, a
+    ``spike_classical`` one has dimension 2^n, and no stack has more than
+    ``dist.MAX_DENSE_SIZE`` entries 2^n d^2.
+    """
 
     kind: str
     n_bits: int
@@ -95,6 +101,16 @@ class EnsembleRecipe:
             raise ValidationError(f"key length {self.n_bits} outside [0, {ens.MAX_KEY_BITS}]")
         if not 1 <= self.dim <= MAX_DIM:
             raise ValidationError(f"dimension {self.dim} outside [1, {MAX_DIM}]")
+        if self.kind == "locking" and (self.n_bits, self.dim) != (2, 4):
+            raise ValidationError(f"a locking recipe has n = 2 and dimension 4, "
+                                  f"not n = {self.n_bits} and dimension {self.dim}")
+        if self.kind == "spike_classical" and self.dim != 2**self.n_bits:
+            raise ValidationError(f"a spike_classical recipe has dimension 2^n = "
+                                  f"{2**self.n_bits}, not {self.dim}")
+        entries = 2**self.n_bits * self.dim**2
+        if entries > dist.MAX_DENSE_SIZE:
+            raise ValidationError(f"a stack of 2^{self.n_bits} states of dimension {self.dim} "
+                                  f"has {entries} entries, above the cap {dist.MAX_DENSE_SIZE}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, bounds, distributions, ensembles, locking
+from . import __version__, bounds, detection, distributions, ensembles, locking
 from .errors import Error
 
 FORMATS = ("json", "csv", "text")
@@ -239,7 +239,7 @@ def cmd_locking_demo(args, argv) -> int:
 
 def cmd_criteria(args, argv) -> int:
     e = ensembles.load_ensemble(args.ensemble)
-    record = ensembles.criteria_record(e)
+    record = detection.criteria_record(e)
     payload = _envelope("criteria", argv, args.seed)
     payload["criteria"] = record.to_dict()
     payload["n_bits"] = e.n_bits

@@ -7,7 +7,9 @@ read-only (outcomes, d, d) ``complex128`` element arrays, and the joints
 they induce with the key are not validated either.  Kept once per
 ensemble: the average state's eigendecomposition, the square-root
 measurement, its joint with the key and that joint's information, and
-the search's best candidate.
+the search's best candidate.  ``criteria_record`` puts the trace criteria
+of :mod:`ensembles` beside the classical ones that the square-root
+measurement induces, in one record per ensemble.
 
 The binary optimum has a closed form (Helstrom), which
 ``minimum_error_iterate`` returns for two keys.  For more keys it starts
@@ -29,7 +31,7 @@ as a lower bound, with the number of restarts under caller control.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -155,15 +157,17 @@ def _helstrom(weighted: np.ndarray) -> DiscriminationResult:
     vals, vecs = np.linalg.eigh(weighted[0] - weighted[1])
     positive = vecs[:, vals > 0.0]
     projector = positive @ positive.conj().T
-    elements = np.stack([projector, np.eye(len(vals)) - projector])
-    return DiscriminationResult(
-        success_probability=min(_success(weighted, elements), 1.0),
-        elements=_read_only(elements),
-        method="helstrom",
-        converged=True,
-        iterations=0,
-        gap=0.0,
-    )
+    return _measured(weighted, np.stack([projector, np.eye(len(vals)) - projector]),
+                     "helstrom", gap=0.0)
+
+
+def _measured(weighted: np.ndarray, elements: np.ndarray, method: str,
+              gap: float | None = None) -> DiscriminationResult:
+    """The result of a closed-form measurement: ``elements`` made read-only,
+    scored on their first K outcomes, one per weighted state W_k (a last
+    outcome on the average's kernel scores nothing)."""
+    success = min(_success(weighted, elements[: len(weighted)]), 1.0)
+    return DiscriminationResult(success, _read_only(elements), method, True, 0, gap)
 
 
 def _pinv_sqrt_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -216,17 +220,10 @@ def square_root_measurement(e: ens.CQEnsemble) -> DiscriminationResult:
     weighted = e.prior[:, None, None] * e.stack
     # s @ wk @ s is Hermitian only up to round-off that can exceed 1e-12
     elements = _hermitian_part(s @ weighted @ s)
-    stack = elements
     if not inv_sqrt.all():  # zeros mark the kernel of a rank-deficient average state
         kernel = (vecs * (inv_sqrt == 0.0)) @ vecs.conj().T
-        stack = np.concatenate([elements, kernel[None]])
-    return DiscriminationResult(
-        success_probability=min(_success(weighted, elements), 1.0),
-        elements=_read_only(stack),
-        method="square_root",
-        converged=True,
-        iterations=0,
-    )
+        elements = np.concatenate([elements, kernel[None]])
+    return _measured(weighted, elements, "square_root")
 
 
 def minimum_error_iterate(
@@ -363,6 +360,72 @@ def _srm_joint(e: ens.CQEnsemble) -> tuple[np.ndarray, float]:
     joint = ens._measured_joint(e, square_root_measurement(e).elements)
     joint.setflags(write=False)
     return joint, dist._information(joint)[0]
+
+
+@dataclass(frozen=True)
+class CriteriaRecord:
+    """All secrecy criteria evaluated on one ensemble.
+
+    ``d`` is the per-key average form, ``d_joint`` the explicit joint form
+    (None beyond the joint-dimension cap), ``d_prime`` the prior-weighted
+    variant, ``chi`` the Holevo information in bits.  ``delta_e`` and
+    ``i_e_deficit`` are the classical counterparts under the measurement
+    named in ``p1_bound_notes``.
+    """
+
+    d: float
+    d_joint: float | None
+    d_prime: float
+    chi: float
+    delta_e: float
+    i_e_deficit: float
+    p1_bound_notes: str
+
+    def __post_init__(self):
+        for name in ("d", "d_prime", "delta_e"):
+            value = getattr(self, name)
+            if not -1e-12 <= value <= 1.0 + 1e-12:
+                raise ValidationError(f"{name} = {value!r} outside [0, 1]")
+        if self.d_joint is not None and not -1e-12 <= self.d_joint <= 1.0 + 1e-12:
+            raise ValidationError(f"d_joint = {self.d_joint!r} outside [0, 1]")
+        if self.chi < -1e-12:
+            raise ValidationError(f"chi = {self.chi!r} negative")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def criteria_record(e: ens.CQEnsemble) -> CriteriaRecord:
+    """Evaluate every criterion on one ensemble.
+
+    The joint form is included when the joint dimension fits the cap.  The
+    measured quantities are those of the square-root measurement, so more
+    than ``MAX_OUTCOMES`` keys are a ``DimensionCapError``.
+    """
+    d = ens.mean_conditional_distance(e)
+    d_joint = None
+    if e.num_keys * e.state_dim <= ens.JOINT_DIM_CAP:
+        d_joint = ens.joint_product_distance(e)
+    chi = ens.holevo_information(e)
+    if chi > e.n_bits + 1e-9:
+        raise ValidationError(f"chi = {chi!r} exceeds key length {e.n_bits}")
+    measured = ens._joint_criteria(e, _srm_joint(e)[0])
+    top = float(measured.cpd_table.max())
+    notes = (
+        f"measurement: square-root measurement; max posterior key mass {top:.6g}; "
+        "classical delta computed as v(joint, product) with no extra 1/2 "
+        "prefactor so it contracts exactly from d; "
+        + dist.EVENT_GAP_NOTE
+    )
+    return CriteriaRecord(
+        d=d,
+        d_joint=d_joint,
+        d_prime=ens.weighted_conditional_distance(e),
+        chi=chi,
+        delta_e=measured.delta_e,
+        i_e_deficit=measured.i_e_deficit,
+        p1_bound_notes=notes,
+    )
 
 
 def _haar_isometry(outcomes: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,9 @@ joint-vs-product state, and prior-weighted average of per-key
 distances), the prior-weighted variant used for non-uniform priors, the
 ideal-reference comparison, the Holevo information, the measured
 (classical) counterparts induced by a measurement's element array, and
-key-subset uniformity gaps.
+key-subset uniformity gaps.  The record of every criterion on one ensemble
+is ``detection.criteria_record``: its classical half is the square-root
+measurement's, which that module builds.
 
 Key-bit convention: key value k is an integer in [0, 2^n); bit position 0
 is the most significant bit, so for n = 2 the keys order as
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import wraps
 from typing import NamedTuple
 
@@ -309,74 +311,6 @@ def semantic_security_gap(cpd, subset_positions) -> tuple[float, float]:
     marginal = np.bincount(values, weights=p, minlength=2 ** len(positions))
     gaps = np.abs(marginal - 2.0 ** -len(positions))
     return float(gaps.max()), float(gaps.mean())
-
-
-@dataclass(frozen=True)
-class CriteriaRecord:
-    """All secrecy criteria evaluated on one ensemble.
-
-    ``d`` is the per-key average form, ``d_joint`` the explicit joint form
-    (None beyond the joint-dimension cap), ``d_prime`` the prior-weighted
-    variant, ``chi`` the Holevo information in bits.  ``delta_e`` and
-    ``i_e_deficit`` are the classical counterparts under the measurement
-    named in ``p1_bound_notes``.
-    """
-
-    d: float
-    d_joint: float | None
-    d_prime: float
-    chi: float
-    delta_e: float
-    i_e_deficit: float
-    p1_bound_notes: str
-
-    def __post_init__(self):
-        for name in ("d", "d_prime", "delta_e"):
-            value = getattr(self, name)
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise ValidationError(f"{name} = {value!r} outside [0, 1]")
-        if self.d_joint is not None and not -1e-12 <= self.d_joint <= 1.0 + 1e-12:
-            raise ValidationError(f"d_joint = {self.d_joint!r} outside [0, 1]")
-        if self.chi < -1e-12:
-            raise ValidationError(f"chi = {self.chi!r} negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def criteria_record(e: CQEnsemble) -> CriteriaRecord:
-    """Evaluate every criterion on one ensemble.
-
-    The joint form is included when the joint dimension fits the cap.  The
-    measured quantities are those of the square-root measurement, so more
-    than ``detection.MAX_OUTCOMES`` keys are a ``DimensionCapError``.
-    """
-    from . import detection  # deferred: detection builds on this module
-
-    d = mean_conditional_distance(e)
-    d_joint = None
-    if e.num_keys * e.state_dim <= JOINT_DIM_CAP:
-        d_joint = joint_product_distance(e)
-    chi = holevo_information(e)
-    if chi > e.n_bits + 1e-9:
-        raise ValidationError(f"chi = {chi!r} exceeds key length {e.n_bits}")
-    measured = _joint_criteria(e, detection._srm_joint(e)[0])
-    top = float(measured.cpd_table.max())
-    notes = (
-        f"measurement: square-root measurement; max posterior key mass {top:.6g}; "
-        "classical delta computed as v(joint, product) with no extra 1/2 "
-        "prefactor so it contracts exactly from d; "
-        + dist.EVENT_GAP_NOTE
-    )
-    return CriteriaRecord(
-        d=d,
-        d_joint=d_joint,
-        d_prime=weighted_conditional_distance(e),
-        chi=chi,
-        delta_e=measured.delta_e,
-        i_e_deficit=measured.i_e_deficit,
-        p1_bound_notes=notes,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import distributions, ensembles as ens, operators as ops
+from . import detection, distributions, ensembles as ens, operators as ops
 from .errors import ValidationError, _require_integer
 
 BASIS_13 = (1, 3)
@@ -358,7 +358,7 @@ def _describe_unlock(n: int, known_k1: int, closed_form: float) -> dict | str:
 @dataclass(frozen=True)
 class LockingReport:
     variant: str
-    criteria: ens.CriteriaRecord
+    criteria: detection.CriteriaRecord
     ideal: ens.IdealComparison
     half_plus_ideal: float
     kpa: dict
@@ -386,7 +386,7 @@ def locking_report(le: LockingEnsemble, trials: int = 100_000, seed: int = 0) ->
     mixed reference, which reaches 1.0 here even though the trace
     criterion itself sits near one half.
     """
-    criteria = ens.criteria_record(le.ensemble)
+    criteria = detection.criteria_record(le.ensemble)
     ideal = ens.ideal_comparison_value(le.ensemble)
     kpa = {k1: kpa_simulate(le, k1, trials, seed) for k1 in (0, 1)}
     d = le.ensemble.state_dim

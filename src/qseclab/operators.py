@@ -14,6 +14,7 @@ is sparse or structured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -170,11 +171,20 @@ def matrix_to_pairs(matrix) -> list:
 
 def matrix_from_pairs(obj) -> np.ndarray:
     """Parse the nested [re, im] pair format back into a complex matrix, or
-    into a stack of them from a list of literals of one shape."""
+    into a stack of them from a list of literals of one shape.  Every entry
+    must be a JSON number (a null reads as NaN, which the state checks
+    refuse): numpy alone would read a bool or a numeric string as one."""
     try:
         arr = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ParseError(f"malformed matrix literal: {exc}") from exc
     if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
         raise ParseError(f"matrix literal must have shape (rows, cols, 2), got {arr.shape}")
+    entries = obj  # regular, as numpy read it: ndim - 1 flattenings reach the entries
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    odd = set(map(type, entries)) - {int, float, type(None)}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise ParseError(f"matrix entries must be numbers, got {names}")
     return arr[..., 0] + 1j * arr[..., 1]

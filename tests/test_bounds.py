@@ -221,6 +221,12 @@ class TestRecipesAndCampaigns:
         for n_bits in (1, 2, 3):
             for dim in range(2, 9):
                 for seed in (0, 1, 7, 12345):
+                    # the builder would ignore the dimension of these: refused
+                    if ((kind == "locking" and (n_bits, dim) != (2, 4))
+                            or (kind == "spike_classical" and dim != 2**n_bits)):
+                        with pytest.raises(ValidationError, match=f"^a {kind} recipe has "):
+                            bounds.EnsembleRecipe(kind, n_bits, dim, seed)
+                        continue
                     recipe = bounds.EnsembleRecipe(kind, n_bits, dim, seed)
                     e = bounds.build_instance(recipe)
                     if kind == "locking":
@@ -261,16 +267,33 @@ class TestRecipesAndCampaigns:
         with pytest.raises(ValidationError):
             bounds.EnsembleRecipe("mystery", 1, 2, 0)
 
+    # the last three are stacks of more than dist.MAX_DENSE_SIZE = 2^24 entries 2^n d^2
     @pytest.mark.parametrize("n_bits, dim", [(-1, 2), (ens.MAX_KEY_BITS + 1, 2), (1, 0),
-                                             (1, ops.MAX_DIM + 1)])
+                                             (1, ops.MAX_DIM + 1), (24, 2), (23, 2), (13, 64)])
     def test_over_cap_recipe_rejected(self, n_bits, dim):
         with pytest.raises(ValidationError):
             bounds.EnsembleRecipe("random_mixed", n_bits, dim, 0)
 
     def test_over_cap_campaign_refused_before_building(self):
-        # the 25th recipe has n = 25; the first 24 would make up to 2^24 states
-        with pytest.raises(ValidationError, match="key length 25"):
-            bounds.default_recipes(25, max_n=25, kinds=("random_mixed",))
+        # recipe 23 (n = 23, d = 2) is refused before recipe 24 (n = 24), whose
+        # random_mixed stack would start with a 1 GiB draw of 2^27 normals
+        with pytest.raises(ValidationError, match=r"^a stack of 2\^23 states of dimension 2 "):
+            bounds.default_recipes(24, max_n=24, kinds=("random_mixed",))
+
+    @pytest.mark.parametrize("kind, n_bits, dim", [
+        ("locking", 1, 2), ("locking", 2, 2), ("locking", 3, 8),
+        ("spike_classical", 2, 2), ("spike_classical", 10, 2),
+    ])
+    def test_a_dimension_the_builder_would_ignore_is_refused(self, kind, n_bits, dim):
+        # the builder makes the n = 2, d = 4 locking ensemble and a spike of
+        # dimension 2^n whatever the recipe says
+        with pytest.raises(ValidationError, match=f"^a {kind} recipe has "):
+            bounds.EnsembleRecipe(kind, n_bits, dim, 0)
+
+    @pytest.mark.parametrize("n_bits, dim", [(22, 2), (24, 1), (12, 64)])
+    def test_a_stack_at_the_dense_cap_is_accepted(self, n_bits, dim):
+        # 2^n d^2 = 2^24 entries: no stack build_instance makes is larger
+        assert bounds.EnsembleRecipe("random_mixed", n_bits, dim, 0).dim == dim
 
     def test_every_kind_builds(self):
         for i, kind in enumerate(bounds.RECIPE_KINDS):
@@ -395,7 +418,7 @@ class TestRecipesAndCampaigns:
         monkeypatch.setattr(ens, "measurement_table", recording_table)
         monkeypatch.setattr(dist, "validate_distribution", recording_validate)
         bounds._instance_checks(e, bounds.ALL_CHECKS, 0, 0)
-        ens.criteria_record(e)
+        det.criteria_record(e)
         srm = det.square_root_measurement(e).elements
         assert len(srm) == e.num_keys + (recipe.kind == "random_pure")
         assert sum(m is ens.average_state(e) for m in solved) == 1
@@ -406,7 +429,7 @@ class TestRecipesAndCampaigns:
     def test_quantities_kept_on_the_ensemble_are_read_only(self, recipe):
         e = bounds.build_instance(recipe)
         bounds._instance_checks(e, bounds.ALL_CHECKS, 0, 0)
-        ens.criteria_record(e)
+        det.criteria_record(e)
         kept = [v for k, v in vars(e).items() if k.startswith("_once_")]
         arrays = []
         while kept:

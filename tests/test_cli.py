@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qseclab import bounds, cli, distributions, ensembles, locking, operators as ops
+from qseclab import bounds, cli, detection, distributions, ensembles, locking, operators as ops
 from qseclab.bounds import _random_mixed_stack
 from qseclab.errors import Error
 
@@ -86,7 +86,7 @@ class TestCriteria:
         code, out, _ = run_cli(capsys, ["criteria", str(ensemble_file)])
         assert code == 0
         report = json.loads(out)
-        direct = ensembles.criteria_record(
+        direct = detection.criteria_record(
             ensembles.load_ensemble(ensemble_file)
         )
         assert report["criteria"]["d"] == pytest.approx(direct.d, abs=1e-12)
@@ -126,6 +126,19 @@ class TestCriteria:
         code, out, err = run_cli(capsys, ["criteria", str(path)])
         assert (code, out) == (1, "")
         assert err == 'qseclab: error: "prior" must be a list of numbers\n'
+
+    @pytest.mark.parametrize("bad, names", [
+        ([[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]], "str"),
+        ([[[True, 0], [0, 0]], [[0, 0], [False, 0]]], "bool"),
+        ([[["0.5", 0], [0, False]], [[0, False], [0.5, 0]]], "bool, str"),
+    ], ids=["string", "true-false", "both"])
+    def test_state_entries_of_non_numbers_are_refused(self, capsys, tmp_path, bad, names):
+        # numpy alone reads "0.5" as 0.5 and true, false as 1, 0: a valid state
+        state = ops.matrix_to_pairs(np.eye(2) / 2)
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps({"n": 1, "prior": [0.5, 0.5], "states": [state, bad]}))
+        assert run_cli(capsys, ["criteria", str(path)]) == (
+            1, "", f"qseclab: error: state 1: matrix entries must be numbers, got {names}\n")
 
     def test_state_above_the_dimension_cap_is_named(self, capsys, tmp_path):
         over = ops.MAX_DIM + 1
@@ -274,13 +287,15 @@ class TestCriteria:
         ["locking-demo", "--trials", "10", "--emit-ensemble", "{tmp}/missing_dir/x.json"],
         ["locking-demo", "--trials", "10000001"],
         ["bounds-sweep", "--count", "25", "--max-n", "25", "--kinds", "random_mixed"],
+        ["bounds-sweep", "--count", "24", "--max-n", "24", "--kinds", "random_mixed",
+         "--checks", "quantum_pinsker"],
     ],
     ids=["missing-file", "states-not-a-list", "not-utf8", "extremal-n-2000", "max-dim-1",
          "prior-sum-1.4", "n-1e400", "deeply-nested", "n-1e12", "n-5001-digits",
          "n-1.9", "n-true", "n-string", "l-prime-1100", "l-prime-inf",
          "l-prime-100-unresolvable", "l-1100", "l-inf", "l-60-unresolvable",
          "out-in-missing-dir", "emit-ensemble-in-missing-dir", "trials-above-cap",
-         "key-length-above-cap"],
+         "key-length-above-cap", "stack-above-dense-cap"],
 )
 def test_bad_input_is_a_clean_error(capsys, tmp_path, argv):
     (tmp_path / "states_not_a_list.json").write_text(

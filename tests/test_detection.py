@@ -416,7 +416,7 @@ class TestSquareRootMeasurement:
             bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 8, 2, 0))).elements) == 256
         e = bounds.build_instance(bounds.EnsembleRecipe("random_mixed", 9, 2, 0))
         for measure in (det.square_root_measurement, det.minimum_error_iterate,
-                        det.accessible_info_lower_bound, ens.criteria_record):
+                        det.accessible_info_lower_bound, det.criteria_record):
             with pytest.raises(DimensionCapError) as raised:
                 measure(e)
             assert str(raised.value) == "512 keys exceed the 256-outcome cap of a measurement"

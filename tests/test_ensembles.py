@@ -640,7 +640,7 @@ class TestSemanticSecurityGap:
 class TestCriteriaRecord:
     def test_field_values_and_notes(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
-        record = ens.criteria_record(le.ensemble)
+        record = detection.criteria_record(le.ensemble)
         assert record.d == pytest.approx(0.5, abs=1e-10)
         assert record.d_joint == pytest.approx(record.d, abs=1e-9)
         assert record.d_prime == pytest.approx(record.d, abs=1e-9)
@@ -652,7 +652,7 @@ class TestCriteriaRecord:
     def test_joint_form_omitted_beyond_cap(self):
         rng = np.random.default_rng(3)
         e = random_ensemble(3, 16, rng)
-        record = ens.criteria_record(e)
+        record = detection.criteria_record(e)
         assert record.d_joint is None
 
     def test_no_state_is_validated_again(self, monkeypatch):
@@ -662,12 +662,12 @@ class TestCriteriaRecord:
         calls = []
         as_states = ops._as_states
         monkeypatch.setattr(ops, "_as_states", lambda m: calls.append(m) or as_states(m))
-        ens.criteria_record(e)
+        detection.criteria_record(e)
         assert calls == []
 
     def test_dict_field_names(self):
         le = locking.build_locking_ensemble("symmetric_corrected")
-        record = ens.criteria_record(le.ensemble)
+        record = detection.criteria_record(le.ensemble)
         assert set(record.to_dict()) == {
             "d", "d_joint", "d_prime", "chi", "delta_e", "i_e_deficit", "p1_bound_notes",
         }
@@ -722,8 +722,9 @@ class TestEnsembleFiles:
 
 def _literal_by_literal(obj):
     """The file loader that parsed and validated each state literal alone, in
-    order, then refused a prior that is not a list of JSON numbers, kept as
-    the reference for the errors of the one-stack loader."""
+    order (an entry must be a JSON number or null), then refused a prior that
+    is not a list of JSON numbers, kept as the reference for the errors of
+    the one-stack loader."""
     states = []
     for k, literal in enumerate(obj["states"]):
         try:
@@ -733,6 +734,11 @@ def _literal_by_literal(obj):
                 raise ParseError(f"malformed matrix literal: {exc}") from exc
             if arr.ndim != 3 or arr.shape[2] != 2:
                 raise ParseError(f"matrix literal must have shape (rows, cols, 2), got {arr.shape}")
+            # a JSON number or null (NaN, refused as non-finite); numpy reads more
+            odd = {type(x).__name__ for row in literal for pair in row for x in pair
+                   if type(x) not in (int, float, type(None))}
+            if odd:
+                raise ParseError(f"matrix entries must be numbers, got {', '.join(sorted(odd))}")
             states.append(ops.DensityOperator(arr[..., 0] + 1j * arr[..., 1]))
         except ParseError as exc:
             raise ParseError(f"state {k}: {exc}") from exc
@@ -767,6 +773,8 @@ LITERAL_FAULTS = {
     "text_entry": _set_entry("x"),
     "list_entry": _set_entry([1.0, 2.0]),
     "null_entry": _set_entry(None),
+    "numeric_string": _set_entry("0.5"),
+    "bool_entry": _set_entry(True),
     "nan_entry": _set_entry(float("nan")),
     "not_hermitian": lambda lit: ops.matrix_to_pairs(_off_hermitian(ops.matrix_from_pairs(lit))),
     "not_positive": lambda lit: ops.matrix_to_pairs(np.diag([1.2, -0.1, -0.1])),

@@ -235,6 +235,17 @@ class TestWireFormat:
         with pytest.raises(ParseError, match=r"must have shape \(rows, cols, 2\)"):
             ops.matrix_from_pairs(np.zeros(shape).tolist())
 
+    @pytest.mark.parametrize("entry, name", [("0.5", "str"), (True, "bool"), (False, "bool")])
+    def test_an_entry_that_is_not_a_number_rejected(self, entry, name):
+        # numpy converts each of these; a null stays NaN for the state checks
+        literal = [[[0.5, 0], [0, 0]], [[0, 0], [entry, 0]]]
+        with pytest.raises(ParseError, match=f"^matrix entries must be numbers, got {name}$"):
+            ops.matrix_from_pairs(literal)
+        with pytest.raises(ParseError, match=f"^matrix entries must be numbers, got {name}$"):
+            ops.matrix_from_pairs([literal, literal])
+        literal[1][1][0] = None
+        assert np.isnan(ops.matrix_from_pairs(literal)[1, 1])
+
     def test_an_integer_past_float_range_rejected(self):
         with pytest.raises(ParseError, match="malformed matrix literal"):
             ops.matrix_from_pairs([[[10**400, 0]]])

@@ -7,6 +7,9 @@ of its own module names it.  Each public one must be listed below with the
 reason it stays; a new one is either called from a report or deleted.
 Private ones are pinned the same way to ``ALLOWED_PRIVATE``, which is
 empty: a private function is deleted with its last caller in the package.
+
+The same parse pins the layer order ``LAYERS``: a module imports only the
+modules before it, at module level or inside a function.
 """
 
 import ast
@@ -39,6 +42,10 @@ ALLOWED = {
 }
 
 ALLOWED_PRIVATE: dict[str, str] = {}
+
+# each module builds on the ones before it; ``__init__`` re-exports them all
+LAYERS = ("errors", "operators", "distributions", "ensembles", "detection", "locking",
+          "bounds", "cli")
 
 
 def _names(node) -> set[str]:
@@ -76,3 +83,29 @@ def test_unreferenced_public_functions_are_the_allowed_ones():
 def test_unreferenced_private_functions_are_the_allowed_ones():
     assert {name for name in _unreferenced() if "._" in name} == set(ALLOWED_PRIVATE)
 
+
+
+def _imported_modules(tree) -> set[str]:
+    """The package modules that ``tree`` imports anywhere, relatively or not."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("qseclab")):
+            # ``from .m import x`` names m, ``from . import m`` names it among the aliases
+            found.update((node.module or "").split("."), (alias.name for alias in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(*(alias.name.split(".") for alias in node.names
+                           if alias.name.startswith("qseclab.")))
+    return found & set(LAYERS)
+
+
+def test_each_module_imports_only_the_layers_before_it():
+    assert sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__") \
+        == sorted(LAYERS)
+    upward = {}
+    for rank, module in enumerate(LAYERS):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        later = _imported_modules(tree) - set(LAYERS[:rank])
+        if later:
+            upward[module] = sorted(later)
+    assert upward == {}

@@ -345,12 +345,8 @@ class CampaignResult:
 
     @property
     def hard_failures(self) -> int:
-        return sum(
-            1
-            for report in self.reports
-            for name, result in report.checks.items()
-            if name in PROVEN_CHECKS and result.verdict == "fail"
-        )
+        """The fails of the proven checks, counted in ``summary``."""
+        return sum(self.summary[name]["fail"] for name in PROVEN_CHECKS if name in self.summary)
 
 
 def _summarize(reports) -> dict:

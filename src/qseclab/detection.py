@@ -39,7 +39,7 @@ import numpy as np
 from . import distributions as dist
 from . import ensembles as ens
 from .errors import DimensionCapError, ValidationError, ZeroMassError, _require_integer
-from .operators import _as_hermitian, _descending, _rank_one, eig_hermitian
+from .operators import _as_hermitian, _descending, _rank_one, _read_only, eig_hermitian
 
 ELEMENT_PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
@@ -78,12 +78,6 @@ class POVM:
         if dev > COMPLETENESS_TOL:
             raise ValidationError(f"elements sum to identity only within {dev:.3e}")
         object.__setattr__(self, "stack", stack)
-
-
-def _read_only(elements: np.ndarray) -> np.ndarray:
-    """Derived elements as returned: the same array, made read-only."""
-    elements.setflags(write=False)
-    return elements
 
 
 @functools.cache
@@ -194,9 +188,7 @@ def _average_eigh(e: ens.CQEnsemble) -> tuple[np.ndarray, np.ndarray]:
     eigensolve the square-root measurement and the eigenbasis candidate of
     the search both build on."""
     vals, vecs = np.linalg.eigh(ens.average_state(e))
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return vals, vecs
+    return _read_only(vals), _read_only(vecs)
 
 
 @ens._once_per_ensemble
@@ -357,8 +349,7 @@ def _srm_joint(e: ens.CQEnsemble) -> tuple[np.ndarray, float]:
     """The joint distribution of key and square-root-measurement outcome,
     read-only, and its mutual information in bits: shared by the campaign's
     ``pinsker`` check, the measured criteria and the search's candidates."""
-    joint = ens._measured_joint(e, square_root_measurement(e).elements)
-    joint.setflags(write=False)
+    joint = _read_only(ens._measured_joint(e, square_root_measurement(e).elements))
     return joint, dist._information(joint)[0]
 
 

@@ -57,8 +57,10 @@ class CQEnsemble:
     ascending spectra its validation computed.  ``states`` may be any
     sequence of state matrices or ``DensityOperator`` objects, or a 3-D
     array, validated together with one batched eigensolve
-    (:func:`operators._as_states`).  The ensemble is immutable, so
-    quantities derived from it are kept on it.
+    (:func:`operators._as_states`).  Only where that fails is each state
+    validated alone, in key order, so the error is the one the first
+    faulty state raises alone.  The ensemble is immutable, so quantities
+    derived from it are kept on it.
     """
 
     n_bits: int
@@ -79,13 +81,13 @@ class CQEnsemble:
         matrices = states
         if not (isinstance(states, np.ndarray) and states.ndim == 3):
             matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in states]
-        stack = None
-        if len(matrices):  # an empty sequence fails the count check below
-            try:
-                stack, spectra = ops._as_states(matrices)
-            except (ValueError, TypeError):
-                # a ragged sequence: each state validated alone names the first fault
-                matrices = [DensityOperator(m).matrix for m in matrices]
+        try:
+            stack, spectra = ops._as_states(matrices)
+        except (ValidationError, ValueError, TypeError):
+            # a faulty, ragged or empty sequence: each state validated alone,
+            # in order, names the first fault
+            stack = None
+            matrices = [DensityOperator(m).matrix for m in matrices]
         if len(matrices) != n_keys:
             raise ValidationError(f"{len(matrices)} states supplied, expected {n_keys}")
         if stack is None:
@@ -146,9 +148,7 @@ def uniform_prior(n_bits: int) -> np.ndarray:
 def average_state(e: CQEnsemble) -> np.ndarray:
     """The prior-averaged probe state, a read-only (d, d) array built once
     per ensemble from its validated stack."""
-    avg = (e.prior[:, None, None] * e.stack).sum(axis=0)
-    avg.setflags(write=False)
-    return avg
+    return ops._read_only((e.prior[:, None, None] * e.stack).sum(axis=0))
 
 
 def joint_product_distance(e: CQEnsemble) -> float:
@@ -225,8 +225,7 @@ def holevo_information(e: CQEnsemble) -> float:
     the probe; clamped at zero after a round-off allowance: a prior accepted
     eps = ``dist.PROB_SUM_TOL`` off one shifts it by eps / ln 2, and 1e-12 more.
     """
-    # a one-state batch: the eigensolve operators._as_states runs on a single state
-    value = dist._entropy_bits(np.clip(np.linalg.eigvalsh(average_state(e)[None])[0], 0.0, 1.0))
+    value = dist._entropy_bits(np.clip(np.linalg.eigvalsh(average_state(e)), 0.0, 1.0))
     # one entropy per key: a masked sum over the (keys, d) array rounds differently
     value -= float(e.prior @ np.array([dist._entropy_bits(row)
                                        for row in np.clip(e.spectra, 0.0, 1.0)]))

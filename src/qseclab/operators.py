@@ -25,13 +25,18 @@ from .errors import (
     NotPositiveError,
     ParseError,
     TraceNotOneError,
-    ValidationError,
 )
 
 MAX_DIM = 64
 HERMITIAN_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 TRACE_TOL = 1e-10
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only."""
+    array.setflags(write=False)
+    return array
 
 
 def _as_hermitian(matrix, ndim: int = 2) -> np.ndarray:
@@ -59,41 +64,34 @@ def _checked_hermitian(m: np.ndarray) -> np.ndarray:
     dev = np.abs(np.subtract(m, t, out=t)).max()
     if dev > HERMITIAN_TOL:
         raise NotHermitianError(f"max deviation from conjugate transpose {dev:.3e}")
-    m.setflags(write=False)
-    return m
+    return _read_only(m)
 
 
 def _as_states(matrices) -> tuple[np.ndarray, np.ndarray]:
     """A read-only (K, d, d) ``complex128`` copy of K states and their
     read-only (K, d) ascending spectra, from one batched eigensolve.
 
-    Each state is checked in order: square shape, the dimension cap, finite
-    entries, Hermiticity (1e-12, max entry), positivity (eigenvalues >=
-    -1e-10; the error reports the most negative one), unit trace (within
-    1e-10).  Where a check fails, the first failing key raises the error
-    it raises when validated alone.
+    The checks, in order: square shape, the dimension cap, finite entries,
+    Hermiticity (1e-12, max entry), positivity (eigenvalues >= -1e-10; the
+    error reports the most negative one), unit trace (within 1e-10).  Each
+    runs on the whole stack at once, so an error names no state: the
+    callers that must name the first faulty one (``CQEnsemble``, the
+    ensemble-file reader) validate each state alone, in order, where this
+    fails.
     """
     m = np.array(matrices, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape[1:]}")
-    try:
-        _checked_hermitian(m)
-        spectra = np.linalg.eigvalsh(m)
-        low = float(spectra[:, 0].min())
-        if low < -POSITIVITY_TOL:
-            raise NotPositiveError(low)
-        traces = m.trace(axis1=1, axis2=2).real
-        tr = float(traces[np.argmax(np.abs(traces - 1.0))])  # the farthest from 1
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-    except ValidationError:
-        if len(m) > 1:  # the first faulty key is in the first half that fails
-            half = len(m) // 2
-            _as_states(m[:half])
-            _as_states(m[half:])
-        raise
-    spectra.setflags(write=False)
-    return m, spectra
+    _checked_hermitian(m)
+    spectra = np.linalg.eigvalsh(m)
+    low = float(spectra[:, 0].min())
+    if low < -POSITIVITY_TOL:
+        raise NotPositiveError(low)
+    traces = m.trace(axis1=1, axis2=2).real
+    tr = float(traces[np.argmax(np.abs(traces - 1.0))])  # the farthest from 1
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceNotOneError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+    return m, _read_only(spectra)
 
 
 @dataclass(frozen=True, eq=False)

@@ -265,14 +265,23 @@ def write_outputs(outdir: str) -> None:
 
 def environment() -> list[str]:
     """What the digests depend on besides the code: numpy, its BLAS and the
-    platform, with the SIMD extensions the CPU offers to both."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    platform, with the SIMD extensions the CPU offers to both.  Any numpy
+    the package accepts gives the three lines; one that does not report
+    its BLAS (before 1.26) names it ``unknown``."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x keeps it under numpy.core
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # show_config takes no mode
+        blas = "unknown"
     simd = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
     return [
         f"numpy {np.__version__}",
-        f"blas {blas.get('name')} {blas.get('version')}",
+        f"blas {blas}",
         f"platform {platform.system()} {platform.machine()} {' '.join(simd)}".rstrip(),
     ]
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -573,6 +574,24 @@ class TestBoundsSweep:
         summary = json.loads(lines[1])
         assert summary["hard_failures"] == 0
         assert summary["seed"] == 0
+
+    def test_hard_failures_count_the_proven_checks_only(self, capsys, monkeypatch):
+        # exponent_relation is not proven: its fails are reported, not counted
+        monkeypatch.setattr(bounds, "check_exponent_relation", lambda d, chi, n_bits:
+                            bounds.CheckResult("exponent_relation", "fail", -1.0))
+        argv = ["bounds-sweep", "--count", "3", "--seed", "0"]
+        code, out, _ = run_cli(capsys, argv)
+        summary = json.loads(out.splitlines()[-1])
+        assert summary["summary"]["exponent_relation"]["fail"] == 3
+        assert (code, summary["hard_failures"]) == (0, 0)
+        # a pinsker fail in the same campaign is counted
+        pinsker = bounds._pinsker
+        monkeypatch.setattr(bounds, "_pinsker", lambda *args: replace(pinsker(*args), verdict="fail"))
+        code, out, _ = run_cli(capsys, argv)
+        summary = json.loads(out.splitlines()[-1])
+        assert summary["summary"]["exponent_relation"]["fail"] == 3
+        assert summary["summary"]["pinsker"]["fail"] == 3
+        assert (code, summary["hard_failures"]) == (1, 3)
 
     def test_repeated_run_identical(self, capsys):
         argv = ["bounds-sweep", "--count", "5", "--seed", "21"]

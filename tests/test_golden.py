@@ -9,7 +9,10 @@ moves outputs on purpose rewrites both records with
 """
 
 import json
+import sys
+import types
 
+import numpy as np
 import pytest
 
 import golden_outputs
@@ -33,6 +36,22 @@ def test_digests_match_the_manifest(golden_dir):
     changed = sorted(name for name in recorded.keys() | got.keys()
                      if recorded.get(name) != got.get(name))
     assert not changed, f"golden outputs differ from tests/golden.sha256: {changed}"
+
+
+def test_an_older_numpy_skips_the_digests(monkeypatch):
+    # numpy 1.x: the CPU feature lists live under numpy.core, and before
+    # 1.26 show_config takes no mode, so the BLAS is not known
+    here = golden_outputs.environment()
+    real = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])
+    older = types.ModuleType("numpy.core._multiarray_umath")
+    older.__cpu_dispatch__, older.__cpu_features__ = real.__cpu_dispatch__, real.__cpu_features__
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+    monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", older)
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert golden_outputs.environment() == [here[0], "blas unknown", here[2]]
+    with pytest.raises(pytest.skip.Exception):
+        test_digests_match_the_manifest(golden_dir=None)  # skips before reading it
 
 
 def test_verdicts_counts_and_exit_codes_match(golden_dir):

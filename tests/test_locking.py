@@ -252,6 +252,13 @@ class TestBasis:
         np.testing.assert_allclose(kets[1], [1 / SQRT2, 1 / SQRT2])
         np.testing.assert_allclose(kets[3], [1 / SQRT2, -1 / SQRT2])
 
+    @pytest.mark.parametrize("name", ["KETS", "OVERLAP2"])
+    def test_module_constants_are_read_only(self, name):
+        constant = getattr(locking, name)
+        assert not constant.flags.writeable
+        with pytest.raises(ValueError):
+            constant[0, 0] = 0.0
+
 
 class TestConstruction:
     def test_symmetric_eigenvalues_half_half(self):

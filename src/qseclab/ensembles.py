@@ -24,6 +24,7 @@ is the most significant bit, so for n = 2 the keys order as
 
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
@@ -87,7 +88,7 @@ class CQEnsemble:
             # a faulty, ragged or empty sequence: each state validated alone,
             # in order, names the first fault
             stack = None
-            matrices = [DensityOperator(m).matrix for m in matrices]
+            matrices = _each_alone(matrices)
         if len(matrices) != n_keys:
             raise ValidationError(f"{len(matrices)} states supplied, expected {n_keys}")
         if stack is None:
@@ -107,6 +108,22 @@ class CQEnsemble:
 
     def key_label(self, k: int) -> str:
         return format(k, f"0{self.n_bits}b") if self.n_bits else ""
+
+
+def _each_alone(matrices) -> list:
+    """Each of ``matrices`` (any iterable) validated alone as a
+    ``DensityOperator``, in key order, as its matrix.  The first error
+    stops the walk with ``key`` set on it, the index of the state it
+    stopped at, whether that state's validation raised it or, from a lazy
+    iterable, the making of its matrix: the file reader names the state by it."""
+    out = []
+    try:
+        for m in matrices:
+            out.append(DensityOperator(m).matrix)
+    except (Error, ValueError, TypeError) as exc:
+        exc.key = len(out)
+        raise
+    return out
 
 
 def _states(e: CQEnsemble) -> tuple[DensityOperator, ...]:
@@ -329,11 +346,14 @@ def ensemble_from_dict(obj) -> CQEnsemble:
 
     ``states`` is read as one stack: one float64 conversion of all the
     literals, validated by :class:`CQEnsemble` with one batched
-    eigensolve.  Only where that fails is each literal parsed and
-    validated alone, in order, so the error names the first faulty state
-    (``state k: ...``) and has the class it has for that state alone.
-    ``prior`` must be a list of JSON numbers; any other is a
-    ``ParseError``, raised only after every state has been read.
+    eigensolve.  A faulty state is named (``state k: ...``, a
+    ``ParseError``, ``ValidationError`` or ``DimensionCapError`` as its
+    own error is one) before a fault of ``prior``, of the value of ``n``
+    or of the state count.  Where the batched validation fails, the
+    ensemble's walk over the states in key order finds the first faulty
+    one; only where the literals do not parse as one stack is each parsed
+    and validated alone, in order.  ``prior`` must be a list of JSON
+    numbers; any other is a ``ParseError``.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"ensemble record must be an object, got {type(obj).__name__}")
@@ -347,43 +367,74 @@ def ensemble_from_dict(obj) -> CQEnsemble:
     # numpy would read a bool, a numeric string or a one-entry list as a number
     prior_ok = isinstance(obj["prior"], list) and all(type(p) in (int, float) for p in obj["prior"])
     try:
-        stack = ops.matrix_from_pairs(obj["states"])
-        if stack.ndim == 3 and prior_ok:
-            return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=stack)
-    except (Error, ValueError, TypeError, OverflowError):
-        pass  # the literals one by one below find the fault and name it
-    states = []
-    for k, literal in enumerate(obj["states"]):
-        try:
-            matrix = ops.matrix_from_pairs(literal)
-            if matrix.ndim != 2:  # a literal holds one matrix, not a stack
-                raise ParseError("matrix literal must have shape (rows, cols, 2), "
-                                 f"got {(*matrix.shape, 2)}")
-            states.append(DensityOperator(matrix))
-        except ParseError as exc:
-            raise ParseError(f"state {k}: {exc}") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"state {k}: {exc}") from exc
-        except DimensionCapError as exc:
-            raise DimensionCapError(f"state {k}: {exc}") from exc
+        states = ops.matrix_from_pairs(obj["states"])
+    except ParseError:
+        states = None
+    try:
+        if states is None or states.ndim != 3:  # each literal parsed and validated alone
+            states = _each_alone(map(_one_literal, obj["states"]))
+        else:
+            try:
+                if prior_ok:
+                    return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=states)
+            except (Error, ValueError, TypeError, OverflowError) as exc:
+                if hasattr(exc, "key"):  # the ensemble's walk met a faulty state
+                    raise
+            # a fault of the record, which the ensemble may have met before
+            # its states: a faulty state is named first
+            try:
+                ops._as_states(states)
+            except Error:
+                _each_alone(states)
+    except (ParseError, ValidationError, DimensionCapError) as exc:
+        kind = next(c for c in (ParseError, ValidationError, DimensionCapError)
+                    if isinstance(exc, c))
+        raise kind(f"state {exc.key}: {exc}") from exc
     if not prior_ok:
         raise ParseError('"prior" must be a list of numbers')
     try:
-        return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=tuple(states))
+        return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=states)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad ensemble record: {exc}") from exc
 
 
+def _one_literal(literal) -> np.ndarray:
+    """The matrix of one state's literal."""
+    matrix = ops.matrix_from_pairs(literal)
+    if matrix.ndim != 2:  # a literal holds one matrix, not a stack
+        raise ParseError("matrix literal must have shape (rows, cols, 2), "
+                         f"got {(*matrix.shape, 2)}")
+    return matrix
+
+
 def load_ensemble(path) -> CQEnsemble:
+    """The ensemble of the file at ``path`` (:func:`ensemble_from_dict`).
+
+    The cyclic garbage collector is paused from ``json.load`` until the
+    parsed literal lists are released, and then left as it was found: a
+    JSON document holds no reference cycle, so the collector has nothing to
+    find in it, while the tens of thousands of young lists of a large file
+    would set off collections that each walk every object the process holds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return ensemble_from_dict(_parsed(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parsed(path):
+    """The JSON value in the file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     # ValueError covers bad JSON, bad UTF-8 and integers too long to parse
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return ensemble_from_dict(obj)
 
 
 def save_ensemble(e: CQEnsemble, path) -> None:

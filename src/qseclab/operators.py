@@ -160,6 +160,9 @@ def _half_trace_norms(matrices: np.ndarray) -> np.ndarray:
 # a stack of matrices is a list of such literals.
 # ---------------------------------------------------------------------------
 
+_ENTRY_TYPES = {int, float, type(None)}  # a JSON number or null
+
+
 def matrix_to_pairs(matrix) -> list:
     """Serialize a matrix or a stack of matrices to nested [re, im] pairs:
     (rows, cols, 2), or (matrices, rows, cols, 2) for a stack."""
@@ -168,21 +171,51 @@ def matrix_to_pairs(matrix) -> list:
 
 
 def matrix_from_pairs(obj) -> np.ndarray:
-    """Parse the nested [re, im] pair format back into a complex matrix, or
-    into a stack of them from a list of literals of one shape.  Every entry
-    must be a JSON number (a null reads as NaN, which the state checks
-    refuse): numpy alone would read a bool or a numeric string as one."""
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-        raise ParseError(f"malformed matrix literal: {exc}") from exc
-    if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
-        raise ParseError(f"matrix literal must have shape (rows, cols, 2), got {arr.shape}")
-    entries = obj  # regular, as numpy read it: ndim - 1 flattenings reach the entries
-    for _ in range(arr.ndim - 1):
-        entries = chain.from_iterable(entries)
-    odd = set(map(type, entries)) - {int, float, type(None)}
-    if odd:
-        names = ", ".join(sorted(t.__name__ for t in odd))
-        raise ParseError(f"matrix entries must be numbers, got {names}")
+    """Parse the nested [re, im] pair format, a parsed JSON value, back into a
+    complex matrix, or into a stack of them from a list of literals of one
+    shape.  Every entry must be a JSON number (a null reads as NaN, which
+    the state checks refuse): numpy alone would read a bool or a numeric
+    string as one.
+
+    A regular literal is converted in one flat pass, one nesting level at a
+    time; any literal it refuses goes to the nested conversion and entry
+    walk, which alone give numpy's texts for a ragged literal."""
+    arr = _flat_pairs(obj)
+    if arr is None:
+        try:
+            arr = np.asarray(obj, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past float range
+            raise ParseError(f"malformed matrix literal: {exc}") from exc
+        if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
+            raise ParseError(f"matrix literal must have shape (rows, cols, 2), got {arr.shape}")
+        entries = obj  # regular, as numpy read it: ndim - 1 flattenings reach the entries
+        for _ in range(arr.ndim - 1):
+            entries = chain.from_iterable(entries)
+        odd = set(map(type, entries)) - _ENTRY_TYPES
+        if odd:
+            names = ", ".join(sorted(t.__name__ for t in odd))
+            raise ParseError(f"matrix entries must be numbers, got {names}")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _flat_pairs(obj) -> np.ndarray | None:
+    """``obj`` as a (rows, cols, 2) or (matrices, rows, cols, 2) float64
+    array when it is a regular nested list of JSON numbers and nulls, else
+    None.  The depth is the first entry's; at each level above it every
+    element must have one length, and the flattened entries must all be
+    numbers or nulls.  A string or an object where a list belongs flattens
+    into ``str`` keys or characters, which that check refuses; a number
+    there has no ``len``."""
+    level, shape = [obj], []
+    try:
+        while type(level[0]) is list:
+            lengths = set(map(len, level))
+            if len(lengths) != 1:
+                return None
+            shape.append(lengths.pop())
+            level = list(chain.from_iterable(level))
+        if len(shape) not in (3, 4) or shape[-1] != 2 or not set(map(type, level)) <= _ENTRY_TYPES:
+            return None
+        return np.array(level, dtype=np.float64).reshape(shape)
+    except (IndexError, TypeError, OverflowError):  # an empty level, a number, a huge int
+        return None

@@ -1,6 +1,7 @@
 """Tests for classical-quantum ensembles and the secrecy criteria."""
 
 import decimal
+import gc
 import json
 import os
 import subprocess
@@ -719,6 +720,63 @@ class TestEnsembleFiles:
         assert np.array_equal(loaded.stack, e.stack)
         assert np.array_equal(loaded.spectra, e.spectra)
 
+    def test_a_faulty_last_state_is_validated_once(self, tmp_path, monkeypatch):
+        # the batched attempt, then the walk up to the fault: no state a second time
+        e = random_ensemble(3, 5, np.random.default_rng(4))
+        record = ens.ensemble_to_dict(e)
+        record["states"][7] = ops.matrix_to_pairs(np.diag([1.2, -0.1, -0.1, 0.0, 0.0]))
+        (tmp_path / "e.json").write_text(json.dumps(record), encoding="utf-8")
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        with pytest.raises(ValidationError, match="^state 7: most negative eigenvalue -1.000e-01$"):
+            ens.load_ensemble(tmp_path / "e.json")
+        assert solves == [(8, 5, 5)] + [(1, 5, 5)] * 8
+
+
+def _collections():
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+class TestCollectorPause:
+    """``load_ensemble`` pauses the cyclic collector and leaves it as it was."""
+
+    def test_a_load_runs_no_collection(self, tmp_path):
+        path = tmp_path / "chained_5.json"
+        ens.save_ensemble(locking.build_chained_locking_ensemble(5).ensemble, path)
+        gc.collect()
+        before = _collections()
+        ens.load_ensemble(path)
+        assert _collections() == before
+
+    @staticmethod
+    def write_files(tmp_path):
+        """A valid file and three that fail: missing, bad JSON, a non-Hermitian state."""
+        record = ens.ensemble_to_dict(random_ensemble(2, 3, np.random.default_rng(1)))
+        (tmp_path / "valid.json").write_text(json.dumps(record), encoding="utf-8")
+        (tmp_path / "bad.json").write_text('{"n": 2,', encoding="utf-8")
+        record["states"][1] = ops.matrix_to_pairs(_off_hermitian(ops.matrix_from_pairs(
+            record["states"][1])))
+        (tmp_path / "not_hermitian.json").write_text(json.dumps(record), encoding="utf-8")
+        return {"valid.json": None, "missing.json": ParseError, "bad.json": ParseError,
+                "not_hermitian.json": ValidationError}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_left_as_found(self, tmp_path, enabled):
+        files = self.write_files(tmp_path)
+        was = gc.isenabled()
+        try:
+            for name, error in files.items():
+                (gc.enable if enabled else gc.disable)()
+                if error is None:
+                    ens.load_ensemble(tmp_path / name)
+                else:
+                    with pytest.raises(error):
+                        ens.load_ensemble(tmp_path / name)
+                assert gc.isenabled() is enabled, name
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 def _literal_by_literal(obj):
     """The file loader that parsed and validated each state literal alone, in
@@ -763,6 +821,13 @@ def _set_entry(value):
     return fault
 
 
+def _set_pair(value):
+    def fault(literal):
+        literal[1][1] = value
+        return literal
+    return fault
+
+
 # each turns the pair literal of a valid 3x3 state into a faulty one
 LITERAL_FAULTS = {
     "rows_only": lambda lit: lit[0],
@@ -776,6 +841,9 @@ LITERAL_FAULTS = {
     "numeric_string": _set_entry("0.5"),
     "bool_entry": _set_entry(True),
     "nan_entry": _set_entry(float("nan")),
+    "string_pair": _set_pair("ab"),
+    "object_pair": _set_pair({"re": 0.5, "im": 0.0}),
+    "pair_of_pairs": _set_pair([[0.5, 0.0], [0.0, 0.0]]),
     "not_hermitian": lambda lit: ops.matrix_to_pairs(_off_hermitian(ops.matrix_from_pairs(lit))),
     "not_positive": lambda lit: ops.matrix_to_pairs(np.diag([1.2, -0.1, -0.1])),
     "trace": lambda lit: ops.matrix_to_pairs(2.0 * ops.matrix_from_pairs(lit)),
@@ -854,3 +922,22 @@ class TestFileErrors:
         record["states"][1][0][0][0] = 10**400
         with pytest.raises(ParseError, match="^state 1: malformed matrix literal: int too large"):
             ens.ensemble_from_dict(record)
+
+    def test_an_integer_past_float_range_in_place_of_a_literal(self):
+        # not a LITERAL_FAULTS entry: _literal_by_literal lets numpy's OverflowError through
+        record = self.record()
+        record["states"][1] = 10**400
+        with pytest.raises(ParseError, match="^state 1: malformed matrix literal: int too large"):
+            ens.ensemble_from_dict(record)
+
+
+@pytest.mark.parametrize("literal", [
+    [[[-0.0, 0.5], [1, -0.0]], [[None, 2], [0.25, -0.0]]],
+    [[[[0, -0.0]], [[None, -1]]], [[[1.5, 0]], [[-3, None]]]],
+], ids=["matrix", "stack"])
+def test_the_flat_pass_gives_the_nested_conversions_bits(literal):
+    nested = np.asarray(literal, dtype=np.float64)
+    expected = nested[..., 0] + 1j * nested[..., 1]
+    parsed = ops.matrix_from_pairs(literal)
+    assert parsed.shape == expected.shape
+    assert parsed.tobytes() == expected.tobytes()

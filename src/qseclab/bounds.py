@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import detection, distributions as dist, ensembles as ens, locking
-from .errors import OutOfScopeError, ValidationError
+from .errors import OutOfScopeError, ValidationError, _require_integer
 from .operators import MAX_DIM, _rank_one
 
 CLASSICAL_TOL = 1e-10
@@ -82,10 +82,10 @@ def _random_prior(n_keys: int, rng: np.random.Generator) -> np.ndarray:
 class EnsembleRecipe:
     """Fully deterministic description of one campaign instance.
 
-    Only recipes that :func:`build_instance` honours are accepted: a
-    ``locking`` recipe is the 2-bit ensemble of dimension 4, a
-    ``spike_classical`` one has dimension 2^n, and no stack has more than
-    ``dist.MAX_DENSE_SIZE`` entries 2^n d^2.
+    Only recipes that :func:`build_instance` honours are accepted: integer
+    sizes and an integer seed of at least 0; a ``locking`` recipe is the
+    2-bit ensemble of dimension 4, a ``spike_classical`` one has dimension
+    2^n, and no stack has more than ``dist.MAX_DENSE_SIZE`` entries 2^n d^2.
     """
 
     kind: str
@@ -96,6 +96,11 @@ class EnsembleRecipe:
     def __post_init__(self):
         if self.kind not in RECIPE_KINDS:
             raise ValidationError(f"unknown recipe kind {self.kind!r}")
+        for name, label in (("n_bits", "key length"), ("dim", "dimension"), ("seed", "seed")):
+            _require_integer(label, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))  # not a numpy integer
+        if self.seed < 0:
+            raise ValidationError(f"seed must be at least 0, got {self.seed}")
         # refused here, before build_instance makes 2^n states
         if not 0 <= self.n_bits <= ens.MAX_KEY_BITS:
             raise ValidationError(f"key length {self.n_bits} outside [0, {ens.MAX_KEY_BITS}]")

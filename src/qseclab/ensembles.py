@@ -42,6 +42,7 @@ from .errors import (
     Error,
     ParseError,
     ValidationError,
+    _require_integer,
 )
 from .operators import DensityOperator
 
@@ -57,11 +58,12 @@ class CQEnsemble:
     read-only (keys, d, d) array and ``spectra`` the read-only (keys, d)
     ascending spectra its validation computed.  ``states`` may be any
     sequence of state matrices or ``DensityOperator`` objects, or a 3-D
-    array, validated together with one batched eigensolve
-    (:func:`operators._as_states`).  Only where that fails is each state
-    validated alone, in key order, so the error is the one the first
-    faulty state raises alone.  The ensemble is immutable, so quantities
-    derived from it are kept on it.
+    array, validated first, together, with one batched eigensolve
+    (:func:`operators._as_states`); only where that fails is each state
+    validated alone, in key order, so a faulty state's own error comes
+    before any fault of ``n_bits`` (an integer), of the prior, of the state
+    count or of mixed dimensions.  The ensemble is immutable, so
+    quantities derived from it are kept on it.
     """
 
     n_bits: int
@@ -71,6 +73,18 @@ class CQEnsemble:
     spectra: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, states):
+        matrices = states
+        if not (isinstance(states, np.ndarray) and states.ndim == 3):
+            matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in states]
+        try:
+            stack, spectra = ops._as_states(matrices)
+        except (ValidationError, DimensionCapError, ValueError, TypeError):
+            # a faulty, over-cap, ragged or empty sequence: each state
+            # validated alone, in order, names the first fault
+            stack = None
+            matrices = _each_alone(matrices)
+        _require_integer("key length", self.n_bits)
+        object.__setattr__(self, "n_bits", int(self.n_bits))
         if self.n_bits < 0:
             raise ValidationError("key length must be nonnegative")
         if self.n_bits > MAX_KEY_BITS:
@@ -79,16 +93,6 @@ class CQEnsemble:
         n_keys = 2**self.n_bits
         if prior.size != n_keys:
             raise ValidationError(f"prior has {prior.size} entries, expected {n_keys}")
-        matrices = states
-        if not (isinstance(states, np.ndarray) and states.ndim == 3):
-            matrices = [s.matrix if isinstance(s, DensityOperator) else s for s in states]
-        try:
-            stack, spectra = ops._as_states(matrices)
-        except (ValidationError, ValueError, TypeError):
-            # a faulty, ragged or empty sequence: each state validated alone,
-            # in order, names the first fault
-            stack = None
-            matrices = _each_alone(matrices)
         if len(matrices) != n_keys:
             raise ValidationError(f"{len(matrices)} states supplied, expected {n_keys}")
         if stack is None:
@@ -114,8 +118,9 @@ def _each_alone(matrices) -> list:
     """Each of ``matrices`` (any iterable) validated alone as a
     ``DensityOperator``, in key order, as its matrix.  The first error
     stops the walk with ``key`` set on it, the index of the state it
-    stopped at, whether that state's validation raised it or, from a lazy
-    iterable, the making of its matrix: the file reader names the state by it."""
+    stopped at, whether that state's validation raised it or, from the
+    file reader's lazy iterable, the making of its matrix.  ``CQEnsemble``
+    runs it before any other check, and the reader names the state by it."""
     out = []
     try:
         for m in matrices:
@@ -342,18 +347,17 @@ def ensemble_to_dict(e: CQEnsemble) -> dict:
 
 
 def ensemble_from_dict(obj) -> CQEnsemble:
-    """The ensemble of a parsed ensemble file.
+    """The ensemble of a parsed ensemble file, built by one ``CQEnsemble`` call.
 
     ``states`` is read as one stack: one float64 conversion of all the
-    literals, validated by :class:`CQEnsemble` with one batched
-    eigensolve.  A faulty state is named (``state k: ...``, a
-    ``ParseError``, ``ValidationError`` or ``DimensionCapError`` as its
-    own error is one) before a fault of ``prior``, of the value of ``n``
-    or of the state count.  Where the batched validation fails, the
-    ensemble's walk over the states in key order finds the first faulty
-    one; only where the literals do not parse as one stack is each parsed
-    and validated alone, in order.  ``prior`` must be a list of JSON
-    numbers; any other is a ``ParseError``.
+    literals, which the ensemble validates with one batched eigensolve.
+    Only where the literals do not parse as one stack is each parsed and
+    validated alone, in order.  The ensemble's own order holds: a faulty
+    state, named ``state k: ...`` (a ``ParseError``, ``ValidationError`` or
+    ``DimensionCapError`` as its own error is one), comes before a fault of
+    the value of ``n``, of ``prior`` or of the state count.  The reader adds
+    one check of its own: ``prior`` must be a list of JSON numbers, and any
+    other is a ``ParseError`` after any faulty state.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"ensemble record must be an object, got {type(obj).__name__}")
@@ -373,29 +377,19 @@ def ensemble_from_dict(obj) -> CQEnsemble:
     try:
         if states is None or states.ndim != 3:  # each literal parsed and validated alone
             states = _each_alone(map(_one_literal, obj["states"]))
-        else:
-            try:
-                if prior_ok:
-                    return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=states)
-            except (Error, ValueError, TypeError, OverflowError) as exc:
-                if hasattr(exc, "key"):  # the ensemble's walk met a faulty state
-                    raise
-            # a fault of the record, which the ensemble may have met before
-            # its states: a faulty state is named first
-            try:
-                ops._as_states(states)
-            except Error:
-                _each_alone(states)
-    except (ParseError, ValidationError, DimensionCapError) as exc:
-        kind = next(c for c in (ParseError, ValidationError, DimensionCapError)
-                    if isinstance(exc, c))
-        raise kind(f"state {exc.key}: {exc}") from exc
-    if not prior_ok:
+        ensemble = CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=states)
+    except (Error, ValueError, TypeError, OverflowError) as exc:
+        if hasattr(exc, "key"):  # the walk met a faulty state
+            kind = next((c for c in (ValidationError, DimensionCapError) if isinstance(exc, c)),
+                        ParseError)
+            raise kind(f"state {exc.key}: {exc}") from exc
+        if prior_ok:
+            if isinstance(exc, Error):
+                raise
+            raise ParseError(f"bad ensemble record: {exc}") from exc
+    if not prior_ok:  # whether numpy read it as a distribution or failed on it
         raise ParseError('"prior" must be a list of numbers')
-    try:
-        return CQEnsemble(n_bits=obj["n"], prior=obj["prior"], states=states)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"bad ensemble record: {exc}") from exc
+    return ensemble
 
 
 def _one_literal(literal) -> np.ndarray:

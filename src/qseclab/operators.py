@@ -74,10 +74,9 @@ def _as_states(matrices) -> tuple[np.ndarray, np.ndarray]:
     The checks, in order: square shape, the dimension cap, finite entries,
     Hermiticity (1e-12, max entry), positivity (eigenvalues >= -1e-10; the
     error reports the most negative one), unit trace (within 1e-10).  Each
-    runs on the whole stack at once, so an error names no state: the
-    callers that must name the first faulty one (``CQEnsemble``, the
-    ensemble-file reader) validate each state alone, in order, where this
-    fails.
+    runs on the whole stack at once, so an error names no state: where
+    this fails, ``CQEnsemble`` validates each state alone, in order, to
+    name the first faulty one.
     """
     m = np.array(matrices, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:

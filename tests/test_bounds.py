@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,28 @@ class TestRecipesAndCampaigns:
         # dimension 2^n whatever the recipe says
         with pytest.raises(ValidationError, match=f"^a {kind} recipe has "):
             bounds.EnsembleRecipe(kind, n_bits, dim, 0)
+
+    @pytest.mark.parametrize("n_bits, dim, seed, text", [
+        (1.0, 2, 0, "key length must be an integer, got 1.0"),
+        (True, 2, 0, "key length must be an integer, got True"),
+        (1, 2.5, 0, "dimension must be an integer, got 2.5"),
+        (1, True, 0, "dimension must be an integer, got True"),
+        (1, 2, 1.5, "seed must be an integer, got 1.5"),
+        (1, 2, "0", "seed must be an integer, got '0'"),
+        (1, 2, -1, "seed must be at least 0, got -1"),
+    ])
+    def test_a_size_or_seed_that_is_not_a_count_is_refused(self, n_bits, dim, seed, text):
+        # each was accepted, and build_instance then raised a bare TypeError or ValueError
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            bounds.EnsembleRecipe("random_mixed", n_bits, dim, seed)
+
+    def test_numpy_integer_sizes_and_seed_are_kept_as_ints(self):
+        recipe = bounds.EnsembleRecipe("random_mixed", np.int64(2), np.int32(3), np.uint8(7))
+        assert [type(v) for v in (recipe.n_bits, recipe.dim, recipe.seed)] == [int] * 3
+        assert recipe == bounds.EnsembleRecipe("random_mixed", 2, 3, 7)
+        np.testing.assert_array_equal(bounds.build_instance(recipe).stack,
+                                      bounds.build_instance(bounds.EnsembleRecipe(
+                                          "random_mixed", 2, 3, 7)).stack)
 
     @pytest.mark.parametrize("n_bits, dim", [(22, 2), (24, 1), (12, 64)])
     def test_a_stack_at_the_dense_cap_is_accepted(self, n_bits, dim):

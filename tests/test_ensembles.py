@@ -4,6 +4,7 @@ import decimal
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -73,6 +74,17 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="^0 states supplied, expected 2$"):
             ens.CQEnsemble(1, [0.5, 0.5], ())
 
+    @pytest.mark.parametrize("n_bits", [1.0, True, "1", None])
+    def test_a_key_length_that_is_not_an_integer_is_refused(self, n_bits):
+        # 1.0 and True were accepted, and the criteria then raised a bare TypeError or ValueError
+        with pytest.raises(ValidationError, match=f"^key length must be an integer, got {n_bits!r}$"):
+            ens.CQEnsemble(n_bits, [0.5, 0.5], (np.eye(2) / 2,) * 2)
+
+    def test_a_numpy_integer_key_length_is_kept_as_an_int(self):
+        e = ens.CQEnsemble(np.int64(1), [0.5, 0.5], _good_states(2))
+        assert type(e.n_bits) is int and e.key_label(1) == "1"
+        assert ens.ideal_comparison_value(e).per_key.keys() == {"0", "1"}
+
     def test_validated_and_raw_states_give_one_stack(self):
         raw = _good_states(4, seed=9)
         mixed = [ops.DensityOperator(raw[0]), raw[1], ops.DensityOperator(raw[2]), raw[3]]
@@ -113,7 +125,10 @@ def _one_by_one_density(matrix):
 
 
 def _one_by_one_ensemble(n_bits, prior, states):
-    """The ensemble construction that validated each state alone, in key order."""
+    """The ensemble construction that validated each state alone, in key order,
+    and then the key length, the prior and the state count."""
+    matrices = [s.matrix if isinstance(s, ops.DensityOperator) else _one_by_one_density(s)
+                for s in states]
     if n_bits < 0:
         raise ValidationError("key length must be nonnegative")
     if n_bits > ens.MAX_KEY_BITS:
@@ -122,8 +137,6 @@ def _one_by_one_ensemble(n_bits, prior, states):
     n_keys = 2**n_bits
     if prior.size != n_keys:
         raise ValidationError(f"prior has {prior.size} entries, expected {n_keys}")
-    matrices = [s.matrix if isinstance(s, ops.DensityOperator) else _one_by_one_density(s)
-                for s in states]
     if len(matrices) != n_keys:
         raise ValidationError(f"{len(matrices)} states supplied, expected {n_keys}")
     dims = {m.shape[0] for m in matrices}
@@ -229,10 +242,25 @@ class TestStackValidation:
     def test_every_state_of_one_wrong_shape(self, shape):
         self.assert_same_error(2, ens.uniform_prior(2), np.zeros(shape))
 
-    def test_ragged_states_with_a_bad_prior_name_the_prior(self):
+    def test_ragged_states_with_a_bad_prior_name_a_faulty_state_then_the_prior(self):
         states = [np.eye(2) / 2, np.diag([2.0, 0.0, 0.0])]
         self.assert_same_error(1, [0.5, 0.6], states)
+        with pytest.raises(TraceNotOneError, match="^trace 2.0 "):
+            ens.CQEnsemble(1, [0.5, 0.6], states)
         self.assert_same_error(1, [0.5, 0.6], [np.eye(2) / 2, np.eye(3) / 3])
+        with pytest.raises(ValidationError, match="^probabilities sum to 1.1"):
+            ens.CQEnsemble(1, [0.5, 0.6], [np.eye(2) / 2, np.eye(3) / 3])
+
+    @pytest.mark.parametrize("fault", sorted(STATE_FAULTS))
+    @pytest.mark.parametrize("n_bits, prior, count", [
+        (-1, [0.25] * 4, 4), (2, [0.25, 0.25, 0.25, 0.35], 4), (2, [0.25] * 4, 5),
+    ], ids=["negative-n", "prior-sums-to-1.1", "five-states"])
+    def test_a_faulty_state_is_named_before_the_record(self, fault, n_bits, prior, count):
+        states = _good_states(count)
+        states[2] = STATE_FAULTS[fault](states[2])
+        self.assert_same_error(n_bits, prior, states)
+        assert _raised(ens.CQEnsemble, n_bits, prior, states) == _raised(
+            ops.DensityOperator, states[2])
 
     def test_ragged_states(self):
         for states in ([np.eye(2) / 2, np.eye(3) / 3],
@@ -719,6 +747,29 @@ class TestEnsembleFiles:
         assert solves == [(8, 5, 5)]
         assert np.array_equal(loaded.stack, e.stack)
         assert np.array_equal(loaded.spectra, e.spectra)
+
+    @staticmethod
+    def solves_of_load(tmp_path, monkeypatch, record, error, text):
+        """The eigensolve shapes of loading ``record``, which raises ``text``."""
+        (tmp_path / "e.json").write_text(json.dumps(record), encoding="utf-8")
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            ens.load_ensemble(tmp_path / "e.json")
+        return solves
+
+    def test_a_wrong_state_count_is_validated_once(self, tmp_path, monkeypatch):
+        record = ens.ensemble_to_dict(random_ensemble(2, 3, np.random.default_rng(4)))
+        record["states"].append(ops.matrix_to_pairs(_good_states(1, seed=5)[0]))
+        assert self.solves_of_load(tmp_path, monkeypatch, record, ValidationError,
+                                   "5 states supplied, expected 4") == [(5, 3, 3)]
+
+    def test_a_bad_prior_value_is_validated_once(self, tmp_path, monkeypatch):
+        record = ens.ensemble_to_dict(random_ensemble(2, 3, np.random.default_rng(4)))
+        record["prior"] = [0.25, 0.25, 0.25, 0.35]
+        assert self.solves_of_load(tmp_path, monkeypatch, record, ValidationError,
+                                   "probabilities sum to 1.1, not 1") == [(4, 3, 3)]
 
     def test_a_faulty_last_state_is_validated_once(self, tmp_path, monkeypatch):
         # the batched attempt, then the walk up to the fault: no state a second time
